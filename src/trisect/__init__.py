@@ -19,8 +19,8 @@ from .network import (
     assemble,
     classify_split,
     focal_loss,
-    forward,
     init_node,
+    predict_batch,
     regularized_cost,
     train_node,
 )
@@ -40,7 +40,7 @@ from .threeway import (
     sample_cost_matrix,
     thresholds_from,
 )
-from .trainer import RunLedger, TrainConfig, predict, run
+from .trainer import RunLedger, TrainConfig, run
 from .baselines import (
     BASELINE_KINDS,
     empirical_nodes,

@@ -49,39 +49,53 @@ def _parse_delta(s):
     return None if s == "auto" else float(s)
 
 
-# key -> (default, value parser)
+# config key -> (TrainHyper field, value parser)
+HYPER_KEYS = {
+    "delta": ("delta", _parse_delta),
+    "theta": ("theta", float),
+    "l2": ("l2", float),
+    "lr": ("learning_rate", float),
+    "rho1": ("rho1", float),
+    "rho2": ("rho2", float),
+    "tau": ("tau", float),
+    "batch_size": ("batch_size", int),
+    "max_epochs": ("max_epochs", int),
+    "patience": ("patience", int),
+}
+# config key -> (TrainConfig field, value parser)
+RUN_KEYS = {
+    "seed": ("master_seed", int),
+    "t": ("t", int),
+    "activation": ("activation", _ident),
+    "init_dist": ("init_dist", _ident),
+    "epsilon": ("epsilon", float),
+    "clusters": ("clusters", int),
+    "unit_test_costs": ("unit_test_costs", _parse_costs),
+    "unit_delay_costs": ("unit_delay_costs", _parse_costs),
+}
+_HYPER, _RUN = TrainHyper(), TrainConfig()
+
+# key -> (default, value parser); the keys above take their defaults from
+# TrainHyper and TrainConfig
 CONFIG_SCHEMA = {
     "data": (None, _ident),
     "label_col": (None, _ident),
     "positive": (None, _ident),
     "normalize": ("min-max", _parse_norm),
     "out": ("trisect-out", _ident),
-    "seed": (0, int),
-    "t": (10, int),
-    "activation": ("selu", _ident),
-    "init_dist": ("uniform", _ident),
-    "delta": (None, _parse_delta),
-    "theta": (2.0, float),
-    "l2": (0.1, float),
-    "lr": (0.1, float),
-    "rho1": (0.9, float),
-    "rho2": (0.999, float),
-    "tau": (1e-8, float),
-    "batch_size": (512, int),
-    "max_epochs": (100, int),
-    "patience": (5, int),
-    "epsilon": (2.0, float),
-    "clusters": (2, int),
+    **{key: (getattr(_HYPER, f), parse) for key, (f, parse) in HYPER_KEYS.items()},
+    **{key: (getattr(_RUN, f), parse) for key, (f, parse) in RUN_KEYS.items()},
     "folds": (10, int),
     "jobs": (1, int),
     "kind": (None, _ident),
-    "unit_test_costs": (None, _parse_costs),
-    "unit_delay_costs": (None, _parse_costs),
-    "cost_lo": (1.0, float),
-    "cost_hi": (50.0, float),
+    "cost_lo": (_RUN.cost_range[0], float),
+    "cost_hi": (_RUN.cost_range[1], float),
     "grid_max_nodes": (10, int),
     "m1_a": (4.0, float),
 }
+
+# keys that a command-line flag overrides (--label-col sets label_col)
+FLAG_KEYS = ("data", "label_col", "positive", "seed", "out", "folds", "jobs", "kind")
 
 
 def parse_config_file(path: str) -> dict:
@@ -114,46 +128,32 @@ def resolve_settings(args) -> dict:
                 settings[key] = parser(value)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
-    flag_map = {
-        "data": "data", "label_col": "label_col", "positive": "positive",
-        "seed": "seed", "out": "out", "folds": "folds", "jobs": "jobs",
-        "kind": "kind",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in FLAG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
 
 
 def _build_config(settings: dict, schedule=None) -> TrainConfig:
-    hyper = TrainHyper(
-        delta=settings["delta"], theta=settings["theta"], l2=settings["l2"],
-        learning_rate=settings["lr"], rho1=settings["rho1"], rho2=settings["rho2"],
-        tau=settings["tau"], batch_size=settings["batch_size"],
-        max_epochs=settings["max_epochs"], patience=settings["patience"],
-    )
+    hyper = TrainHyper(**{f: settings[key] for key, (f, _) in HYPER_KEYS.items()})
     try:
-        return TrainConfig(
-            t=settings["t"], activation=settings["activation"],
-            init_dist=settings["init_dist"], hyper=hyper,
-            epsilon=settings["epsilon"], clusters=settings["clusters"],
-            master_seed=settings["seed"],
-            unit_test_costs=settings["unit_test_costs"],
-            unit_delay_costs=settings["unit_delay_costs"],
-            cost_range=(settings["cost_lo"], settings["cost_hi"]),
-            schedule=schedule,
-        )
+        return TrainConfig(hyper=hyper, cost_range=(settings["cost_lo"], settings["cost_hi"]),
+                           schedule=schedule,
+                           **{f: settings[key] for key, (f, _) in RUN_KEYS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _load_dataset(settings) -> Dataset:
+def _read_dataset(settings) -> Dataset:
     for key in ("data", "label_col", "positive"):
         if settings.get(key) in (None, ""):
             raise ConfigError(f"missing required setting {key!r}")
-    ds = load_csv(settings["data"], settings["label_col"], settings["positive"])
-    return normalize(ds, settings["normalize"])
+    return load_csv(settings["data"], settings["label_col"], settings["positive"])
+
+
+def _load_dataset(settings) -> Dataset:
+    return normalize(_read_dataset(settings), settings["normalize"])
 
 
 def _write_json(path: str, obj) -> None:
@@ -238,10 +238,10 @@ def cmd_eval(args) -> int:
         raise DataError(f"model not found: {model_path}")
     with open(model_path, encoding="utf-8") as fh:
         net, norm_mode, norm_stats, _, _ = model_from_json(json.load(fh))
-    for key in ("data", "label_col", "positive"):
-        if settings.get(key) in (None, ""):
-            raise ConfigError(f"missing required setting {key!r}")
-    ds = load_csv(settings["data"], settings["label_col"], settings["positive"])
+    ds = _read_dataset(settings)
+    if ds.n_features != net.n_features:
+        raise DataError(f"{settings['data']} has {ds.n_features} feature columns, "
+                        f"the model expects {net.n_features}")
     X = apply_normalization(norm_mode, norm_stats, ds.features)
     labels, scores = predict_batch(net, X)
     out = settings["out"] if settings["out"] != "trisect-out" else os.path.join(args.run_dir, "eval")
@@ -253,11 +253,8 @@ def cmd_eval(args) -> int:
 
 def _crossval_fold(payload):
     """One fold's run; top-level so executors can pickle it."""
-    ds, plan, fold, settings, schedule_doc = payload
+    ds, plan, fold, settings, schedule = payload
     seed = settings["seed"]
-    from .threeway import schedule_from_json
-
-    schedule = schedule_from_json(schedule_doc)
     fold_seed = derive_stream(seed, f"fold-{fold}").next_u64()
     cfg = _build_config({**settings, "seed": fold_seed}, schedule=schedule)
     split = fold_split(ds, plan, fold, derive_stream(seed, f"crossval-val-{fold}"))
@@ -293,12 +290,11 @@ def cmd_crossval(args) -> int:
         raise ConfigError(f"folds must be >= 2, got {k}")
     ds = _load_dataset(settings)
     schedule = _schedule_for(settings)
-    schedule_doc = schedule_to_json(schedule)
     try:
         plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    payloads = [(ds, plan, f, settings, schedule_doc) for f in range(1, k + 1)]
+    payloads = [(ds, plan, f, settings, schedule) for f in range(1, k + 1)]
     jobs = max(1, settings["jobs"])
     if jobs == 1:
         records = [_crossval_fold(p) for p in payloads]
@@ -412,15 +408,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_shared(parser):
-    parser.add_argument("--data")
-    parser.add_argument("--label-col", dest="label_col")
-    parser.add_argument("--positive")
     parser.add_argument("--config")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--folds", type=int)
-    parser.add_argument("--jobs", type=int)
-    parser.add_argument("--kind")
+    for key in FLAG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), type=CONFIG_SCHEMA[key][1])
 
 
 def build_parser() -> argparse.ArgumentParser:

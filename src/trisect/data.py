@@ -100,8 +100,9 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     ``label_column`` is a header name or 0-based column index; every other
     column must be numeric. The raw ``positive_label`` value maps to +1 and
     the single remaining label value to -1. Rows containing empty cells are
-    dropped (counted in ``ingestion``); non-numeric feature cells and label
-    columns without exactly two distinct values are errors.
+    dropped (counted in ``ingestion``); non-numeric or non-finite (nan, inf)
+    feature cells and label columns without exactly two distinct values are
+    errors.
     """
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
@@ -149,6 +150,10 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
                     raise DataError(
                         f"non-numeric value {c!r} in column {header[i]!r}, row {rows_read}"
                     ) from None
+            if not math.isfinite(sum(vals)):  # a nan/inf cell, or only a sum that overflows
+                for name, v in zip(feature_names, vals):
+                    if not math.isfinite(v):
+                        raise DataError(f"non-finite value {v} in column {name!r}, row {rows_read}")
             feats.append(vals)
             raw_labels.append(cells[label_idx])
 

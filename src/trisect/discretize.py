@@ -127,23 +127,23 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
     return Clustering(k, centers, assignments)
 
 
-def build_equivalence_classes(assignments, labels, ids=None) -> list[EquivalenceClass]:
-    """One class per occupied cluster, carrying exact positive fractions.
+def build_equivalence_classes(members, keys, labels) -> list[EquivalenceClass]:
+    """One class per distinct key, carrying exact positive fractions.
 
-    ``ids`` optionally relabels the rows (e.g. with dataset-level indices);
-    by default members are reported as positions 0..n-1.
+    ``keys[j]`` is the category of instance ``members[j]`` (a cluster id, or
+    any hashable such as the bytes of a raw feature row), and ``labels`` is
+    indexed by instance. Members are listed in ascending order within a
+    class, and classes are ordered by their smallest member.
     """
-    assignments = np.asarray(assignments)
+    if len(members) != len(keys):
+        raise ValueError("members and keys must have the same length")
     labels = np.asarray(labels)
-    if assignments.shape != labels.shape:
-        raise ValueError("assignments and labels must have the same length")
-    if ids is None:
-        ids = np.arange(assignments.shape[0])
-    ids = np.asarray(ids)
+    groups: dict = {}
+    for key, i in zip(keys, members):
+        groups.setdefault(key, []).append(i)
     classes = []
-    for c in sorted(set(int(a) for a in assignments)):
-        mask = assignments == c
-        members = tuple(int(i) for i in ids[mask])
-        positives = int((labels[mask] == 1).sum())
-        classes.append(EquivalenceClass(members, positives))
+    for group in groups.values():
+        group.sort()
+        classes.append(EquivalenceClass(tuple(group), int((labels[group] == 1).sum())))
+    classes.sort(key=lambda c: c.members[0])
     return classes

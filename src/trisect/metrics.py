@@ -109,6 +109,8 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
     scores = np.asarray(scores, dtype=np.float64)
     if truth.shape != scores.shape or truth.ndim != 1:
         raise ValueError("truth and scores must be equal-length vectors")
+    if not np.isfinite(scores).all():
+        raise ValueError("ROC needs finite scores")
     n_pos = int((truth == 1).sum())
     n_neg = int((truth == -1).sum())
     if n_pos == 0 or n_neg == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, activate, activate_derivative, ACTIVATION_KINDS
+from .numerics import RngStream, _f2s, activate, activate_derivative, ACTIVATION_KINDS
 
 PROB_CLAMP = 1e-12
 INIT_DISTRIBUTIONS = ("uniform", "normal")
@@ -164,18 +164,6 @@ def forward_arrays(X, W1, b1, W2, b2, activation):
     A = activate(activation, Z)
     scores = A @ W2.T + b2
     return Z, A, scores, _softmax_pos(scores)
-
-
-def forward(net: LayeredNetwork, x):
-    """Single-row forward: (scores, p_pos). Ties predict positive."""
-    if net.n_nodes < 1:
-        raise ValueError("network has no nodes")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n_features,):
-        raise ValueError(f"expected {net.n_features} features, got {x.shape}")
-    W1, b1, W2, b2 = net.assembled()
-    _, _, scores, p = forward_arrays(x[None, :], W1, b1, W2, b2, net.activation)
-    return scores[0], float(p[0])
 
 
 def predict_batch(net: LayeredNetwork, X):
@@ -390,10 +378,6 @@ def classify_split(net: LayeredNetwork, X, y, indices):
     nn = tuple(int(i) for i in indices[correct & (y == -1)])
     mn = tuple(int(i) for i in indices[~correct])
     return pn, mn, nn
-
-
-def _f2s(x: float) -> str:
-    return repr(float(x))
 
 
 def model_to_json(net: LayeredNetwork, norm_mode: str, norm_stats,

@@ -1,4 +1,4 @@
-"""Seeded random streams and activation functions.
+"""Seeded random streams, activation functions and the decimal float encoding.
 
 Every stochastic component of the package draws from an :class:`RngStream`
 so that a run is fully determined by (seed, stream id). The generator is
@@ -131,6 +131,11 @@ class RngStream:
 def derive_stream(master_seed: int, name: str) -> RngStream:
     """Named sub-stream of a master seed (the package's seed fan-out)."""
     return RngStream(master_seed, name)
+
+
+def _f2s(x: float) -> str:
+    """Decimal string of a float for the JSON outputs (shortest exact round trip)."""
+    return repr(float(x))
 
 
 def _check_kind(kind: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .discretize import EquivalenceClass
 from .errors import SamplingError
-from .numerics import RngStream
+from .numerics import RngStream, _f2s
 
 MATRIX_DRAW_BUDGET = 10_000
 LEVEL_ATTEMPT_BUDGET = 1_000
@@ -326,11 +326,6 @@ def accrue_process_costs(ledger: ProcessCostLedger, level: int, m: int) -> Proce
     cost_delay = max(prev_delay, m * ledger.unit_delay[level - 1])
     entry = (level, m, cost_test, cost_delay)
     return ProcessCostLedger(ledger.unit_test, ledger.unit_delay, ledger.entries + (entry,))
-
-
-def _f2s(x: float) -> str:
-    # shortest round-trip decimal form; always >= 15 significant digits of precision
-    return repr(float(x))
 
 
 def schedule_to_json(schedule: ThresholdSchedule) -> dict:

@@ -15,12 +15,12 @@ rows instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, Split
-from .discretize import EquivalenceClass, kmeans_cluster
+from .discretize import build_equivalence_classes, kmeans_cluster
 from .errors import ConfigError
 from .network import (
     INIT_DISTRIBUTIONS,
@@ -29,11 +29,12 @@ from .network import (
     assemble,  # noqa: F401  (part of this module's public surface)
     classify_split,
     init_node,
-    predict_batch,
+    predict_batch,  # noqa: F401  (looked up here by perfbench/tracer.py)
     train_node,
 )
 from .numerics import ACTIVATION_KINDS, derive_stream
 from .threeway import (
+    CostMatrix,
     ProcessCostLedger,
     ThresholdSchedule,
     accrue_process_costs,
@@ -128,26 +129,6 @@ class LevelRecord:
     cost_test: float
     cost_delay: float
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "active_size": self.active_size,
-            "m": self.m,
-            "pn": self.pn,
-            "mn": self.mn,
-            "nn": self.nn,
-            "pl": self.pl,
-            "bl": self.bl,
-            "nl": self.nl,
-            "rule": self.rule,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "risk": self.risk,
-            "cost_test": self.cost_test,
-            "cost_delay": self.cost_delay,
-        }
-
 
 @dataclass(frozen=True)
 class RunLedger:
@@ -166,7 +147,7 @@ class RunLedger:
             "master_seed": self.master_seed,
             "unit_test_costs": list(self.unit_test_costs),
             "unit_delay_costs": list(self.unit_delay_costs),
-            "levels": [r.to_dict() for r in self.levels],
+            "levels": [asdict(r) for r in self.levels],
             "final": {
                 "pos": list(self.pos),
                 "neg": list(self.neg),
@@ -175,17 +156,41 @@ class RunLedger:
         }
 
 
+@dataclass(frozen=True)
+class Rule:
+    """One level's decision rule and the cost matrix that prices it.
+
+    A three-way rule accepts at p >= alpha, rejects at p <= beta and defers
+    in between; a two-way rule splits at gamma and defers nothing. The
+    thresholds the rule does not use stay None, as in the ledger.
+    """
+
+    name: str  # "three-way" | "two-way"
+    matrix: CostMatrix
+    alpha: float | None = None
+    beta: float | None = None
+    gamma: float | None = None
+
+    def apply(self, classes, epsilon: float):
+        """(regions, decision risk) of the rule on the level's classes."""
+        if self.name == "three-way":
+            regions = partition_three_way(classes, self.alpha, self.beta)
+            return regions, decision_risk_three_way(regions, self.matrix, epsilon)
+        regions = partition_two_way(classes, self.gamma)
+        return regions, decision_risk_two_way(regions, self.matrix)
+
+
 class SequentialPolicy:
     """Three-way thresholds per level, forced two-way at the last level."""
 
     def __init__(self, schedule: ThresholdSchedule):
         self.schedule = schedule
 
-    def rule_for(self, level: int, n_misclassified: int, n_classes: int):
+    def rule_for(self, level: int, n_misclassified: int, n_classes: int) -> Rule:
         if level < self.schedule.t:
             alpha, beta = self.schedule.alpha_beta(level)
-            return ("three-way", alpha, beta, self.schedule.matrices[level - 1])
-        return ("two-way", self.schedule.gamma, self.schedule.matrices[-1])
+            return Rule("three-way", self.schedule.matrices[level - 1], alpha=alpha, beta=beta)
+        return Rule("two-way", self.schedule.matrices[-1], gamma=self.schedule.gamma)
 
 
 class FixedPolicy:
@@ -207,10 +212,10 @@ class FixedPolicy:
             self.alpha, self.beta, self.gamma = triple
         self.t = t
 
-    def rule_for(self, level: int, n_misclassified: int, n_classes: int):
+    def rule_for(self, level: int, n_misclassified: int, n_classes: int) -> Rule:
         if level >= self.t or n_misclassified <= n_classes:
-            return ("two-way", self.gamma, self.matrix)
-        return ("three-way", self.alpha, self.beta, self.matrix)
+            return Rule("two-way", self.matrix, gamma=self.gamma)
+        return Rule("three-way", self.matrix, alpha=self.alpha, beta=self.beta)
 
 
 def resolve_unit_costs(cfg: TrainConfig):
@@ -229,8 +234,8 @@ def _distinct_row_count(X: np.ndarray) -> int:
     return np.unique(X, axis=0).shape[0]
 
 
-def _group_by_categories(ds, members, categories, cfg, level):
-    """Equivalence classes of ``members`` under cached k-means categories."""
+def _kmeans_categories(ds, members, categories, cfg, level):
+    """Cached k-means category of each of ``members``, clustering the new ones."""
     missing = [i for i in members if i not in categories]
     if missing:
         pts = ds.features[np.array(missing)]
@@ -240,28 +245,7 @@ def _group_by_categories(ds, members, categories, cfg, level):
         base = max(categories.values(), default=-1) + 1
         for local, inst in enumerate(missing):
             categories[inst] = base + int(clustering.assignments[local])
-    groups: dict[int, list[int]] = {}
-    for i in members:
-        groups.setdefault(categories[i], []).append(i)
-    return _classes_from_groups(groups.values(), ds)
-
-
-def _group_identical_rows(ds, members):
-    """Equivalence classes of exactly equal feature rows (no discretizer)."""
-    groups: dict[bytes, list[int]] = {}
-    for i in members:
-        groups.setdefault(ds.features[i].tobytes(), []).append(i)
-    return _classes_from_groups(groups.values(), ds)
-
-
-def _classes_from_groups(groups, ds):
-    classes = []
-    for g in groups:
-        members = tuple(sorted(g))
-        positives = int((ds.labels[list(members)] == 1).sum())
-        classes.append(EquivalenceClass(members, positives))
-    classes.sort(key=lambda c: c.members[0])
-    return classes
+    return [categories[i] for i in members]
 
 
 def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
@@ -307,21 +291,13 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
             break
 
         if cfg.grouping == "kmeans":
-            classes = _group_by_categories(ds, mn, categories, cfg, level)
-        else:
-            classes = _group_identical_rows(ds, mn)
+            keys = _kmeans_categories(ds, mn, categories, cfg, level)
+        else:  # identical raw feature rows
+            keys = [ds.features[i].tobytes() for i in mn]
+        classes = build_equivalence_classes(mn, keys, ds.labels)
 
         rule = policy.rule_for(level, len(mn), len(classes))
-        if rule[0] == "three-way":
-            _, alpha, beta, matrix = rule
-            regions = partition_three_way(classes, alpha, beta)
-            risk = decision_risk_three_way(regions, matrix, cfg.epsilon)
-            gamma = None
-        else:
-            _, gamma, matrix = rule
-            regions = partition_two_way(classes, gamma)
-            risk = decision_risk_two_way(regions, matrix)
-            alpha = beta = None
+        regions, risk = rule.apply(classes, cfg.epsilon)
 
         process = accrue_process_costs(process, level, len(mn))
         pos_idx.update(regions.indices("pos"))
@@ -329,7 +305,8 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
         up, ub, un = regions.instance_counts()
         ct, cd = process.totals()
         records.append(LevelRecord(level, len(active), len(mn), len(pn), len(mn), len(nn),
-                                   up, ub, un, rule[0], alpha, beta, gamma, risk, ct, cd))
+                                   up, ub, un, rule.name, rule.alpha, rule.beta, rule.gamma,
+                                   risk, ct, cd))
         active = regions.indices("bnd")
         if not active:
             break
@@ -355,8 +332,3 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig):
         )
         cfg = replace(cfg, schedule=schedule)
     return _run_core(ds, split, cfg, SequentialPolicy(schedule))
-
-
-def predict(net: LayeredNetwork, X):
-    """Labels and positive-class probabilities for feature rows."""
-    return predict_batch(net, np.asarray(X, dtype=np.float64))

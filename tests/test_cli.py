@@ -37,6 +37,18 @@ def _write_synth_csv(path, seed=5, rows=60, features=3):
     return str(path)
 
 
+def _with_cell(path, row, col, text):
+    """Overwrite one cell of a CSV file; row 1 is the first data row."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
 def _fast_config(tmp_path, **extra):
     lines = ["max_epochs = 5", "batch_size = 32", "t = 4"]
     lines += [f"{k} = {v}" for k, v in extra.items()]
@@ -72,6 +84,16 @@ class TestTrain:
     def test_missing_required_setting_is_exit_1(self, toy_csv, tmp_path):
         code = main(["train", "--data", toy_csv, "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_exit_2(self, tmp_path, capsys, cell):
+        data = _with_cell(_write_synth_csv(tmp_path / "synth.csv"), 3, 1, cell)
+        code = main(["train", "--data", data, "--label-col", "label", "--positive", "yes",
+                     "--out", str(tmp_path / "o"), "--config", _fast_config(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "column 'f1'" in err and "row 3" in err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_model_json_schedule_roundtrips(self, tmp_path):
         from trisect.threeway import schedule_from_json
@@ -116,6 +138,32 @@ class TestEval:
                      "--positive", "yes", "--out", str(tmp_path / "ev")]) == 0
         metrics = json.loads(open(tmp_path / "ev" / "metrics.json").read())
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    def _train(self, tmp_path):
+        data = _write_synth_csv(tmp_path / "synth.csv")
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", data, "--label-col", "label",
+                     "--positive", "yes", "--seed", "3", "--out", out,
+                     "--config", _fast_config(tmp_path)]) == 0
+        return out
+
+    def test_feature_count_mismatch_is_exit_2(self, tmp_path, capsys):
+        out = self._train(tmp_path)  # 3 features
+        for width in (2, 4):
+            data = _write_synth_csv(tmp_path / f"w{width}.csv", features=width)
+            code = main(["eval", out, "--data", data, "--label-col", "label",
+                         "--positive", "yes", "--out", str(tmp_path / f"ev{width}")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"has {width} feature columns, the model expects 3" in err
+
+    def test_non_finite_feature_is_exit_2(self, tmp_path, capsys):
+        out = self._train(tmp_path)
+        data = _with_cell(_write_synth_csv(tmp_path / "new.csv"), 5, 0, "nan")
+        code = main(["eval", out, "--data", data, "--label-col", "label",
+                     "--positive", "yes", "--out", str(tmp_path / "ev")])
+        assert code == 2
+        assert "column 'f0', row 5" in capsys.readouterr().err
 
     def test_missing_model_is_exit_2(self, tmp_path):
         code = main(["eval", str(tmp_path / "norun"), "--data", "x.csv",

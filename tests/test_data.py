@@ -55,6 +55,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(str(path), "D", "1")
 
+    def test_non_finite_feature_names_row_after_dropped_rows(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b,D\n1,2,1\n,3,2\n4,1e999,2\n")  # 1e999 parses to inf
+        with pytest.raises(DataError, match="non-finite value inf in column 'b', row 3"):
+            load_csv(str(path), "D", "1")
+
+    def test_finite_cells_whose_sum_overflows_load(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("a,b,D\n1e308,1e308,1\n0,0,2\n")
+        assert load_csv(str(path), "D", "1").features[0].tolist() == [1e308, 1e308]
+
     def test_rows_with_missing_cells_dropped(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text("a,D\n1,1\n,2\n3,2\n4,1\n")

@@ -136,14 +136,12 @@ class TestLloyd:
 class TestEquivalenceClasses:
     def test_worked_example_probabilities(self):
         # classes {x1} and {x4, x5}; the only positive among them is x4
-        assignments = np.array([0, 1, 1])
-        labels = TOY_LABELS[[0, 3, 4]]
-        classes = build_equivalence_classes(assignments, labels, ids=[0, 3, 4])
+        classes = build_equivalence_classes([0, 3, 4], [0, 1, 1], TOY_LABELS)
         assert [c.members for c in classes] == [(0,), (3, 4)]
         assert [c.p for c in classes] == [0.0, 0.5]
 
     def test_all_positive_class(self):
-        classes = build_equivalence_classes([0, 0], [1, 1])
+        classes = build_equivalence_classes([0, 1], [0, 0], [1, 1])
         assert classes[0].p == 1.0
 
     def test_counting_oracle_random_cases(self):
@@ -152,8 +150,13 @@ class TestEquivalenceClasses:
             n = 1 + stream.randrange(12)
             assignments = [stream.randrange(4) for _ in range(n)]
             labels = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
-            classes = build_equivalence_classes(assignments, labels)
+            classes = build_equivalence_classes(range(n), assignments, labels)
+            # classes partition the members, one key each, ordered by smallest member
+            assert sorted(i for c in classes for i in c.members) == list(range(n))
+            assert [c.members[0] for c in classes] == sorted(c.members[0] for c in classes)
             for cls in classes:
+                assert list(cls.members) == sorted(cls.members)
+                assert len({assignments[i] for i in cls.members}) == 1
                 positives = sum(1 for i in cls.members if labels[i] == 1)
                 assert cls.positive_count == positives
                 assert cls.p == positives / len(cls.members)
@@ -161,7 +164,7 @@ class TestEquivalenceClasses:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            build_equivalence_classes([0, 1], [1])
+            build_equivalence_classes([0, 1], [1], [1, 1])
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):

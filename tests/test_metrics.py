@@ -152,6 +152,13 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([1, 1], [0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN score never equals itself, so the tie grouping would not advance
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc([1, -1, 1], [0.2, bad, 0.7])
+        assert metrics_report([1, -1, 1], [1, -1, 1], [0.2, bad, 0.7])["auc"] is None
+
 
 class TestReport:
     def test_fields(self):

@@ -13,13 +13,13 @@ from trisect import (
     assemble,
     classify_split,
     focal_loss,
-    forward,
     init_node,
     regularized_cost,
     train_node,
 )
 from trisect.network import (
     cost_and_grads,
+    forward_arrays,
     model_from_json,
     model_to_json,
     predict_batch,
@@ -73,11 +73,12 @@ class TestForward:
     def test_zero_network_ties_to_positive(self):
         node = NodeParams(np.zeros(3), 0.0, np.zeros(2), np.zeros(2))
         net = LayeredNetwork([node], "relu")
-        scores, p_pos = forward(net, np.array([0.5, 0.5, 0.5]))
-        assert scores.tolist() == [0.0, 0.0]
-        assert p_pos == pytest.approx(0.5)
-        labels, _ = predict_batch(net, np.array([[0.5, 0.5, 0.5]]))
+        x = np.array([[0.5, 0.5, 0.5]])
+        _, _, scores, _ = forward_arrays(x, *net.assembled(), net.activation)
+        assert scores.tolist() == [[0.0, 0.0]]
+        labels, p_pos = predict_batch(net, x)
         assert labels.tolist() == [1]
+        assert p_pos.tolist() == [pytest.approx(0.5)]
 
     def test_appending_node_preserves_first_preactivation(self):
         x = TOY_FEATURES[2]
@@ -89,8 +90,8 @@ class TestForward:
 
     def test_forward_equals_per_node_contributions(self):
         net = _toy_net((NODE_1, NODE_2))
-        for x in TOY_FEATURES:
-            scores, _ = forward(net, x)
+        _, _, batch_scores, _ = forward_arrays(TOY_FEATURES, *net.assembled(), net.activation)
+        for x, scores in zip(TOY_FEATURES, batch_scores):
             total = NODE_2.b2.copy()
             for node in net.nodes:
                 total = total + node.w2 * activate("selu", float(node.w1 @ x + node.b1))
@@ -98,7 +99,9 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward(_toy_net(), np.ones(3))
+            predict_batch(_toy_net(), np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            predict_batch(_toy_net(), np.ones(4))  # one row must still be 2-d
 
 
 class TestFocalLoss:

@@ -9,10 +9,10 @@ from trisect import (
     TrainConfig,
     TrainHyper,
     assemble,
-    predict,
+    predict_batch,
     run,
 )
-from trisect.network import LayeredNetwork, predict_batch
+from trisect.network import LayeredNetwork
 from trisect.trainer import resolve_unit_costs
 
 from conftest import (
@@ -84,12 +84,12 @@ class TestAssemble:
 class TestPredict:
     def test_worked_example_one_node(self):
         net = LayeredNetwork([NODE_1], "selu")
-        labels, _ = predict(net, TOY_FEATURES[:6])
+        labels, _ = predict_batch(net, TOY_FEATURES[:6])
         assert labels.tolist() == [1, 1, 1, -1, 1, 1]
 
     def test_batch_equals_rowwise(self):
         net = LayeredNetwork([NODE_1, NODE_2], "selu")
-        batch_labels, batch_scores = predict(net, TOY_FEATURES)
+        batch_labels, batch_scores = predict_batch(net, TOY_FEATURES)
         for i, x in enumerate(TOY_FEATURES):
             one_label, one_score = predict_batch(net, x[None, :])
             assert one_label[0] == batch_labels[i]
