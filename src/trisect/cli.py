@@ -162,14 +162,24 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_roc_csv(path: str, truth, scores) -> None:
-    lines = ["threshold,fpr,tpr"]
+def _scored_report(truth, labels, scores):
+    """The metrics report and the ROC curve, from one ROC computation.
+
+    A single-class evaluation set has no curve: ``"auc"`` is null and the
+    curve is None.
+    """
     try:
-        curve, _ = roc_auc(truth, scores)
+        curve, auc = roc_auc(truth, scores)
+    except ValueError:
+        curve, auc = None, None
+    return {**metrics_report(truth, labels), "auc": auc}, curve
+
+
+def _write_roc_csv(path: str, curve) -> None:
+    lines = ["threshold,fpr,tpr"]
+    if curve is not None:  # header only for a single-class evaluation set
         for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
             lines.append(f"{thr!r},{fpr!r},{tpr!r}")
-    except ValueError:
-        pass  # single-class evaluation set: header only
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -204,7 +214,7 @@ def _schedule_for(settings) -> ThresholdSchedule:
 def _write_bundle(out: str, settings, ds, net, ledger, truth, labels, scores,
                   schedule_doc, extra_metrics=None) -> None:
     os.makedirs(out, exist_ok=True)
-    report = metrics_report(truth, labels, scores)
+    report, curve = _scored_report(truth, labels, scores)
     if extra_metrics:
         report.update(extra_metrics)
     _write_json(os.path.join(out, "metrics.json"), report)
@@ -212,7 +222,7 @@ def _write_bundle(out: str, settings, ds, net, ledger, truth, labels, scores,
     seeds = {"master_seed": settings["seed"]}
     doc = model_to_json(net, ds.norm_mode, ds.norm_stats, schedule_doc, seeds)
     _write_json(os.path.join(out, "model.json"), doc)
-    _write_roc_csv(os.path.join(out, "roc.csv"), truth, scores)
+    _write_roc_csv(os.path.join(out, "roc.csv"), curve)
     if ledger is not None:
         _write_json(os.path.join(out, "ledger.json"), ledger.to_dict())
         _write_costs_csv(os.path.join(out, "costs.csv"), ledger)
@@ -246,8 +256,9 @@ def cmd_eval(args) -> int:
     labels, scores = predict_batch(net, X)
     out = settings["out"] if settings["out"] != "trisect-out" else os.path.join(args.run_dir, "eval")
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "metrics.json"), metrics_report(ds.labels, labels, scores))
-    _write_roc_csv(os.path.join(out, "roc.csv"), ds.labels, scores)
+    report, curve = _scored_report(ds.labels, labels, scores)
+    _write_json(os.path.join(out, "metrics.json"), report)
+    _write_roc_csv(os.path.join(out, "roc.csv"), curve)
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,15 +95,77 @@ class FoldPlan:
         return tuple(i for i, f in enumerate(self.assignments) if f == fold)
 
 
+def _parse_table(fh, n_columns: int, label_idx: int):
+    """Features and raw labels of the rows after the header, by numpy's C reader.
+
+    Returns None unless every row parses: the same cell count as the header,
+    a number in every feature cell and a non-empty label. The row scan then
+    reads the file instead, and names the fault or drops the incomplete rows.
+    """
+    codes: dict[str, int] = {}
+
+    def label_code(cell: str) -> int:
+        return codes.setdefault(cell.strip(), len(codes))
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "input contained no data"
+            table = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"',
+                               comments=None, ndmin=2, converters={label_idx: label_code})
+    except (ValueError, UserWarning):
+        return None
+    if table.shape[1] != n_columns or "" in codes:
+        return None
+    names = list(codes)
+    raw_labels = [names[c] for c in table[:, label_idx].astype(np.int64).tolist()]
+    return np.delete(table, label_idx, axis=1), raw_labels
+
+
+def _scan_rows(reader, header, label_idx: int, feature_names):
+    """Row-by-row parse: drops rows with empty cells and names any other fault."""
+    rows_read = 0
+    rows_dropped = 0
+    feats: list[list[float]] = []
+    raw_labels: list[str] = []
+    for row in reader:
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        rows_read += 1
+        cells = [c.strip() for c in row]
+        if len(cells) != len(header):
+            raise DataError(f"row {rows_read} has {len(cells)} cells, expected {len(header)}")
+        if any(c == "" for c in cells):
+            rows_dropped += 1
+            continue
+        vals = []
+        for i, c in enumerate(cells):
+            if i == label_idx:
+                continue
+            try:
+                vals.append(float(c))
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {c!r} in column {header[i]!r}, row {rows_read}"
+                ) from None
+        if not math.isfinite(sum(vals)):  # a nan/inf cell, or only a sum that overflows
+            for name, v in zip(feature_names, vals):
+                if not math.isfinite(v):
+                    raise DataError(f"non-finite value {v} in column {name!r}, row {rows_read}")
+        feats.append(vals)
+        raw_labels.append(cells[label_idx])
+    return np.array(feats, dtype=np.float64), raw_labels, rows_read, rows_dropped
+
+
 def load_csv(path: str, label_column, positive_label) -> Dataset:
     """Load a UTF-8, header-first CSV into a Dataset.
 
     ``label_column`` is a header name or 0-based column index; every other
     column must be numeric. The raw ``positive_label`` value maps to +1 and
-    the single remaining label value to -1. Rows containing empty cells are
-    dropped (counted in ``ingestion``); non-numeric or non-finite (nan, inf)
-    feature cells and label columns without exactly two distinct values are
-    errors.
+    the single remaining label value to -1. Cells may be quoted with ``"``,
+    whitespace around a cell is ignored and no character starts a comment.
+    Rows containing empty cells are dropped (counted in ``ingestion``);
+    non-numeric or non-finite (nan, inf) feature cells and label columns
+    without exactly two distinct values are errors.
     """
     if not os.path.isfile(path):
         raise DataError(f"dataset file not found: {path}")
@@ -126,39 +189,24 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
             raise DataError(f"label column index {label_idx} out of range")
 
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        rows_read = 0
-        rows_dropped = 0
-        feats: list[list[float]] = []
-        raw_labels: list[str] = []
-        for row in reader:
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            rows_read += 1
-            cells = [c.strip() for c in row]
-            if len(cells) != len(header):
-                raise DataError(f"row {rows_read} has {len(cells)} cells, expected {len(header)}")
-            if any(c == "" for c in cells):
-                rows_dropped += 1
-                continue
-            vals = []
-            for i, c in enumerate(cells):
-                if i == label_idx:
-                    continue
-                try:
-                    vals.append(float(c))
-                except ValueError:
-                    raise DataError(
-                        f"non-numeric value {c!r} in column {header[i]!r}, row {rows_read}"
-                    ) from None
-            if not math.isfinite(sum(vals)):  # a nan/inf cell, or only a sum that overflows
-                for name, v in zip(feature_names, vals):
-                    if not math.isfinite(v):
-                        raise DataError(f"non-finite value {v} in column {name!r}, row {rows_read}")
-            feats.append(vals)
-            raw_labels.append(cells[label_idx])
+        table = _parse_table(fh, len(header), label_idx)
+        if table is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            features, raw_labels, rows_read, rows_dropped = _scan_rows(
+                reader, header, label_idx, feature_names)
+        else:
+            features, raw_labels = table
+            rows_read, rows_dropped = len(raw_labels), 0
+            finite = np.isfinite(features)
+            if not finite.all():  # blank lines are skipped by both parsers, so row = index + 1
+                row, col = np.argwhere(~finite)[0]
+                raise DataError(f"non-finite value {float(features[row, col])} in column "
+                                f"{feature_names[col]!r}, row {row + 1}")
 
-    if len(feats) < 2:
-        raise DataError(f"need at least 2 usable data rows, got {len(feats)}")
+    if len(features) < 2:
+        raise DataError(f"need at least 2 usable data rows, got {len(features)}")
     distinct = sorted(set(raw_labels))
     if len(distinct) == 1:
         raise DataError(f"label column is constant ({distinct[0]!r})")
@@ -170,7 +218,6 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     neg = distinct[0] if distinct[1] == pos else distinct[1]
 
     labels = np.array([1 if r == pos else -1 for r in raw_labels], dtype=np.int64)
-    features = np.array(feats, dtype=np.float64)
     ingestion = {
         "rows_read": rows_read,
         "rows_dropped": rows_dropped,

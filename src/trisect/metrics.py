@@ -117,22 +117,16 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
         raise ValueError("ROC needs both classes present")
 
     order = np.argsort(-scores, kind="stable")
-    thresholds = [float("inf")]
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0
-    i = 0
-    while i < truth.size:
-        j = i
-        while j < truth.size and scores[order[j]] == scores[order[i]]:
-            j += 1
-        group = order[i:j]
-        tp += int((truth[group] == 1).sum())
-        fp += int((truth[group] == -1).sum())
-        thresholds.append(float(scores[order[i]]))
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j
+    ranked = scores[order]
+    ranked_truth = truth[order]
+    # one threshold group per run of equal scores: [first, last] index ranges
+    last = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), ranked.size - 1)
+    first = np.concatenate(([0], last[:-1] + 1))
+    tp = np.cumsum(ranked_truth == 1)[last]
+    fp = np.cumsum(ranked_truth == -1)[last]
+    thresholds = [float("inf")] + ranked[first].tolist()
+    fpr = [0.0] + (fp / n_neg).tolist()
+    tpr = [0.0] + (tp / n_pos).tolist()
     curve = RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr))
     auc = 0.0
     for k in range(1, len(fpr)):

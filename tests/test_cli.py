@@ -7,6 +7,7 @@ import pytest
 
 from trisect.cli import main
 from trisect.data import Dataset
+from trisect.metrics import roc_auc
 from trisect.trainer import TrainConfig, run
 
 from conftest import (
@@ -164,6 +165,28 @@ class TestEval:
                      "--positive", "yes", "--out", str(tmp_path / "ev")])
         assert code == 2
         assert "column 'f0', row 5" in capsys.readouterr().err
+
+    def test_one_roc_per_bundle(self, tmp_path, monkeypatch):
+        import trisect.cli as cli
+        import trisect.metrics as metrics
+        results = []
+
+        def recorded(truth, scores):
+            results.append(roc_auc(truth, scores))
+            return results[-1]
+
+        for module in (cli, metrics):  # every place the CLI can reach roc_auc from
+            monkeypatch.setattr(module, "roc_auc", recorded)
+        out = self._train(tmp_path)
+        data = _write_synth_csv(tmp_path / "new.csv", seed=6)
+        assert main(["eval", out, "--data", data, "--label-col", "label",
+                     "--positive", "yes", "--out", str(tmp_path / "ev")]) == 0
+        assert len(results) == 2  # one for the train bundle, one for eval
+        for run_dir, (curve, auc) in zip((out, tmp_path / "ev"), results):
+            rows = open(os.path.join(run_dir, "roc.csv")).read().splitlines()
+            assert rows[1:] == [f"{t!r},{f!r},{r!r}"
+                                for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr)]
+            assert json.loads(open(os.path.join(run_dir, "metrics.json")).read())["auc"] == auc
 
     def test_missing_model_is_exit_2(self, tmp_path):
         code = main(["eval", str(tmp_path / "norun"), "--data", "x.csv",

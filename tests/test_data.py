@@ -1,5 +1,9 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trisect import DataError, RngStream, load_csv, make_folds, normalize, split_811
 from trisect.data import Dataset, Split, apply_normalization, fold_split
@@ -77,6 +81,131 @@ class TestLoadCsv:
     def test_positive_label_must_exist(self, toy_csv):
         with pytest.raises(DataError, match="positive"):
             load_csv(toy_csv, "D", "9")
+
+
+# (id, CSV text, label column, expected): expected is either the loaded
+# (features, labels, feature names, rows_read, rows_dropped, label mapping)
+# or the DataError text
+LOAD_CASES = [
+    ("quoted-cells-and-header", '"a,1",b,D\n"1","2.5",x\n3,"-4",y\n', "D",
+     ([[1.0, 2.5], [3.0, -4.0]], [1, -1], ("a,1", "b"), 2, 0, {"x": 1, "y": -1})),
+    ("whitespace-padded", "a,b,D\n 1 ,\t2, x \n3 , 4 ,y\n", "D",
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
+    ("blank-lines", "a,D\n\n1,x\n\n\n2,y\n\n", "D",
+     ([[1.0], [2.0]], [1, -1], ("a",), 2, 0, {"x": 1, "y": -1})),
+    ("whitespace-only-line", "a,D\n1,x\n   \n2,y\n", "D",
+     ([[1.0], [2.0]], [1, -1], ("a",), 2, 0, {"x": 1, "y": -1})),
+    ("hash-is-not-a-comment", "a,D\n1,x\n#,y\n", "D",
+     "non-numeric value '#' in column 'a', row 2"),
+    ("hash-label", "a,D\n1,#\n2,x\n", "D",
+     ([[1.0], [2.0]], [-1, 1], ("a",), 2, 0, {"x": 1, "#": -1})),
+    ("underscore-digits", "a,D\n1_000,x\n2,y\n", "D",
+     ([[1000.0], [2.0]], [1, -1], ("a",), 2, 0, {"x": 1, "y": -1})),
+    ("space-before-quote", 'a,D\n "1",x\n2,y\n', "D",
+     "non-numeric value '\"1\"' in column 'a', row 1"),
+    ("label-first", "D,a,b\nx,1,2\ny,3,4\n", "D",
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
+    ("label-middle", "a,D,b\n1,x,2\n3,y,4\n", 1,
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
+    ("single-feature", "a,D\n5,y\n6,x\n7,y\n", "D",
+     ([[5.0], [6.0], [7.0]], [-1, 1, -1], ("a",), 3, 0, {"x": 1, "y": -1})),
+    ("empty-label-dropped", "a,D\n1,x\n2, \n3,y\n", "D",
+     ([[1.0], [3.0]], [1, -1], ("a",), 3, 1, {"x": 1, "y": -1})),
+    ("header-only", "a,b,D\n", "D", "need at least 2 usable data rows, got 0"),
+    ("one-row", "a,b,D\n1,2,x\n", "D", "need at least 2 usable data rows, got 1"),
+    ("ragged-row", "a,b,D\n1,2,x\n3,y\n", "D", "row 2 has 2 cells, expected 3"),
+    ("rows-wider-than-header", "a,D\n1,x,2\n3,y,4\n", "D", "row 1 has 3 cells, expected 2"),
+    ("rows-narrower-than-header", "D,a,b\nx,1\ny,2\n", "D", "row 1 has 2 cells, expected 3"),
+    ("nan-after-blank-lines", "a,b,D\n\n1,2,x\n\n3,nan,y\n", "D",
+     "non-finite value nan in column 'b', row 2"),
+    ("inf-after-blank-lines", "a,b,D\n1,2,x\n\n\n1e999,4,y\n", "D",
+     "non-finite value inf in column 'a', row 2"),
+    ("inf-after-dropped-rows", "a,b,D\n1,,x\n,2,y\n\n3,4,x\n5,-1e999,y\n", "D",
+     "non-finite value -inf in column 'b', row 4"),
+    ("nan-row-first", "a,b,D\n1,nan,x\nz,2,y\n", "D",
+     "non-finite value nan in column 'b', row 1"),
+    ("non-numeric-row-first", "a,b,D\nz,2,x\n1,nan,y\n", "D",
+     "non-numeric value 'z' in column 'a', row 1"),
+]
+
+
+@pytest.mark.parametrize("text,label_col,expected", [c[1:] for c in LOAD_CASES],
+                         ids=[c[0] for c in LOAD_CASES])
+def test_load_csv_parity_table(tmp_path, text, label_col, expected):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as err:
+            load_csv(str(path), label_col, "x")
+        assert str(err.value) == expected
+        return
+    features, labels, names, rows_read, rows_dropped, mapping = expected
+    ds = load_csv(str(path), label_col, "x")
+    assert ds.features.tolist() == features and ds.features.dtype == np.float64
+    assert ds.labels.tolist() == labels
+    assert ds.feature_names == names
+    assert ds.ingestion == {"rows_read": rows_read, "rows_dropped": rows_dropped,
+                            "label_mapping": mapping}
+
+
+def _oracle(text: str, label_idx: int):
+    """csv.reader and float(c.strip()): features, labels, rows read, rows dropped."""
+    feats, labels, read, dropped = [], [], 0, 0
+    for row in list(csv.reader(io.StringIO(text, newline="")))[1:]:
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        read += 1
+        if "" in cells:
+            dropped += 1
+            continue
+        feats.append([float(c) for i, c in enumerate(cells) if i != label_idx])
+        labels.append(cells[label_idx])
+    return np.array(feats, dtype=np.float64), labels, read, dropped
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_cell = st.one_of(
+    _finite.map(repr),
+    _finite.map(lambda v: f" {v!r}\t"),
+    _finite.map(lambda v: f'"{v!r}"'),
+    _finite.map(lambda v: "%.6g" % v),
+    st.integers(-10**6, 10**6).map(str),
+)
+
+
+@st.composite
+def _tables(draw):
+    m = draw(st.integers(1, 4))
+    label_idx = draw(st.integers(0, m))
+    with_empty = draw(st.booleans())
+    rows = []
+    for k in range(draw(st.integers(2, 12))):
+        cells = [draw(_cell) for _ in range(m)]
+        if with_empty and k >= 2 and draw(st.booleans()):
+            cells[draw(st.integers(0, m - 1))] = draw(st.sampled_from(["", "  "]))
+        # the first two rows are complete and carry both labels
+        label = ("a", "b")[k] if k < 2 else draw(st.sampled_from(["a", "b", " b ", '"a"']))
+        cells.insert(label_idx, label)
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append("")
+    header = ",".join(f"c{i}" for i in range(m + 1))
+    return header + "\n" + "\n".join(rows) + "\n", label_idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_load_csv_matches_row_oracle(tmp_path_factory, table):
+    text, label_idx = table
+    path = tmp_path_factory.mktemp("oracle") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ds = load_csv(str(path), label_idx, "a")
+    X, labels, read, dropped = _oracle(text, label_idx)
+    assert ds.features.shape == X.shape
+    assert ds.features.tobytes() == X.tobytes()
+    assert ds.labels.tolist() == [1 if v == "a" else -1 for v in labels]
+    assert (ds.ingestion["rows_read"], ds.ingestion["rows_dropped"]) == (read, dropped)
 
 
 class TestNormalize:

@@ -148,13 +148,45 @@ class TestRocAuc:
         assert all(b >= a for a, b in zip(curve.fpr, curve.fpr[1:]))
         assert all(b >= a for a, b in zip(curve.tpr, curve.tpr[1:]))
 
+    def test_matches_tie_group_loop(self):
+        def loop_roc(truth, scores):
+            # one threshold per run of equal scores, taken from its first member
+            order = np.argsort(-scores, kind="stable")
+            thresholds, fpr, tpr = [float("inf")], [0.0], [0.0]
+            n_pos, n_neg = int((truth == 1).sum()), int((truth == -1).sum())
+            tp = fp = i = 0
+            while i < truth.size:
+                j = i
+                while j < truth.size and scores[order[j]] == scores[order[i]]:
+                    j += 1
+                tp += int((truth[order[i:j]] == 1).sum())
+                fp += int((truth[order[i:j]] == -1).sum())
+                thresholds.append(float(scores[order[i]]))
+                fpr.append(fp / n_neg)
+                tpr.append(tp / n_pos)
+                i = j
+            return thresholds, fpr, tpr
+
+        stream = RngStream(61, "roc-loop")
+        for case in range(300):
+            n = 2 + stream.randrange(40)
+            truth = np.array([1 if stream.uniform() < 0.5 else -1 for _ in range(n)])
+            truth[0], truth[1] = 1, -1
+            if case % 3 == 0:  # ties, including 0.0 against -0.0
+                scores = np.array([(0.0, -0.0, 0.5, 1.0)[stream.randrange(4)] for _ in range(n)])
+            else:
+                scores = np.array([round(stream.uniform(), case % 3) for _ in range(n)])
+            curve, _ = roc_auc(truth, scores)
+            got = (curve.thresholds, curve.fpr, curve.tpr)
+            assert repr(got) == repr(tuple(map(tuple, loop_roc(truth, scores))))
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_auc([1, 1], [0.5, 0.6])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_scores_rejected(self, bad):
-        # a NaN score never equals itself, so the tie grouping would not advance
+        # a non-finite score has no place among the thresholds
         with pytest.raises(ValueError, match="finite"):
             roc_auc([1, -1, 1], [0.2, bad, 0.7])
         assert metrics_report([1, -1, 1], [1, -1, 1], [0.2, bad, 0.7])["auc"] is None

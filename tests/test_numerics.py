@@ -2,6 +2,105 @@ import numpy as np
 import pytest
 
 from trisect import ACTIVATION_KINDS, RngStream, activate, activate_derivative, derive_stream
+from trisect.data import Dataset, fold_split, make_folds, split_811
+from trisect.numerics import _SHUFFLE_BLOCK
+
+_M64 = 2**64
+
+
+class SpecStream:
+    """The generator specification of ``trisect.numerics``, written out literally.
+
+    One scalar output per step and Fisher–Yates over ``randrange``: the
+    reference that the package's draws must equal one for one.
+    """
+
+    def __init__(self, seed: int, stream_id: str = ""):
+        h = 0xCBF29CE484222325
+        for byte in stream_id.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) % _M64
+        self.state = (seed ^ h) % _M64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % _M64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % _M64
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        if n == 1:
+            return 0
+        mask = 2 ** (n - 1).bit_length() - 1
+        while True:
+            v = self.next_u64() & mask
+            if v < n:
+                return v
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+GOLDEN_SEEDS = (0, 7, _M64 - 1)  # 2^64 - 1: the state wraps on the first step
+SHUFFLE_SIZES = (0, 1, 2, _SHUFFLE_BLOCK - 1, _SHUFFLE_BLOCK, _SHUFFLE_BLOCK + 1,
+                 3 * _SHUFFLE_BLOCK + 7)
+
+
+class TestGeneratorContract:
+    def test_published_splitmix64_outputs(self):
+        # seed = FNV1a64("") makes the initial state 0: splitmix64's reference vector
+        s = RngStream(0xCBF29CE484222325, "")
+        assert [s.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_next_u64_and_randrange_match_spec(self, seed):
+        got, ref = RngStream(seed, "golden"), SpecStream(seed, "golden")
+        assert [got.next_u64() for _ in range(64)] == [ref.next_u64() for _ in range(64)]
+        bounds = (1, 2, 3, 5, 7, 8, 9, 1000, 2**33 + 1)
+        assert [got.randrange(n) for n in bounds * 20] == [ref.randrange(n) for n in bounds * 20]
+        assert got._state == ref.state
+
+    @pytest.mark.parametrize("size", SHUFFLE_SIZES)
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_shuffle_matches_spec(self, seed, size):
+        got, ref = RngStream(seed, "shuffle"), SpecStream(seed, "shuffle")
+        items = [f"item-{k}" for k in range(size)]
+        expected = list(items)
+        got.shuffle(items)
+        ref.shuffle(expected)
+        assert items == expected
+        assert got._state == ref.state
+        assert got.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    def test_permutation_matches_spec(self, seed):
+        got, ref = RngStream(seed, "perm"), SpecStream(seed, "perm")
+        for n in SHUFFLE_SIZES:
+            expected = list(range(n))
+            ref.shuffle(expected)
+            assert got.permutation(n) == expected
+        assert got._state == ref.state
+        assert got.randrange(1000) == ref.randrange(1000)
+
+    def test_pinned_permutation(self):
+        s = RngStream(7, "x")
+        assert s.permutation(10) == [5, 6, 7, 3, 9, 8, 4, 2, 1, 0]
+        assert s._state == 0x19FDA9FE7D7FE7FC
+        assert s.next_u64() == 9627151804605433394
+
+    def test_pinned_split_and_folds(self):
+        ds = Dataset(np.zeros((20, 1)), np.array([1, -1] * 10), ("x",))
+        split = split_811(ds, RngStream(42, "split"))
+        assert split.train == (0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 14, 15, 16, 18, 19)
+        assert (split.validation, split.test) == ((8, 9), (7, 17))
+        plan = make_folds(ds, 4, RngStream(42, "folds"))
+        assert plan.assignments == (2, 1, 3, 1, 1, 4, 2, 1, 4, 3, 2, 2, 3, 3, 4, 2, 1, 4, 4, 3)
+        split = fold_split(ds, plan, 2, RngStream(42, "crossval-val-2"))
+        assert split.train == (1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 14, 16, 17)
+        assert (split.validation, split.test) == ((18, 19), (0, 6, 10, 11, 15))
 
 
 class TestRngStream:

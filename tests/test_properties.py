@@ -1,7 +1,7 @@
 """Property-based checks of the core invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trisect import (
     CostMatrix,
@@ -35,7 +35,12 @@ def valid_matrices(draw):
             b, d = min(b, d), max(d, b + 1e-3)
     lpp = draw(st.floats(min_value=0.0, max_value=0.35))
     lnn = draw(st.floats(min_value=0.0, max_value=0.35))
-    return CostMatrix(lpp, lpp + b, lpp + b + d, lnn + c + a, lnn + c, lnn)
+    lbp, lnp = lpp + b, lpp + b + d
+    lbn, lpn = lnn + c, lnn + c + a
+    # adding the offsets rounds the gaps, which can turn a strict c*b < a*d
+    # into equality (b=c=a=1e-3, d one ulp above); such a matrix is invalid
+    assume((lbn - lnn) * (lbp - lpp) < (lpn - lbn) * (lnp - lbp))
+    return CostMatrix(lpp, lbp, lnp, lpn, lbn, lnn)
 
 
 @st.composite
