@@ -127,7 +127,13 @@ def _scan_rows(reader, header, label_idx: int, feature_names):
     rows_dropped = 0
     feats: list[list[float]] = []
     raw_labels: list[str] = []
-    for row in reader:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as err:  # e.g. a cell longer than csv.field_size_limit()
+            raise DataError(f"row {rows_read + 1} cannot be read: {err}") from None
         if not row or all(c.strip() == "" for c in row):
             continue
         rows_read += 1
@@ -164,7 +170,8 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     the single remaining label value to -1. Cells may be quoted with ``"``,
     whitespace around a cell is ignored and no character starts a comment.
     Rows containing empty cells are dropped (counted in ``ingestion``);
-    non-numeric or non-finite (nan, inf) feature cells and label columns
+    non-numeric or non-finite (nan, inf) feature cells, rows the csv module
+    cannot read (a cell longer than its field limit) and label columns
     without exactly two distinct values are errors.
     """
     if not os.path.isfile(path):
@@ -175,6 +182,8 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError("empty CSV file") from None
+        except csv.Error as err:
+            raise DataError(f"header cannot be read: {err}") from None
         header = [h.strip() for h in header]
         if isinstance(label_column, int):
             label_idx = label_column

@@ -15,6 +15,8 @@ import numpy as np
 from .numerics import RngStream
 
 MAX_LLOYD_ITERATIONS = 100
+# float64 elements in one (rows, k, m) block of point-center differences, about 1 MB
+_BLOCK_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,16 @@ class EquivalenceClass:
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared Euclidean distances; argmin breaks ties toward the lowest index
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    # squared Euclidean distances, a block of rows at a time so the temporary
+    # stays _BLOCK_ELEMS long; each row's d2 and its argmin (ties toward the
+    # lowest index) are those of the one-shot (n, k, m) expression
+    rows = max(1, _BLOCK_ELEMS // centers.size)
+    nearest = np.empty(points.shape[0], dtype=np.intp)
+    for s in range(0, points.shape[0], rows):
+        p = points[s:s + rows]
+        d2 = ((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        nearest[s:s + rows] = np.argmin(d2, axis=1)
+    return nearest
 
 
 def within_sse(points: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> float:
@@ -116,8 +125,12 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
     if sse_trace is not None:
         sse_trace.append(within_sse(points, centers, assignments))
     for _ in range(max_iterations):
+        # each cluster's rows, in ascending row order, as one contiguous slice
+        order = np.argsort(assignments, kind="stable")
+        grouped = points[order]
+        bounds = np.searchsorted(assignments[order], np.arange(k + 1))
         for c in range(k):
-            centers[c] = points[assignments == c].mean(axis=0)
+            centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
         new_assignments = _assign_with_repair(points, centers)
         if sse_trace is not None:
             sse_trace.append(within_sse(points, centers, new_assignments))

@@ -54,4 +54,12 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
     for name in outputs:
         assert (tmp_path / "traced" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes(), name
-    assert "trainer.run" in {s["name"] for s in json.loads(spans.read_text())}
+    traced_spans = json.loads(spans.read_text())
+    assert "trainer.run" in {s["name"] for s in traced_spans}
+    if command == "train":
+        # settle-fine's per-layer k-means metrics come from this span, which
+        # exists only while the trainer calls k-means as trainer.kmeans_cluster
+        kmeans = [s for s in traced_spans if s["name"] == "discretize.kmeans"]
+        level_1 = json.loads((tmp_path / "traced" / "ledger.json").read_text())["levels"][0]
+        assert kmeans and kmeans[0]["points"] == level_1["m"] == 6
+        assert kmeans[0]["iters"] == 1

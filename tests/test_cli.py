@@ -96,6 +96,17 @@ class TestTrain:
         assert "non-finite" in err and "column 'f1'" in err and "row 3" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_oversized_cell_is_exit_2(self, tmp_path, capsys):
+        # a cell past the csv module's field limit, in a file the row scan reads
+        data = _with_cell(_write_synth_csv(tmp_path / "synth.csv"), 4, 0, "1" * 200_000)
+        data = _with_cell(data, 9, 1, "")
+        code = main(["train", "--data", data, "--label-col", "label", "--positive", "yes",
+                     "--out", str(tmp_path / "o"), "--config", _fast_config(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 4 cannot be read: field larger than field limit" in err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_model_json_schedule_roundtrips(self, tmp_path):
         from trisect.threeway import schedule_from_json
 

@@ -126,6 +126,14 @@ LOAD_CASES = [
      "non-finite value nan in column 'b', row 1"),
     ("non-numeric-row-first", "a,b,D\nz,2,x\n1,nan,y\n", "D",
      "non-numeric value 'z' in column 'a', row 1"),
+    # a cell longer than the csv module's field limit (131072 characters); the
+    # ragged row sends the file to the row scan
+    ("oversized-cell-row-first", "a,b,D\n" + "1" * 200_000 + ",2,x\n3,y\n", "D",
+     "row 1 cannot be read: field larger than field limit (131072)"),
+    ("oversized-cell-after-blank-lines", "a,b,D\n\n1,2,x\n\n" + "1" * 200_000 + ",2,y\n3,y\n",
+     "D", "row 2 cannot be read: field larger than field limit (131072)"),
+    ("oversized-header-cell", "a" * 200_000 + ",D\n1,x\n2,y\n", "D",
+     "header cannot be read: field larger than field limit (131072)"),
 ]
 
 

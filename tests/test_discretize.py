@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from trisect import (
     kmeans_cluster,
     kmeanspp_seed,
 )
-from trisect.discretize import within_sse
+from trisect.discretize import _BLOCK_ELEMS, _nearest, within_sse
 
 from conftest import TOY_FEATURES, TOY_LABELS
 
@@ -131,6 +133,63 @@ class TestLloyd:
             cl = kmeans_cluster(pts, 2, RngStream(seed, "k"))
             got = round(within_sse(pts, cl.centers, cl.assignments), 9)
             assert any(abs(got - s) <= 1e-9 for s in fixed_point_sses)
+
+
+class TestBlockedAssignment:
+    """``_nearest`` works in row blocks; its result is the one-shot formula's."""
+
+    @staticmethod
+    def _one_shot(points, centers):
+        return np.argmin(((points[:, None] - centers[None]) ** 2).sum(2), 1)
+
+    # far from the origin, a rewrite as |x|^2 - 2x.c + |c|^2 loses the gaps
+    # between distances to cancellation and changes many argmins
+    @pytest.mark.parametrize("offset", [0.0, 1e7])
+    @pytest.mark.parametrize("k, m", [(32, 8), (5, 3), (40, 40)])
+    def test_equals_one_shot_at_block_edges(self, k, m, offset):
+        rng = np.random.default_rng(k * 100 + m)
+        centers = rng.random((k, m)) + offset
+        rows = max(1, _BLOCK_ELEMS // centers.size)
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            points = rng.random((n, m)) + offset
+            got = _nearest(points, centers)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, self._one_shot(points, centers)), n
+
+    def test_duplicate_centers_tie_to_the_lowest_index(self):
+        rng = np.random.default_rng(1)
+        # a coarse grid makes exact ties between distinct centers common too
+        base = np.round(rng.random((8, 8)) * 4) / 4
+        centers = np.concatenate([base, base[::-1], base])
+        rows = max(1, _BLOCK_ELEMS // centers.size)
+        points = np.round(rng.random((2 * rows + 3, 8)) * 4) / 4
+        got = _nearest(points, centers)
+        assert np.array_equal(got, self._one_shot(points, centers))
+        assert got.max() < 8  # every row's best center has a copy among the first 8
+
+    def test_single_center(self):
+        rows = _BLOCK_ELEMS // 4
+        points = np.random.default_rng(2).random((3 * rows + 5, 4))
+        got = _nearest(points, np.full((1, 4), 0.5))
+        assert np.array_equal(got, np.zeros(len(points), dtype=np.intp))
+
+    def test_pinned_clustering_bytes(self):
+        cl = kmeans_cluster(np.random.default_rng(0).random((6000, 8)), 32,
+                            RngStream(7, "kmeans-level-1"))
+        digest = hashlib.sha256(cl.assignments.astype("<i8").tobytes()
+                                + cl.centers.astype("<f8").tobytes()).hexdigest()
+        assert digest == "d48858c1f024554686bd07c832d78c6a6dbc1003c53ea80870ae9f966505a614"
+
+    def test_memory_does_not_grow_with_n_times_k(self):
+        # the one-shot (n, k, m) difference tensor alone would be 41 MB here
+        points = np.random.default_rng(0).random((20000, 8))
+        tracemalloc.start()
+        try:
+            kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"), max_iterations=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEquivalenceClasses:
