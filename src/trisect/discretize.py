@@ -4,6 +4,12 @@ Numeric rows are clustered so that rows sharing a cluster count as carrying
 identical categorical features; each occupied cluster then forms one
 equivalence class whose conditional probability is the exact fraction of
 positive-labelled members.
+
+The Lloyd loop keeps Hamerly bounds (Hamerly, "Making k-means even faster",
+SDM 2010) on each row's distances and computes a full distance row only for
+rows the bounds cannot pin to their cluster. The bounds carry enough slack
+for the rounding of the squared distances, so every assignment, center and
+SSE is bit for bit that of recomputing every row on every iteration.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ class Clustering:
     assignments: np.ndarray  # (n,) cluster index per row
 
     def __post_init__(self):
-        occupied = set(int(a) for a in self.assignments)
-        if occupied != set(range(self.k)):
+        counts = np.bincount(self.assignments, minlength=self.k)
+        if len(counts) != self.k or not counts.all():
             raise ValueError("every cluster must be occupied")
 
 
@@ -54,17 +60,35 @@ class EquivalenceClass:
         return len(self.members)
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # squared Euclidean distances, a block of rows at a time so the temporary
-    # stays _BLOCK_ELEMS long; each row's d2 and its argmin (ties toward the
-    # lowest index) are those of the one-shot (n, k, m) expression
+def _nearest_two(points: np.ndarray, centers: np.ndarray, rows_of: np.ndarray | None = None):
+    """Nearest center and the squared distances to the nearest two centers.
+
+    Covers the rows ``rows_of`` of ``points`` (all rows when None), a block at
+    a time so the temporary stays _BLOCK_ELEMS long. Each row's d2 and its
+    argmin (ties toward the lowest index) are those of the one-shot (n, k, m)
+    expression. The second distance is the row's smallest d2 once its nearest
+    entry is left out, and inf when there is one center.
+    """
+    n = points.shape[0] if rows_of is None else rows_of.shape[0]
     rows = max(1, _BLOCK_ELEMS // centers.size)
-    nearest = np.empty(points.shape[0], dtype=np.intp)
-    for s in range(0, points.shape[0], rows):
-        p = points[s:s + rows]
+    nearest = np.empty(n, dtype=np.intp)
+    first = np.empty(n)
+    second = np.full(n, np.inf)
+    for s in range(0, n, rows):
+        p = points[s:s + rows] if rows_of is None else points[rows_of[s:s + rows]]
         d2 = ((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        nearest[s:s + rows] = np.argmin(d2, axis=1)
-    return nearest
+        near = np.argmin(d2, axis=1)
+        at = np.arange(len(p))
+        nearest[s:s + rows] = near
+        first[s:s + rows] = d2[at, near]
+        if centers.shape[0] > 1:
+            d2[at, near] = np.inf
+            second[s:s + rows] = d2.min(axis=1)
+    return nearest, first, second
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    return _nearest_two(points, centers)[0]
 
 
 def within_sse(points: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> float:
@@ -102,13 +126,56 @@ def _assign_with_repair(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest-center assignment; empty clusters grab the farthest point."""
     k = centers.shape[0]
     assignments = _nearest(points, centers)
+    counts = np.bincount(assignments, minlength=k)
     for c in range(k):
-        if not (assignments == c).any():
+        if not counts[c]:
             dist = ((points - centers[assignments]) ** 2).sum(axis=1)
             far = int(np.argmax(dist))
             centers[c] = points[far]
             assignments = _nearest(points, centers)
+            counts = np.bincount(assignments, minlength=k)
     return assignments
+
+
+# Below about 1e-154 a squared distance is subnormal and rounds by an absolute
+# amount rather than a relative one, so a bound must clear _TINY to prove anything.
+_TINY = 1e-150
+
+
+def _distance_slack(m: int) -> float:
+    """Relative slack that makes a bound of the square root of a computed d2.
+
+    The square root of an m-term d2 is within about (m / 2 + 2) roundings of
+    the true distance, and the slack is about four times that. So such a
+    distance scaled by (1 + slack) or (1 - slack) bounds the true one, and a
+    row passes the proof test of ``kmeans_cluster`` only when its own
+    center's d2 is strictly the smallest after rounding too: no tie and no
+    other argmin.
+    """
+    return (m + 8) * np.finfo(np.float64).eps
+
+
+def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.ndarray) -> None:
+    """Move each center to the mean of its cluster's rows, in place.
+
+    The sorted copy of the points is freed on return, so it never shares
+    the peak with the distance rows that follow.
+    """
+    # each cluster's rows, in ascending row order, as one contiguous slice
+    order = np.argsort(assignments, kind="stable")
+    grouped = points[order]
+    bounds = np.searchsorted(assignments[order], np.arange(len(centers) + 1))
+    for c in range(len(centers)):
+        centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
+
+
+def _all_bounds(points: np.ndarray, centers: np.ndarray, tol: float):
+    """Assign every row (repairing empty clusters) and rebuild its bounds."""
+    assignments, first, second = _nearest_two(points, centers)
+    if not np.bincount(assignments, minlength=centers.shape[0]).all():
+        assignments = _assign_with_repair(points, centers)
+        _, first, second = _nearest_two(points, centers)
+    return assignments, np.sqrt(first) * (1 + tol), np.sqrt(second) * (1 - tol)
 
 
 def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
@@ -118,20 +185,38 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
 
     If ``sse_trace`` is a list, the within-cluster SSE after every
     assignment step is appended to it (a non-increasing sequence).
+
+    ``upper[i]`` bounds row i's distance to its own center from above and
+    ``lower[i]`` its distance to every other center from below. When a center
+    moves, the bounds move by the distance it moved, so a row whose upper
+    bound stays below its lower bound, or below half the gap from its center
+    to the nearest other center, keeps its cluster without a distance row.
     """
     points = np.asarray(points, dtype=np.float64)
+    tol = _distance_slack(points.shape[1])
     centers = kmeanspp_seed(points, k, stream)
-    assignments = _assign_with_repair(points, centers)
+    assignments, upper, lower = _all_bounds(points, centers, tol)
     if sse_trace is not None:
         sse_trace.append(within_sse(points, centers, assignments))
     for _ in range(max_iterations):
-        # each cluster's rows, in ascending row order, as one contiguous slice
-        order = np.argsort(assignments, kind="stable")
-        grouped = points[order]
-        bounds = np.searchsorted(assignments[order], np.arange(k + 1))
-        for c in range(k):
-            centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
-        new_assignments = _assign_with_repair(points, centers)
+        previous = centers.copy()
+        _update_centers(points, assignments, centers)
+        moved = np.sqrt(((centers - previous) ** 2).sum(axis=1)) * (1 + tol)
+        # one-ulp steps keep the sums' rounding on the safe side of each bound
+        upper += moved[assignments]
+        np.nextafter(upper, np.inf, out=upper)
+        lower -= moved.max()
+        np.nextafter(lower, -np.inf, out=lower)
+        half_gap = np.sqrt(_nearest_two(centers, centers)[2]) * (0.5 * (1 - tol))
+        proved = upper * (1 + tol) + _TINY < np.maximum(lower, half_gap[assignments])
+        redo = np.flatnonzero(~proved)
+        new_assignments = assignments.copy()
+        near, first, second = _nearest_two(points, centers, redo)
+        new_assignments[redo] = near
+        upper[redo] = np.sqrt(first) * (1 + tol)
+        lower[redo] = np.sqrt(second) * (1 - tol)
+        if not np.bincount(new_assignments, minlength=k).all():
+            new_assignments, upper, lower = _all_bounds(points, centers, tol)
         if sse_trace is not None:
             sse_trace.append(within_sse(points, centers, new_assignments))
         if np.array_equal(new_assignments, assignments):

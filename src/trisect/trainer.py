@@ -26,7 +26,6 @@ from .network import (
     INIT_DISTRIBUTIONS,
     LayeredNetwork,
     TrainHyper,
-    assemble,  # noqa: F401  (part of this module's public surface)
     classify_split,
     init_node,
     predict_batch,  # noqa: F401  (looked up here by perfbench/tracer.py)

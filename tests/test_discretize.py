@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,14 @@ from trisect import (
     kmeans_cluster,
     kmeanspp_seed,
 )
-from trisect.discretize import _BLOCK_ELEMS, _nearest, within_sse
+from trisect import discretize
+from trisect.discretize import (
+    _BLOCK_ELEMS,
+    _distance_slack,
+    _nearest,
+    _nearest_two,
+    within_sse,
+)
 
 from conftest import TOY_FEATURES, TOY_LABELS
 
@@ -155,6 +163,13 @@ class TestBlockedAssignment:
             got = _nearest(points, centers)
             assert got.dtype == np.intp
             assert np.array_equal(got, self._one_shot(points, centers)), n
+            # the nearest two d2 of a subset of the rows, taken in any order
+            rows_of = rng.permutation(n)[:max(1, 2 * n // 3)]
+            near, first, second = _nearest_two(points, centers, rows_of)
+            d2 = ((points[rows_of, None] - centers[None]) ** 2).sum(2)
+            assert np.array_equal(near, np.argmin(d2, 1))
+            assert np.array_equal(first, np.sort(d2, 1)[:, 0])
+            assert np.array_equal(second, np.sort(d2, 1)[:, 1])
 
     def test_duplicate_centers_tie_to_the_lowest_index(self):
         rng = np.random.default_rng(1)
@@ -172,6 +187,7 @@ class TestBlockedAssignment:
         points = np.random.default_rng(2).random((3 * rows + 5, 4))
         got = _nearest(points, np.full((1, 4), 0.5))
         assert np.array_equal(got, np.zeros(len(points), dtype=np.intp))
+        assert np.isinf(_nearest_two(points, np.full((1, 4), 0.5))[2]).all()
 
     def test_pinned_clustering_bytes(self):
         cl = kmeans_cluster(np.random.default_rng(0).random((6000, 8)), 32,
@@ -190,6 +206,158 @@ class TestBlockedAssignment:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _reference_lloyd(points, centers, max_iterations=discretize.MAX_LLOYD_ITERATIONS):
+    """The Lloyd loop without bounds: a full one-shot d2 on every iteration.
+
+    Starts from ``centers`` (updated in place) and returns the assignments
+    and the SSE trace.
+    """
+    k = centers.shape[0]
+
+    def nearest():
+        return np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+    def assign_with_repair():
+        assignments = nearest()
+        for c in range(k):
+            if not (assignments == c).any():
+                dist = ((points - centers[assignments]) ** 2).sum(axis=1)
+                far = int(np.argmax(dist))
+                centers[c] = points[far]
+                assignments = nearest()
+        return assignments
+
+    assignments = assign_with_repair()
+    trace = [within_sse(points, centers, assignments)]
+    for _ in range(max_iterations):
+        order = np.argsort(assignments, kind="stable")
+        grouped = points[order]
+        bounds = np.searchsorted(assignments[order], np.arange(k + 1))
+        for c in range(k):
+            centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
+        new_assignments = assign_with_repair()
+        trace.append(within_sse(points, centers, new_assignments))
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+    return assignments, trace
+
+
+def _fuzz_points(case):
+    rng = np.random.default_rng(case)
+    kind = case % 5
+    m = 1 + (case // 5) % 40
+    n = int(rng.integers(1, 120))
+    if kind == 0:
+        return rng.random((n, m))
+    if kind == 1:  # a coarse grid: equal rows and exact distance ties
+        return np.round(rng.random((n, m)) * 3) / 3
+    if kind == 2:
+        return (rng.random((n, m)) * 2 - 1) * 5e3
+    if kind == 3:
+        return rng.random((n, m)) + 1e7
+    clumps = rng.random((3, m))
+    points = clumps[rng.integers(0, 3, n)] + 1e-3 * rng.standard_normal((n, m))
+    points[:1 + n // 20] += 1e3 * rng.standard_normal((1 + n // 20, m))
+    return points
+
+
+class _RowCounter:
+    """Records how many rows of the watched points each distance-row call
+    covers, and whether the call asked for all rows."""
+
+    def __init__(self, monkeypatch, points):
+        self._inner = discretize._nearest_two
+        monkeypatch.setattr(discretize, "_nearest_two", self)
+        self.watch(points)
+
+    def watch(self, points):
+        self.points, self.rows, self.all_rows = points, [], []
+
+    def __call__(self, points, centers, rows_of=None):
+        if points is self.points:
+            self.rows.append(len(points) if rows_of is None else len(rows_of))
+            self.all_rows.append(rows_of is None)
+        return self._inner(points, centers, rows_of)
+
+
+class TestBoundedLloyd:
+    """The bounded loop gives the bytes of recomputing every row every time."""
+
+    def test_equals_the_unbounded_loop(self, monkeypatch):
+        pruned = 0
+        counter = _RowCounter(monkeypatch, None)
+        for case in range(250):
+            points = _fuzz_points(case)
+            distinct = np.unique(points, axis=0).shape[0]
+            k = 1 + case % distinct
+            stream_name = f"fuzz-{case}"
+            counter.watch(points)
+            trace: list = []
+            got = kmeans_cluster(points, k, RngStream(case, stream_name), sse_trace=trace)
+            centers = kmeanspp_seed(points, k, RngStream(case, stream_name))
+            want, want_trace = _reference_lloyd(points, centers)
+            assert got.assignments.tobytes() == want.tobytes(), case
+            assert got.centers.tobytes() == centers.tobytes(), case
+            assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), case
+            pruned += sum(counter.rows[1:]) < len(points) * (len(counter.rows) - 1)
+        # the bounds skipped rows in nearly every case, so the fuzz tests them
+        assert pruned >= 200, pruned
+
+    def test_repair_mid_loop_rebuilds_every_bound(self, monkeypatch):
+        # the first center update empties cluster 0; with the bounds it had
+        # before the repair, a later iteration keeps row 4 in the wrong cluster
+        points = np.array([[7.0, 7.0], [6.0, 1.0], [5.0, 6.0], [11.0, 10.0], [8.0, 10.0],
+                           [0.0, 9.0], [8.0, 2.0], [4.0, 7.0], [10.0, 8.0]])
+        seeds = np.array([[7.0, 4.0], [6.0, 5.0], [4.0, 1.0], [5.0, 4.0]])
+        monkeypatch.setattr(discretize, "kmeanspp_seed", lambda p, k, s: seeds.copy())
+        counter = _RowCounter(monkeypatch, points)
+        repair = discretize._assign_with_repair
+        calls_before_repair_returned = []
+
+        def spy(points, centers):
+            assignments = repair(points, centers)
+            calls_before_repair_returned.append(len(counter.rows))
+            return assignments
+
+        monkeypatch.setattr(discretize, "_assign_with_repair", spy)
+        trace: list = []
+        got = kmeans_cluster(points, 4, RngStream(0, "unused"), sse_trace=trace)
+        centers = seeds.copy()
+        want, want_trace = _reference_lloyd(points, centers)
+        assert got.assignments.tolist() == want.tolist()
+        assert got.centers.tobytes() == centers.tobytes()
+        assert trace == want_trace and len(trace) == 4
+        # one repair, and the next distance-row call rebuilds every bound
+        [returned] = calls_before_repair_returned
+        assert counter.all_rows[returned]
+        assert not any(counter.all_rows[returned + 1:])
+
+    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 1e7), (5e3, -5e3)])
+    def test_slack_turns_computed_distances_into_bounds(self, scale, offset):
+        # exact rational distances against the square root of the computed d2
+        rng = np.random.default_rng(int(scale) + 3)
+        for m in (1, 2, 3, 8, 17, 40):
+            points = rng.random((30, m)) * scale + offset
+            centers = rng.random((4, m)) * scale + offset
+            slack = _distance_slack(m)
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            for i, j in itertools.product(range(30), range(4)):
+                exact = sum((Fraction(a) - Fraction(b)) ** 2
+                            for a, b in zip(points[i], centers[j]))
+                assert Fraction(np.sqrt(d2[i, j]) * (1 + slack)) ** 2 >= exact
+                assert Fraction(np.sqrt(d2[i, j]) * (1 - slack)) ** 2 <= exact
+
+    def test_most_rows_skip_the_distance_row(self, monkeypatch):
+        points = np.random.default_rng(0).random((6000, 8))
+        counter = _RowCounter(monkeypatch, points)
+        trace: list = []
+        kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"), sse_trace=trace)
+        first, *rest = counter.rows
+        assert first == len(points) and len(rest) == len(trace) - 1 > 10
+        assert np.mean(rest) < len(points) / 2, np.mean(rest) / len(points)
 
 
 class TestEquivalenceClasses:
