@@ -201,12 +201,8 @@ def _evaluate(net, ds: Dataset, indices):
 
 
 def _schedule_for(settings) -> ThresholdSchedule:
-    seed = settings["seed"]
     try:
-        return build_schedule(
-            settings["t"],
-            stream_factory=lambda lvl: derive_stream(seed, f"cost-matrix-level-{lvl}"),
-        )
+        return build_schedule(settings["t"], settings["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -271,14 +267,14 @@ def _crossval_fold(payload):
     split = fold_split(ds, plan, fold, derive_stream(seed, f"crossval-val-{fold}"))
     net, ledger = run(ds, split, cfg)
     truth, labels, scores = _evaluate(net, ds, split.test)
-    report = metrics_report(truth, labels, scores)
+    report = _scored_report(truth, labels, scores)[0]
     tr_truth, tr_labels, _ = _evaluate(net, ds, split.train)
     counts = np.bincount((np.asarray(tr_truth) == 1).astype(int), minlength=2)
     return {
         "fold": fold,
         "accuracy": report["accuracy"],
         "weighted_f1": report["weighted_f1"],
-        "auc": report.get("auc"),
+        "auc": report["auc"],
         "nodes": net.n_nodes,
         "train_accuracy": float((np.asarray(tr_truth) == np.asarray(tr_labels)).mean()),
         "majority_fraction": float(counts.max() / counts.sum()),

@@ -134,17 +134,10 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
     return curve, float(auc)
 
 
-def metrics_report(truth, predicted, scores=None) -> dict:
+def metrics_report(truth, predicted) -> dict:
     """Aggregate report used by the JSON outputs."""
-    report = {
+    return {
         "accuracy": accuracy(truth, predicted),
         "weighted_f1": weighted_f1(truth, predicted),
         "per_class": per_class_report(truth, predicted),
     }
-    if scores is not None:
-        try:
-            _, auc = roc_auc(truth, scores)
-            report["auc"] = auc
-        except ValueError:
-            report["auc"] = None
-    return report

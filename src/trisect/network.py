@@ -4,9 +4,9 @@ A network is an ordered list of per-node parameter records. Assembly stacks
 node i's input weights as row i of W1 and its output weights as column i of
 W2; the output bias of the whole network is always the newest node's b2.
 Training minimizes mean focal loss plus an L2 penalty over all four
-assembled tensors, with hand-derived gradients and Adam updates. When a
-fresh node is trained on top of existing ones, only the fresh node's
-parameters and the shared output bias move.
+assembled tensors, with hand-derived gradients and in-place Adam updates.
+When a fresh node is trained on top of existing ones, only the fresh
+node's parameters and the shared output bias move.
 """
 
 from __future__ import annotations
@@ -177,16 +177,12 @@ def predict_batch(net: LayeredNetwork, X):
     return labels, p
 
 
-def focal_loss(p_pos: float, y: int, delta: float, theta: float) -> float:
-    """Focal loss of one prediction; p_pos is clamped away from {0, 1}."""
-    q = min(max(p_pos, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    if y == 1:
-        return float(-delta * (1.0 - q) ** theta * np.log(q))
-    return float(-(1.0 - delta) * q**theta * np.log(1.0 - q))
+def focal_loss(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
+    """Per-instance focal loss of positive-class probabilities ``q``.
 
-
-def focal_loss_batch(p_pos: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
-    q = np.clip(p_pos, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    ``q`` must already be clamped to [PROB_CLAMP, 1 - PROB_CLAMP], as
+    :func:`cost` and :func:`cost_and_grads` do, so both logs stay finite.
+    """
     pos = y == 1
     out = np.empty_like(q)
     out[pos] = -delta * (1.0 - q[pos]) ** theta * np.log(q[pos])
@@ -211,29 +207,23 @@ class AdamState:
         self.h = 0
 
 
-def adam_step(state: AdamState, params, grads, hyper: TrainHyper):
-    """One bias-corrected Adam update; returns (state', params') copies."""
-    params = [np.asarray(p, dtype=np.float64) for p in params]
-    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+def adam_step(state: AdamState, params, grads, hyper: TrainHyper) -> None:
+    """One bias-corrected Adam update of ``state`` and each ``params`` array, in place."""
     if len(params) != len(grads) or any(p.shape != g.shape for p, g in zip(params, grads)):
         raise ValueError("parameter and gradient shapes must agree")
-    new = AdamState(params)
-    new.h = state.h + 1
-    corr1 = 1.0 - hyper.rho1**new.h
-    corr2 = 1.0 - hyper.rho2**new.h
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        new.V[i] = hyper.rho1 * state.V[i] + (1.0 - hyper.rho1) * g
-        new.S[i] = hyper.rho2 * state.S[i] + (1.0 - hyper.rho2) * g * g
-        v_hat = new.V[i] / corr1
-        s_hat = new.S[i] / corr2
-        out.append(p - hyper.learning_rate * v_hat / (np.sqrt(s_hat) + hyper.tau))
-    return new, out
+    state.h += 1
+    corr1 = 1.0 - hyper.rho1**state.h
+    corr2 = 1.0 - hyper.rho2**state.h
+    for p, g, v, s in zip(params, grads, state.V, state.S):
+        v *= hyper.rho1
+        v += (1.0 - hyper.rho1) * g
+        s *= hyper.rho2
+        s += (1.0 - hyper.rho2) * g * g
+        p -= hyper.learning_rate * (v / corr1) / (np.sqrt(s / corr2) + hyper.tau)
 
 
 def _loss_grad_wrt_q(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
-    """d(focal loss)/d(p_pos) on the clamped probability."""
-    q = np.clip(q, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    """d(focal loss)/d(p_pos) at the clamped probability ``q``."""
     pos = y == 1
     g = np.empty_like(q)
     qa, qb = q[pos], q[~pos]
@@ -244,16 +234,23 @@ def _loss_grad_wrt_q(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -
     return g
 
 
+def _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
+    """(Z, A, clamped q, regularized cost) of one forward pass."""
+    Z, A, _, p = forward_arrays(X, W1, b1, W2, b2, activation)
+    q = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return Z, A, q, regularized_cost(focal_loss(q, y, delta, theta), W1, b1, W2, b2, l2)
+
+
+def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2) -> float:
+    """Mean focal loss of the rows plus the L2 penalty over all four tensors."""
+    return _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)[3]
+
+
 def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
     """Regularized cost and its gradients w.r.t. all four tensors."""
     n = X.shape[0]
-    Z, A, scores, q = forward_arrays(X, W1, b1, W2, b2, activation)
-    losses = focal_loss_batch(q, y, delta, theta)
-    cost = regularized_cost(losses, W1, b1, W2, b2, l2)
-
-    dq = _loss_grad_wrt_q(q, y, delta, theta)
-    qc = np.clip(q, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    ds0 = dq * qc * (1.0 - qc)
+    Z, A, q, c = _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)
+    ds0 = _loss_grad_wrt_q(q, y, delta, theta) * q * (1.0 - q)
     dS = np.stack([ds0, -ds0], axis=1)  # (n, 2)
 
     dW2 = dS.T @ A / n + l2 * W2
@@ -262,13 +259,7 @@ def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
     dZ = dA * activate_derivative(activation, Z)
     dW1 = dZ.T @ X / n + l2 * W1
     db1 = dZ.mean(axis=0) + l2 * b1
-    return cost, (dW1, db1, dW2, db2)
-
-
-def _evaluate_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2) -> float:
-    _, _, _, q = forward_arrays(X, W1, b1, W2, b2, activation)
-    losses = focal_loss_batch(q, y, delta, theta)
-    return regularized_cost(losses, W1, b1, W2, b2, l2)
+    return c, (dW1, db1, dW2, db2)
 
 
 def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
@@ -277,10 +268,11 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
 
     ``trainable`` is either "all" or the index of the single node whose
     w1 row, b1 entry, and W2 column may move (the output bias b2 always
-    trains). Returns the best-validation copies of the four tensors. When
-    the validation set is empty the training cost drives early stopping.
-    If ``history`` is a list, (epoch, train_cost, val_cost, improved)
-    tuples are appended per evaluated checkpoint.
+    trains). Adam updates views of those slices in place. Returns the
+    best-validation copies of the four tensors. When the validation set is
+    empty the training cost drives early stopping. If ``history`` is a
+    list, (epoch, train_cost, val_cost, improved) tuples are appended per
+    evaluated checkpoint.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -288,58 +280,44 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
         raise ValueError("training set is empty")
     W1, b1 = W1.copy(), b1.copy()
     W2, b2 = W2.copy(), b2.copy()
-    delta = resolve_delta(hyper, y)
-    use_val = X_val is not None and len(X_val) > 0
-
-    def checkpoint_cost():
-        if use_val:
-            return _evaluate_cost(X_val, y_val, W1, b1, W2, b2,
-                                  activation, delta, hyper.theta, hyper.l2)
-        return _evaluate_cost(X, y, W1, b1, W2, b2, activation, delta, hyper.theta, hyper.l2)
+    loss = (activation, resolve_delta(hyper, y), hyper.theta, hyper.l2)
+    if X_val is None or len(X_val) == 0:
+        X_val, y_val = X, y
 
     def snapshot():
         return W1.copy(), b1.copy(), W2.copy(), b2.copy()
 
     if trainable == "all":
-        pick = lambda g1, gb1, g2, gb2: [g1, gb1, g2, gb2]
+        params = [W1, b1, W2, b2]
+        pick = lambda grads: grads
     else:
         i = int(trainable)
-        pick = lambda g1, gb1, g2, gb2: [g1[i], np.atleast_1d(gb1[i]), g2[:, i], gb2]
+        params = [W1[i], b1[i:i + 1], W2[:, i], b2]
+        pick = lambda grads: (grads[0][i], grads[1][i:i + 1], grads[2][:, i], grads[3])
 
-    state = AdamState(pick(W1, b1, W2, b2))
-    best_cost = checkpoint_cost()
+    state = AdamState(params)
+    best_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
     best = snapshot()
     if history is not None:
-        train_cost = _evaluate_cost(X, y, W1, b1, W2, b2, activation, delta, hyper.theta, hyper.l2)
-        history.append((0, train_cost, best_cost, True))
+        history.append((0, cost(X, y, W1, b1, W2, b2, *loss), best_cost, True))
     bad_epochs = 0
     order = list(range(X.shape[0]))
     for epoch in range(1, hyper.max_epochs + 1):
         stream.shuffle(order)
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start:start + hyper.batch_size]
-            _, (g1, gb1, g2, gb2) = cost_and_grads(
-                X[batch], y[batch], W1, b1, W2, b2,
-                activation, delta, hyper.theta, hyper.l2)
-            state, updated = adam_step(state, pick(W1, b1, W2, b2),
-                                       pick(g1, gb1, g2, gb2), hyper)
-            if trainable == "all":
-                W1, b1, W2, b2 = updated
-            else:
-                i = int(trainable)
-                W1[i], b1[i], W2[:, i], b2 = updated[0], updated[1][0], updated[2], updated[3]
-        cost = checkpoint_cost()
-        improved = cost < best_cost
+            _, grads = cost_and_grads(X[batch], y[batch], W1, b1, W2, b2, *loss)
+            adam_step(state, params, pick(grads), hyper)
+        val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
+        improved = val_cost < best_cost
         if improved:
-            best_cost = cost
+            best_cost = val_cost
             best = snapshot()
             bad_epochs = 0
         else:
             bad_epochs += 1
         if history is not None:
-            train_cost = _evaluate_cost(X, y, W1, b1, W2, b2, activation, delta,
-                                        hyper.theta, hyper.l2)
-            history.append((epoch, train_cost, cost, improved))
+            history.append((epoch, cost(X, y, W1, b1, W2, b2, *loss), val_cost, improved))
         if bad_epochs >= hyper.patience:
             break
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .discretize import EquivalenceClass
 from .errors import SamplingError
-from .numerics import RngStream, _f2s
+from .numerics import RngStream, _f2s, derive_stream
 
 MATRIX_DRAW_BUDGET = 10_000
 LEVEL_ATTEMPT_BUDGET = 1_000
@@ -70,22 +70,15 @@ def sample_cost_matrix(stream: RngStream, budget: int = MATRIX_DRAW_BUDGET) -> C
     """Rejection-sample a valid matrix from six uniforms on [0, 1).
 
     Draw order is fixed (lPP, lBP, lNP, lPN, lBN, lNN) so sequences are
-    reproducible. Raises SamplingError if the budget is exhausted.
+    reproducible; a draw that :class:`CostMatrix` rejects is redrawn.
+    Raises SamplingError if the budget is exhausted.
     """
     for _ in range(budget):
-        lpp = stream.uniform()
-        lbp = stream.uniform()
-        lnp = stream.uniform()
-        lpn = stream.uniform()
-        lbn = stream.uniform()
-        lnn = stream.uniform()
-        if not lpp < lbp < lnp:
-            continue
-        if not lnn < lbn < lpn:
-            continue
-        if not (lbn - lnn) * (lbp - lpp) < (lpn - lbn) * (lnp - lbp):
-            continue
-        return CostMatrix(lpp, lbp, lnp, lpn, lbn, lnn)
+        losses = [stream.uniform() for _ in range(6)]
+        try:
+            return CostMatrix(*losses)
+        except ValueError:
+            pass
     raise SamplingError(f"no valid cost matrix within {budget} draws")
 
 
@@ -160,40 +153,31 @@ def matrix_with_thresholds(alpha: float, beta: float, stream: RngStream) -> Cost
     return CostMatrix(lpp, lpp + b, lpp + b + d, lnn + c + a, lnn + c, lnn)
 
 
-def build_schedule(t: int, stream: RngStream | None = None, *,
-                   stream_factory=None,
-                   matrix_budget: int = MATRIX_DRAW_BUDGET,
-                   level_budget: int = LEVEL_ATTEMPT_BUDGET) -> ThresholdSchedule:
+def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
     """Sample a t-level schedule whose thresholds form a valid chain.
 
-    Level 1 is rejection-sampled from the open matrix distribution. Each
-    later level draws target thresholds inside the current corridor
-    [beta_prev, alpha_prev] and constructs a valid matrix realizing them;
-    blind per-level rejection is unworkable here because the corridor
-    narrows geometrically, so the chance that an unconditioned matrix
-    lands inside it decays below any practical budget after a few levels.
-    Candidates whose recomputed thresholds fail to extend the chain
-    (rounding at the corridor edge) are rejected and redrawn within
-    ``level_budget`` attempts. The final level's gamma is the mediant of
-    its own corridor-contained thresholds and therefore falls strictly
-    inside the last (beta, alpha) corridor.
-
-    ``stream_factory(level)`` may supply an independent stream per level;
-    otherwise all draws come from ``stream``.
+    Level i draws from the stream ``cost-matrix-level-{i}`` of
+    ``master_seed``. Level 1 is rejection-sampled from the open matrix
+    distribution. Each later level draws target thresholds inside the
+    current corridor [beta_prev, alpha_prev] and constructs a valid matrix
+    realizing them; blind per-level rejection is unworkable here because
+    the corridor narrows geometrically, so the chance that an
+    unconditioned matrix lands inside it decays below any practical budget
+    after a few levels. Candidates whose recomputed thresholds fail to
+    extend the chain (rounding at the corridor edge) are rejected and
+    redrawn within LEVEL_ATTEMPT_BUDGET attempts. The final level's gamma
+    is the mediant of its own corridor-contained thresholds and therefore
+    falls strictly inside the last (beta, alpha) corridor.
     """
     if t < 2:
         raise ValueError("schedule needs t >= 2 levels")
-    if stream is None and stream_factory is None:
-        raise ValueError("provide a stream or a stream_factory")
-    get = stream_factory if stream_factory is not None else (lambda level: stream)
-
-    first = sample_cost_matrix(get(1), matrix_budget)
+    first = sample_cost_matrix(derive_stream(master_seed, "cost-matrix-level-1"))
     matrices = [first]
     pairs = [thresholds_from(first)]
     for level in range(2, t + 1):
-        s = get(level)
+        s = derive_stream(master_seed, f"cost-matrix-level-{level}")
         prev_alpha, prev_beta = pairs[-1]
-        for _ in range(level_budget):
+        for _ in range(LEVEL_ATTEMPT_BUDGET):
             beta_target = s.uniform(prev_beta, prev_alpha)
             alpha_target = s.uniform(beta_target, prev_alpha)
             if not beta_target < alpha_target:
@@ -213,7 +197,7 @@ def build_schedule(t: int, stream: RngStream | None = None, *,
             break
         else:
             raise SamplingError(f"no sequential matrix for level {level} "
-                                f"within {level_budget} attempts")
+                                f"within {LEVEL_ATTEMPT_BUDGET} attempts")
 
 
 @dataclass(frozen=True)

@@ -325,9 +325,6 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig):
     """Full sequential run; returns the grown network and its ledger."""
     schedule = cfg.schedule
     if schedule is None:
-        schedule = build_schedule(
-            cfg.t,
-            stream_factory=lambda lvl: derive_stream(cfg.master_seed, f"cost-matrix-level-{lvl}"),
-        )
+        schedule = build_schedule(cfg.t, cfg.master_seed)
         cfg = replace(cfg, schedule=schedule)
     return _run_core(ds, split, cfg, SequentialPolicy(schedule))

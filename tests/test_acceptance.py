@@ -265,8 +265,7 @@ def test_c06_schedule_validity():
     """200 seeded ten-level schedules, full chain valid, in < 5 s."""
     t0 = time.perf_counter()
     for seed in range(200):
-        sched = build_schedule(
-            10, stream_factory=lambda lvl, s=seed: derive_stream(s, f"cost-matrix-level-{lvl}"))
+        sched = build_schedule(10, seed)
         alphas = [a for a, _ in sched.pairs]
         betas = [b for _, b in sched.pairs]
         assert len(sched.matrices) == 10
@@ -334,21 +333,46 @@ def test_c07_convergence(synthetic_runs):
     assert elapsed < 120.0
 
 
-def test_c08_cost_monotonicity(synthetic_runs):
-    """Per level: test cost strictly increases, delay cost never decreases."""
-    results, _ = synthetic_runs
+def _multi_level_suite():
+    """Short 90-row runs with duplicate rows at l2 = 0.01; about half accrue >= 2 levels."""
+    ledgers = []
+    for seed in range(12):
+        ds = synthetic_dataset(seed, 90, 3, duplicate_levels=3)
+        split = split_811(ds, derive_stream(seed, "split"))
+        cfg = TrainConfig(t=6, master_seed=seed, hyper=TrainHyper(l2=0.01))
+        ledgers.append((seed, run(ds, split, cfg)[1]))
+    return ledgers
+
+
+def _monotonicity(ledgers):
+    """(failures, number of runs that accrued costs at two or more levels)."""
     failures = []
-    for seed, _, _, ledger in results:
+    multi = 0
+    for seed, ledger in ledgers:
         accrued = [r for r in ledger.levels if r.m > 0]
+        multi += len(accrued) > 1
         for prev, cur in zip(accrued, accrued[1:]):
             if not cur.cost_test > prev.cost_test:
                 failures.append(f"seed {seed}: test cost not strictly increasing")
             if not cur.cost_delay >= prev.cost_delay:
                 failures.append(f"seed {seed}: delay cost decreased")
-    multi = sum(1 for _, _, _, ledger in results
-                if len([r for r in ledger.levels if r.m > 0]) > 1)
-    report(8, not failures, f"cost monotonicity on all runs ({multi} multi-level runs)")
-    assert not failures
+    return failures, multi
+
+
+def test_c08_cost_monotonicity(synthetic_runs):
+    """Per level: test cost strictly increases, delay cost never decreases.
+
+    The 50-run suite rarely grows past one level at the default l2, so a
+    second suite that does must hold at least 4 multi-level runs.
+    """
+    results, _ = synthetic_runs
+    failures, multi = _monotonicity([(seed, ledger) for seed, _, _, ledger in results])
+    grown_failures, grown = _monotonicity(_multi_level_suite())
+    ok = not failures and not grown_failures and grown >= 4
+    report(8, ok, f"cost monotonicity on all runs ({multi} multi-level runs; "
+                  f"{grown} of 12 in the multi-level suite)")
+    assert not failures and not grown_failures
+    assert grown >= 4
 
 
 def test_c09_gradient_check():
@@ -381,16 +405,17 @@ def test_c09_gradient_check():
 def test_c10_adam_oracle():
     """Hand-computed single step to 1e-12; zero gradient is a no-op."""
     hyper = Hyper(learning_rate=0.1, rho1=0.9, rho2=0.999, tau=1e-8)
-    state = AdamState([np.array([0.5])])
-    new_state, (updated,) = adam_step(state, [np.array([0.5])], [np.array([1.0])], hyper)
+    param = np.array([0.5])
+    state = AdamState([param])
+    adam_step(state, [param], [np.array([1.0])], hyper)
     expected = 0.5 - 0.1 / (1.0 + 1e-8)
-    delta_ok = abs(updated[0] - expected) <= 1e-12
-    moments_ok = (abs(new_state.V[0][0] - 0.1) <= 1e-15
-                  and abs(new_state.S[0][0] - 0.001) <= 1e-15)
+    delta_ok = abs(param[0] - expected) <= 1e-12
+    moments_ok = (abs(state.V[0][0] - 0.1) <= 1e-15
+                  and abs(state.S[0][0] - 0.001) <= 1e-15)
 
     params = [np.array([1.0, -2.0])]
-    _, (unchanged,) = adam_step(AdamState(params), params, [np.zeros(2)], hyper)
-    zero_ok = np.array_equal(unchanged, params[0])
+    adam_step(AdamState(params), params, [np.zeros(2)], hyper)
+    zero_ok = np.array_equal(params[0], [1.0, -2.0])
 
     ok = delta_ok and moments_ok and zero_ok
     report(10, ok, "single-step oracle and zero-gradient no-op")

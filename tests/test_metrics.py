@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from trisect import RngStream, accuracy, roc_auc, weighted_f1
-from trisect.metrics import confusion_counts, metrics_report, per_class_report
+from trisect.cli import _scored_report
+from trisect.metrics import confusion_counts, per_class_report
 
 
 def _oracle_weighted_f1(truth, predicted):
@@ -189,14 +190,14 @@ class TestRocAuc:
         # a non-finite score has no place among the thresholds
         with pytest.raises(ValueError, match="finite"):
             roc_auc([1, -1, 1], [0.2, bad, 0.7])
-        assert metrics_report([1, -1, 1], [1, -1, 1], [0.2, bad, 0.7])["auc"] is None
+        assert _scored_report([1, -1, 1], [1, -1, 1], [0.2, bad, 0.7])[0]["auc"] is None
 
 
 class TestReport:
     def test_fields(self):
-        report = metrics_report([1, -1, 1], [1, -1, -1], [0.8, 0.3, 0.4])
+        report, _ = _scored_report([1, -1, 1], [1, -1, -1], [0.8, 0.3, 0.4])
         assert set(report) == {"accuracy", "weighted_f1", "per_class", "auc"}
 
     def test_auc_none_for_single_class(self):
-        report = metrics_report([1, 1], [1, 1], [0.8, 0.9])
+        report, _ = _scored_report([1, 1], [1, 1], [0.8, 0.9])
         assert report["auc"] is None

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from trisect import (
     regularized_cost,
     train_node,
 )
+from trisect.baselines import train_fixed_topology
 from trisect.network import (
+    cost,
     cost_and_grads,
     forward_arrays,
     model_from_json,
@@ -27,7 +30,7 @@ from trisect.network import (
 )
 from trisect.numerics import ACTIVATION_KINDS, activate
 
-from conftest import NODE_1, NODE_2, TOY_FEATURES, TOY_LABELS
+from conftest import NODE_1, NODE_2, TOY_FEATURES, TOY_LABELS, split_for, synthetic_dataset
 
 
 def _toy_net(nodes=(NODE_1,)):
@@ -104,30 +107,36 @@ class TestForward:
             predict_batch(_toy_net(), np.ones(4))  # one row must still be 2-d
 
 
+def _focal(p, y, delta, theta):
+    return focal_loss(np.array([p]), np.array([y]), delta, theta)[0]
+
+
 class TestFocalLoss:
     def test_perfect_prediction_limit(self):
-        assert focal_loss(1.0 - 1e-12, 1, 0.5, 2.0) == pytest.approx(0.0, abs=1e-11)
+        assert _focal(1.0 - 1e-12, 1, 0.5, 2.0) == pytest.approx(0.0, abs=1e-11)
 
     def test_balanced_midpoint_theta_zero(self):
-        assert focal_loss(0.5, 1, 0.5, 0.0) == pytest.approx(0.5 * math.log(2), abs=1e-6)
+        assert _focal(0.5, 1, 0.5, 0.0) == pytest.approx(0.5 * math.log(2), abs=1e-6)
 
     def test_balanced_midpoint_theta_two(self):
-        assert focal_loss(0.5, 1, 0.5, 2.0) == pytest.approx(0.5 * 0.25 * math.log(2), abs=1e-6)
+        assert _focal(0.5, 1, 0.5, 2.0) == pytest.approx(0.5 * 0.25 * math.log(2), abs=1e-6)
 
     def test_reduces_to_balanced_cross_entropy(self):
         stream = RngStream(17, "fl")
+        p, y = [], []
         for _ in range(100):
-            p = stream.uniform(1e-6, 1.0 - 1e-6)
-            y = 1 if stream.uniform() < 0.5 else -1
-            ce = -0.5 * math.log(p) if y == 1 else -0.5 * math.log(1.0 - p)
-            assert focal_loss(p, y, 0.5, 0.0) == pytest.approx(ce, rel=1e-12)
+            p.append(stream.uniform(1e-6, 1.0 - 1e-6))
+            y.append(1 if stream.uniform() < 0.5 else -1)
+        losses = focal_loss(np.array(p), np.array(y), 0.5, 0.0)
+        for pi, yi, loss in zip(p, y, losses):
+            ce = -0.5 * math.log(pi) if yi == 1 else -0.5 * math.log(1.0 - pi)
+            assert loss == pytest.approx(ce, rel=1e-12)
 
     def test_non_negative(self):
         stream = RngStream(18, "fl2")
-        for _ in range(200):
-            p = stream.uniform(1e-9, 1.0 - 1e-9)
-            assert focal_loss(p, 1, 0.25, 2.0) >= 0.0
-            assert focal_loss(p, -1, 0.25, 2.0) >= 0.0
+        p = np.array([stream.uniform(1e-9, 1.0 - 1e-9) for _ in range(200)])
+        assert (focal_loss(p, np.ones(200), 0.25, 2.0) >= 0.0).all()
+        assert (focal_loss(p, -np.ones(200), 0.25, 2.0) >= 0.0).all()
 
     def test_resolve_delta_uses_negative_fraction(self):
         hyper = TrainHyper()
@@ -162,19 +171,21 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         hyper = TrainHyper()
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState(params)
-        _, updated = adam_step(state, params, [np.zeros(2), np.zeros((1, 1))], hyper)
-        assert np.array_equal(updated[0], params[0])
-        assert np.array_equal(updated[1], params[1])
+        before = [p.copy() for p in params]
+        assert adam_step(AdamState(params), params, [np.zeros(2), np.zeros((1, 1))], hyper) is None
+        assert np.array_equal(params[0], before[0])
+        assert np.array_equal(params[1], before[1])
 
     def test_single_step_hand_computed(self):
         hyper = TrainHyper(learning_rate=0.1, rho1=0.9, rho2=0.999, tau=1e-8)
-        state = AdamState([np.array([0.0])])
-        new_state, updated = adam_step(state, [np.array([0.0])], [np.array([1.0])], hyper)
-        assert new_state.V[0][0] == pytest.approx(0.1, abs=1e-15)
-        assert new_state.S[0][0] == pytest.approx(0.001, abs=1e-15)
+        param = np.array([0.0])
+        state = AdamState([param])
+        adam_step(state, [param], [np.array([1.0])], hyper)
+        assert state.h == 1
+        assert state.V[0][0] == pytest.approx(0.1, abs=1e-15)
+        assert state.S[0][0] == pytest.approx(0.001, abs=1e-15)
         expected_delta = -0.1 / (1.0 + 1e-8)
-        assert updated[0][0] == pytest.approx(expected_delta, abs=1e-12)
+        assert param[0] == pytest.approx(expected_delta, abs=1e-12)
 
     def test_repeated_gradients_step_size_approaches_learning_rate(self):
         hyper = TrainHyper(learning_rate=0.05)
@@ -182,24 +193,42 @@ class TestAdam:
         state = AdamState([param])
         for _ in range(500):
             previous = param.copy()
-            state, (param,) = adam_step(state, [param], [np.array([1.0])], hyper)
+            adam_step(state, [param], [np.array([1.0])], hyper)
         assert abs(abs(param[0] - previous[0]) - hyper.learning_rate) < 1e-6
 
     def test_reshaping_invariance(self):
         hyper = TrainHyper()
         flat = np.arange(4.0)
+        square = flat.reshape(2, 2).copy()
         grad = np.array([0.5, -1.0, 2.0, 0.1])
-        state_a = AdamState([flat])
-        _, (out_flat,) = adam_step(state_a, [flat], [grad], hyper)
-        state_b = AdamState([flat.reshape(2, 2)])
-        _, (out_sq,) = adam_step(state_b, [flat.reshape(2, 2)], [grad.reshape(2, 2)], hyper)
-        assert np.array_equal(out_flat, out_sq.reshape(-1))
+        adam_step(AdamState([flat]), [flat], [grad], hyper)
+        adam_step(AdamState([square]), [square], [grad.reshape(2, 2)], hyper)
+        assert np.array_equal(flat, square.reshape(-1))
 
     def test_shape_mismatch(self):
         state = AdamState([np.zeros(2)])
         with pytest.raises(ValueError):
             adam_step(state, [np.zeros(2)], [np.zeros(3)], TrainHyper())
 
+    def test_views_update_one_node_in_place(self):
+        # the slices train_network hands Adam for node i: row i of W1,
+        # b1[i], column i of W2 and b2; every other entry stays bit-equal
+        stream = RngStream(6, "adam-views")
+        W1 = np.array([[stream.normal() for _ in range(4)] for _ in range(3)])
+        b1 = np.array([stream.normal() for _ in range(3)])
+        W2 = np.array([[stream.normal() for _ in range(3)] for _ in range(2)])
+        b2 = np.array([stream.normal() for _ in range(2)])
+        before = [a.copy() for a in (W1, b1, W2, b2)]
+        i = 1
+        params = [W1[i], b1[i:i + 1], W2[:, i], b2]
+        grads = [np.full(p.shape, 0.5) for p in params]
+        adam_step(AdamState(params), params, grads, TrainHyper())
+        moved = [np.zeros(a.shape, dtype=bool) for a in before]
+        moved[0][i] = moved[1][i] = True
+        moved[2][:, i] = moved[3][:] = True
+        for now, old, mask in zip((W1, b1, W2, b2), before, moved):
+            assert np.array_equal(now[~mask], old[~mask])
+            assert (now[mask] != old[mask]).all()
 
 def _random_setup(stream, kind, n=6, m=3, t=2):
     """Parameter/input draw that stays clear of activation kinks."""
@@ -239,6 +268,44 @@ def test_gradients_match_finite_differences(kind):
                 fd = (up - dn) / (2 * h)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(grad[idx]), abs(fd)), \
                     (kind, ti, idx)
+
+
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_cost_is_the_cost_of_cost_and_grads(kind):
+    stream = RngStream(405, f"cost-{kind}")
+    for n in (2, 6, 40):
+        X, y, W1, b1, W2, b2 = _random_setup(stream, kind, n=n, t=3)
+        args = (X, y, W1, b1, W2, b2, kind, 0.3, 2.0, 0.05)
+        assert cost(*args) == cost_and_grads(*args)[0]
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedTraining:
+    """Trained parameter bytes on a fixed input, for the one-node and the all-node step."""
+
+    HYPER = TrainHyper(l2=0.01, batch_size=32, max_epochs=12)
+
+    def test_train_node_on_a_frozen_node(self):
+        ds = synthetic_dataset(21, 120, 4)
+        X, y = ds.features, ds.labels
+        stream = RngStream(8, "pin-node")
+        fresh = init_node(4, "uniform", stream)
+        node = train_node(X[:96], y[:96], _toy_net(), fresh, self.HYPER, X[96:], y[96:], stream)
+        assert _sha256([node.w1, [node.b1], node.w2, node.b2]) == \
+            "d4d85c42e776db058fb4b5c23aabfccba96d124467d488ac5924046d7e02c17b"
+
+    def test_train_fixed_topology_all_nodes(self):
+        ds = synthetic_dataset(21, 120, 4)
+        net = train_fixed_topology(ds, split_for(ds, 21), 3, self.HYPER, "selu", "uniform",
+                                   RngStream(8, "pin-all"))
+        assert _sha256(net.assembled()) == \
+            "d4e38741764ee3f44dcdbdcd2432006da78a30a41ec829426691bb3457cd7fee"
 
 
 class TestTrainNode:

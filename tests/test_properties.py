@@ -108,8 +108,9 @@ def test_two_way_partition_never_defers(classes, gamma):
 
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_focal_reduces_to_balanced_cross_entropy(p):
-    assert abs(focal_loss(p, 1, 0.5, 0.0) - (-0.5 * np.log(p))) < 1e-12
-    assert abs(focal_loss(p, -1, 0.5, 0.0) - (-0.5 * np.log(1.0 - p))) < 1e-12
+    q = np.array([p])
+    assert abs(focal_loss(q, np.array([1]), 0.5, 0.0)[0] - (-0.5 * np.log(p))) < 1e-12
+    assert abs(focal_loss(q, np.array([-1]), 0.5, 0.0)[0] - (-0.5 * np.log(1.0 - p))) < 1e-12
 
 
 @settings(max_examples=50)

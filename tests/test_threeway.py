@@ -122,7 +122,7 @@ class TestSchedule:
 
     def test_seeded_schedules_satisfy_full_chain(self):
         for seed in range(20):
-            sched = build_schedule(10, RngStream(seed, "schedule"))
+            sched = build_schedule(10, seed)
             alphas = [a for a, _ in sched.pairs]
             betas = [b for _, b in sched.pairs]
             assert all(x <= y for x, y in zip(betas, betas[1:]))
@@ -145,10 +145,10 @@ class TestSchedule:
 
     def test_t_too_small(self):
         with pytest.raises(ValueError):
-            build_schedule(1, RngStream(0, "s"))
+            build_schedule(1, 0)
 
     def test_json_roundtrip(self):
-        sched = build_schedule(4, RngStream(3, "json"))
+        sched = build_schedule(4, 3)
         again = schedule_from_json(schedule_to_json(sched))
         assert again == sched
 
