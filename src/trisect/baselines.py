@@ -13,7 +13,7 @@ from dataclasses import replace
 from .data import Dataset, Split
 from .network import LayeredNetwork, NodeParams, TrainHyper, assemble, init_node, train_network
 from .numerics import RngStream, derive_stream
-from .threeway import CostMatrix, sample_cost_matrix
+from .threeway import CostMatrix, first_level_matrix
 from .trainer import FixedPolicy, TrainConfig, _run_core
 from .metrics import accuracy
 
@@ -91,7 +91,7 @@ def run_twd_fixed(ds: Dataset, split: Split, cfg: TrainConfig,
     ones the matrix derives to.
     """
     if matrix is None:
-        matrix = sample_cost_matrix(derive_stream(cfg.master_seed, "cost-matrix-level-1"))
+        matrix = first_level_matrix(cfg.master_seed)
     cfg = replace(cfg, schedule=None)
     return _run_core(ds, split, cfg, FixedPolicy(matrix, cfg.t, triple))
 

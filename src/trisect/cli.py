@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, SamplingError
 from .metrics import metrics_report, roc_auc
 from .network import TrainHyper, model_to_json, model_from_json, predict_batch
 from .numerics import derive_stream
-from .threeway import build_schedule, sample_cost_matrix, schedule_to_json, ThresholdSchedule
+from .threeway import build_schedule, first_level_matrix, schedule_to_json, ThresholdSchedule
 from .trainer import TrainConfig, run
 
 
@@ -370,7 +370,7 @@ def cmd_baseline(args) -> int:
                                      "nodes": best_nodes})
     elif kind == "twd-fixed":
         cfg = _build_config(settings)
-        matrix = sample_cost_matrix(derive_stream(seed, "cost-matrix-level-1"))
+        matrix = first_level_matrix(seed)
         net, ledger = baselines.run_twd_fixed(ds, split, cfg, matrix)
         truth, labels, scores = _evaluate(net, ds, split.test)
         triple = ThresholdSchedule.from_matrices([matrix, matrix])

@@ -12,6 +12,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,8 +92,12 @@ class FoldPlan:
         if sizes and max(sizes) - min(sizes) > 1:
             raise ValueError("fold sizes must differ by at most one")
 
+    @cached_property
+    def _folds(self) -> np.ndarray:
+        return np.fromiter(self.assignments, dtype=np.int64, count=len(self.assignments))
+
     def fold_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.assignments) if f == fold)
+        return tuple(np.flatnonzero(self._folds == fold).tolist())
 
 
 def _parse_table(fh, n_columns: int, label_idx: int):
@@ -318,7 +323,7 @@ def fold_split(ds: Dataset, plan: FoldPlan, fold: int, stream: RngStream) -> Spl
     if not 1 <= fold <= plan.k:
         raise ValueError(f"fold must be in 1..{plan.k}")
     test = plan.fold_indices(fold)
-    rest = [i for i in range(ds.n_rows) if plan.assignments[i] != fold]
+    rest = np.flatnonzero(plan._folds != fold).tolist()
     stream.shuffle(rest)
     n_val = _round_half_up(len(rest) / 9)
     val = tuple(sorted(rest[:n_val]))

@@ -153,9 +153,12 @@ def init_node(m: int, dist: str, stream: RngStream) -> NodeParams:
 
 
 def _softmax_pos(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e[:, 0] / e.sum(axis=1)
+    # a max or sum of two terms is exact or singly rounded, in either order
+    s0, s1 = scores[:, 0], scores[:, 1]
+    top = np.maximum(s0, s1)
+    e0 = np.exp(s0 - top)
+    e1 = np.exp(s1 - top)
+    return e0 / (e0 + e1)
 
 
 def forward_arrays(X, W1, b1, W2, b2, activation):
@@ -177,17 +180,33 @@ def predict_batch(net: LayeredNetwork, X):
     return labels, p
 
 
+def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float):
+    """(per-instance focal loss, its derivative w.r.t. ``q``) at the clamped ``q``.
+
+    Both classes share one formula in u, the probability of the row's own
+    class (q, or ``1.0 - q`` for a negative row), and v = 1 - u. Each row
+    sees the operands of its own class's formula in the same order, and one
+    ``log`` and one theta-power serve the loss and its derivative.
+    """
+    pos = y == 1
+    r = 1.0 - q
+    u = np.where(pos, q, r)
+    v = np.where(pos, r, q)
+    log_u = np.log(u)
+    pow_v = v ** theta
+    loss = np.where(pos, -delta, -(1.0 - delta)) * pow_v * log_u
+    grad = np.where(pos, delta, -(1.0 - delta)) * (theta * v ** (theta - 1.0) * log_u
+                                                   - pow_v / u)
+    return loss, grad
+
+
 def focal_loss(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
     """Per-instance focal loss of positive-class probabilities ``q``.
 
     ``q`` must already be clamped to [PROB_CLAMP, 1 - PROB_CLAMP], as
     :func:`cost` and :func:`cost_and_grads` do, so both logs stay finite.
     """
-    pos = y == 1
-    out = np.empty_like(q)
-    out[pos] = -delta * (1.0 - q[pos]) ** theta * np.log(q[pos])
-    out[~pos] = -(1.0 - delta) * q[~pos] ** theta * np.log(1.0 - q[~pos])
-    return out
+    return _focal_terms(q, y, delta, theta)[0]
 
 
 def regularized_cost(losses, W1, b1, W2, b2, l2: float) -> float:
@@ -222,36 +241,26 @@ def adam_step(state: AdamState, params, grads, hyper: TrainHyper) -> None:
         p -= hyper.learning_rate * (v / corr1) / (np.sqrt(s / corr2) + hyper.tau)
 
 
-def _loss_grad_wrt_q(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
-    """d(focal loss)/d(p_pos) at the clamped probability ``q``."""
-    pos = y == 1
-    g = np.empty_like(q)
-    qa, qb = q[pos], q[~pos]
-    g[pos] = delta * (theta * (1.0 - qa) ** (theta - 1.0) * np.log(qa)
-                      - (1.0 - qa) ** theta / qa)
-    g[~pos] = -(1.0 - delta) * (theta * qb ** (theta - 1.0) * np.log(1.0 - qb)
-                                - qb**theta / (1.0 - qb))
-    return g
-
-
 def _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
-    """(Z, A, clamped q, regularized cost) of one forward pass."""
+    """(Z, A, clamped q, d(focal loss)/dq, regularized cost) of one forward pass."""
     Z, A, _, p = forward_arrays(X, W1, b1, W2, b2, activation)
     q = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return Z, A, q, regularized_cost(focal_loss(q, y, delta, theta), W1, b1, W2, b2, l2)
+    losses, dq = _focal_terms(q, y, delta, theta)
+    return Z, A, q, dq, regularized_cost(losses, W1, b1, W2, b2, l2)
 
 
 def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2) -> float:
     """Mean focal loss of the rows plus the L2 penalty over all four tensors."""
-    return _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)[3]
+    return _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)[4]
 
 
 def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
     """Regularized cost and its gradients w.r.t. all four tensors."""
     n = X.shape[0]
-    Z, A, q, c = _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)
-    ds0 = _loss_grad_wrt_q(q, y, delta, theta) * q * (1.0 - q)
-    dS = np.stack([ds0, -ds0], axis=1)  # (n, 2)
+    Z, A, q, dq, c = _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)
+    dS = np.empty((n, 2))
+    dS[:, 0] = dq * q * (1.0 - q)
+    np.negative(dS[:, 0], out=dS[:, 1])
 
     dW2 = dS.T @ A / n + l2 * W2
     db2 = dS.mean(axis=0) + l2 * b2
@@ -268,7 +277,8 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
 
     ``trainable`` is either "all" or the index of the single node whose
     w1 row, b1 entry, and W2 column may move (the output bias b2 always
-    trains). Adam updates views of those slices in place. Returns the
+    trains). Adam updates one vector packing those slices, and each step
+    writes it back into them. Returns the
     best-validation copies of the four tensors. When the validation set is
     empty the training cost drives early stopping. If ``history`` is a
     list, (epoch, train_cost, val_cost, improved) tuples are appended per
@@ -294,8 +304,12 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
         i = int(trainable)
         params = [W1[i], b1[i:i + 1], W2[:, i], b2]
         pick = lambda grads: (grads[0][i], grads[1][i:i + 1], grads[2][:, i], grads[3])
+    # Adam is elementwise, so packing the slices into one vector changes no bit
+    flat = np.concatenate(params, axis=None)
+    ends = np.cumsum([p.size for p in params]).tolist()
+    unpacked = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
 
-    state = AdamState(params)
+    state = AdamState([flat])
     best_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
     best = snapshot()
     if history is not None:
@@ -304,10 +318,13 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
     order = list(range(X.shape[0]))
     for epoch in range(1, hyper.max_epochs + 1):
         stream.shuffle(order)
-        for start in range(0, len(order), hyper.batch_size):
-            batch = order[start:start + hyper.batch_size]
+        rows = np.array(order)
+        for start in range(0, len(rows), hyper.batch_size):
+            batch = rows[start:start + hyper.batch_size]
             _, grads = cost_and_grads(X[batch], y[batch], W1, b1, W2, b2, *loss)
-            adam_step(state, params, pick(grads), hyper)
+            adam_step(state, [flat], [np.concatenate(pick(grads), axis=None)], hyper)
+            for p, part in zip(params, unpacked):
+                p[...] = part
         val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
         improved = val_cost < best_cost
         if improved:
@@ -348,13 +365,13 @@ def classify_split(net: LayeredNetwork, X, y, indices):
     """Partition rows into correct positives, misclassified, correct negatives."""
     if net.n_nodes < 1:
         raise ValueError("network has no nodes")
-    indices = np.asarray(indices)
+    indices = np.asarray(indices, dtype=np.int64)
     labels, _ = predict_batch(net, X)
     y = np.asarray(y)
     correct = labels == y
-    pn = tuple(int(i) for i in indices[correct & (y == 1)])
-    nn = tuple(int(i) for i in indices[correct & (y == -1)])
-    mn = tuple(int(i) for i in indices[~correct])
+    pn = tuple(indices[correct & (y == 1)].tolist())
+    nn = tuple(indices[correct & (y == -1)].tolist())
+    mn = tuple(indices[~correct].tolist())
     return pn, mn, nn
 
 

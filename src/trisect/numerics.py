@@ -128,13 +128,8 @@ class RngStream:
             if v < n:
                 return v
 
-    def _draw_block(self, count: int) -> memoryview:
-        """The next ``count`` outputs of ``next_u64``, computed in one numpy pass.
-
-        Iterating the returned buffer makes one int at a time. A ``tolist()``
-        would make the whole block's ints at once, and the small-object
-        allocator keeps that memory: 0.4 MB more peak RSS in a 50k-row run.
-        """
+    def _draw_block(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of ``next_u64``, computed in one numpy pass."""
         z = np.arange(1, count + 1, dtype=np.uint64)  # uint64 arrays wrap mod 2^64
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)
@@ -144,10 +139,17 @@ class RngStream:
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
         self._state = (self._state + count * _GOLDEN) & _MASK64
-        return memoryview(z)
+        return z
 
     def shuffle(self, items: list) -> None:
-        """In-place backward Fisher–Yates shuffle: item i swaps with ``randrange(i + 1)``."""
+        """In-place backward Fisher–Yates shuffle: item i swaps with ``randrange(i + 1)``.
+
+        Each block of outputs is masked in numpy once per mask value, so the
+        loop only compares and swaps. It iterates a memoryview of the masked
+        block, which makes one int at a time: a ``tolist()`` would make the
+        whole block's ints at once, and the small-object allocator keeps that
+        memory (0.4 MB more peak RSS in a 50k-row run).
+        """
         i = len(items) - 1
         mask = (1 << i.bit_length()) - 1  # randrange(i + 1)'s mask
         low = mask >> 1  # the mask shrinks once i reaches it
@@ -155,15 +157,19 @@ class RngStream:
         while i > 0:
             # below 2 outputs per position on average, as each draw is accepted with p > 1/2
             block = self._draw_block(min(_SHUFFLE_BLOCK, 2 * i))
-            for used, v in enumerate(block, 1):
-                j = v & mask
-                if j <= i:
-                    items[i], items[j] = items[j], items[i]
-                    i -= 1
-                    if i == low:
-                        if not i:
+            used = 0
+            while used < len(block) and i:  # one numpy mask per mask value
+                top, rejected = i, 0
+                for j in memoryview(block[used:] & np.uint64(mask)):
+                    if j <= i:
+                        items[i], items[j] = items[j], items[i]
+                        i -= 1
+                        if i == low:
+                            mask, low = low, low >> 1
                             break
-                        mask, low = low, low >> 1
+                    else:
+                        rejected += 1
+                used += top - i + rejected  # one draw per swap or rejection
             unused = len(block) - used
         self._state = (self._state - unused * _GOLDEN) & _MASK64
 

@@ -153,6 +153,11 @@ def matrix_with_thresholds(alpha: float, beta: float, stream: RngStream) -> Cost
     return CostMatrix(lpp, lpp + b, lpp + b + d, lnn + c + a, lnn + c, lnn)
 
 
+def first_level_matrix(master_seed: int) -> CostMatrix:
+    """Level 1's cost matrix: the schedule's first level and the fixed-threshold matrix."""
+    return sample_cost_matrix(derive_stream(master_seed, "cost-matrix-level-1"))
+
+
 def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
     """Sample a t-level schedule whose thresholds form a valid chain.
 
@@ -171,7 +176,7 @@ def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
     """
     if t < 2:
         raise ValueError("schedule needs t >= 2 levels")
-    first = sample_cost_matrix(derive_stream(master_seed, "cost-matrix-level-1"))
+    first = first_level_matrix(master_seed)
     matrices = [first]
     pairs = [thresholds_from(first)]
     for level in range(2, t + 1):

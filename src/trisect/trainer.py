@@ -263,10 +263,12 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
     pos_idx: set[int] = set()
     neg_idx: set[int] = set()
     records: list[LevelRecord] = []
-    active = tuple(int(i) for i in train_idx)
+    active = tuple(train_idx.tolist())
 
     for level in range(1, cfg.t + 1):
         stream = derive_stream(cfg.master_seed, f"init-node-{level}")
+        rows = np.array(active, dtype=np.int64)
+        X_active, y_active = X[rows], y[rows]
         if cfg.fixture_nodes is not None:
             if level > len(cfg.fixture_nodes):
                 raise ConfigError(f"fixture provides {len(cfg.fixture_nodes)} nodes, "
@@ -274,11 +276,11 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
             node = cfg.fixture_nodes[level - 1]
         else:
             fresh = init_node(ds.n_features, cfg.init_dist, stream)
-            node = train_node(X[list(active)], y[list(active)], net, fresh,
-                              cfg.hyper, X_val, y_val, stream)
+            node = train_node(X_active, y_active, net, fresh, cfg.hyper, X_val, y_val, stream)
         net = net.with_node(node)
 
-        pn, mn, nn = classify_split(net, X[list(active)], y[list(active)], active)
+        pn, mn, nn = classify_split(net, X_active, y_active, rows)
+        del X_active, y_active  # not held through the level's k-means, its memory peak
         pos_idx.update(pn)
         neg_idx.update(nn)
 
@@ -313,7 +315,7 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
     if active:
         raise RuntimeError("run ended with a non-empty deferred set")  # unreachable
     settled = pos_idx | neg_idx
-    if settled != set(int(i) for i in train_idx) or pos_idx & neg_idx:
+    if settled != set(train_idx.tolist()) or pos_idx & neg_idx:
         raise RuntimeError("final regions do not partition the training set")
 
     ledger = RunLedger(tuple(records), tuple(sorted(pos_idx)), tuple(sorted(neg_idx)),

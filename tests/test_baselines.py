@@ -18,8 +18,9 @@ from trisect import (
     split_811,
     train_fixed_topology,
 )
+from trisect import baselines
 from trisect.network import predict_batch
-from trisect.threeway import ThresholdSchedule, sample_cost_matrix
+from trisect.threeway import ThresholdSchedule, build_schedule, sample_cost_matrix
 from trisect.metrics import accuracy
 
 from conftest import (
@@ -177,6 +178,23 @@ class TestTwdFixed:
                     == json.dumps(led_fix.to_dict(), sort_keys=True))
             saw_multi_level |= len(led_seq.levels) > 1
         assert saw_multi_level
+
+    def test_default_matrix_is_schedule_level_one(self, monkeypatch):
+        seen = []
+
+        class RecordingPolicy(baselines.FixedPolicy):
+            def __init__(self, matrix, t, triple=None):
+                seen.append(matrix)
+                super().__init__(matrix, t, triple)
+
+        monkeypatch.setattr(baselines, "FixedPolicy", RecordingPolicy)
+        for seed in (0, 5, 11):
+            cfg = self._cfg(master_seed=seed)
+            level_one = build_schedule(cfg.t, seed).matrices[0]
+            _, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg)
+            assert seen[-1] == level_one
+            _, explicit = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg, level_one)
+            assert ledger.to_dict() == explicit.to_dict()
 
 
 class TestStwdNk:

@@ -314,6 +314,23 @@ class TestFolds:
         with pytest.raises(ValueError):
             make_folds(toy_dataset, 11, RngStream(0, "folds"))
 
+    def test_fold_tuples_match_their_definition(self):
+        # fold i holds the rows assigned to it in row order; the rest of a
+        # fold split are the other rows in row order, shuffled by the stream
+        for seed, d, k in ((7, 53, 5), (8, 120, 10), (9, 11, 2)):
+            ds = synthetic_dataset(seed, d, 2)
+            plan = make_folds(ds, k, RngStream(seed, "folds"))
+            for fold in range(1, k + 1):
+                test = tuple(i for i, f in enumerate(plan.assignments) if f == fold)
+                assert plan.fold_indices(fold) == test
+                rest = [i for i in range(d) if plan.assignments[i] != fold]
+                RngStream(seed, f"val-{fold}").shuffle(rest)
+                n_val = int(len(rest) / 9 + 0.5)
+                expected = Split(tuple(sorted(rest[n_val:])), tuple(sorted(rest[:n_val])), test)
+                got = fold_split(ds, plan, fold, RngStream(seed, f"val-{fold}"))
+                assert got == expected
+                assert all(type(i) is int for i in got.train + got.validation + got.test)
+
     def test_fold_split_8_1_proportions(self):
         ds = synthetic_dataset(6, 100, 3)
         plan = make_folds(ds, 10, RngStream(3, "folds"))

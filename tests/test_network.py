@@ -27,6 +27,7 @@ from trisect.network import (
     model_to_json,
     predict_batch,
     resolve_delta,
+    train_network,
 )
 from trisect.numerics import ACTIVATION_KINDS, activate
 
@@ -230,9 +231,19 @@ class TestAdam:
             assert np.array_equal(now[~mask], old[~mask])
             assert (now[mask] != old[mask]).all()
 
+_MAX_REDRAWS = 1000
+
+
 def _random_setup(stream, kind, n=6, m=3, t=2):
-    """Parameter/input draw that stays clear of activation kinks."""
-    while True:
+    """Parameter/input draw that stays clear of activation kinks.
+
+    A draw is redrawn until both labels occur and no pre-activation sits
+    near a kink, at most ``_MAX_REDRAWS`` times; one row cannot hold both
+    labels, so n < 2 is rejected.
+    """
+    if n < 2:
+        raise ValueError(f"both labels need n >= 2 rows, got n = {n}")
+    for _ in range(_MAX_REDRAWS):
         X = np.array([[stream.uniform(-1, 1) for _ in range(m)] for _ in range(n)])
         y = np.array([1 if stream.uniform() < 0.5 else -1 for _ in range(n)])
         if len(set(y.tolist())) < 2:
@@ -245,6 +256,12 @@ def _random_setup(stream, kind, n=6, m=3, t=2):
         if kind in ("relu", "leaky-relu", "selu") and np.abs(Z).min() < 1e-3:
             continue
         return X, y, W1, b1, W2, b2
+    raise RuntimeError(f"no usable draw in {_MAX_REDRAWS} attempts")
+
+
+def test_random_setup_rejects_a_single_row():
+    with pytest.raises(ValueError):
+        _random_setup(RngStream(0, "one-row"), "tanh", n=1)
 
 
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
@@ -306,6 +323,78 @@ class TestPinnedTraining:
                                    RngStream(8, "pin-all"))
         assert _sha256(net.assembled()) == \
             "d4e38741764ee3f44dcdbdcd2432006da78a30a41ec829426691bb3457cd7fee"
+
+
+# sha256 of train_network's returned tensors and history over theta in
+# {0, 1.5, 2} and l2 in {0, 0.1}, per activation and trainable slice
+GRID_PINS = {
+    ("relu", "all"): "b4bafe60d4b5413b3ee75bd7ead793fd50c765ad762a35420c70fb41374c1638",
+    ("leaky-relu", "all"): "07a92fc8661c0e2c3f6a12e203fad438768114f7f94fdea8a3c9e5a3a003dcd0",
+    ("selu", "all"): "7471bbad5abde73571de41530c83eb4d25b5439f17133699cf4f102f805a42cc",
+    ("tanh", "all"): "b51276979721e2aa18cbdd63ce958d77306b07f5737309fa6ea85ed6d3b62f03",
+    ("sigmoid", "all"): "da2e00ccc9baaf0fcc4996c258b120351927d67c897b2665cbd9e2946e54b19c",
+    ("swish", "all"): "f9fe0b27dd88d6675d9c0cd528bafe26af6ce3604af377d770fedc7e15556135",
+    ("relu", 2): "2e4714ba56135512fd0bb31ec135b1a9889845f900fd9c69e0537f0c170f9106",
+    ("leaky-relu", 2): "e0be2d79de1fc59fa4fa006d1822d5758739be19a57b12872f1147fa681bdce8",
+    ("selu", 2): "3eeec378f5490b231258a696da0073780407f29f35f07681184f918813f7692d",
+    ("tanh", 2): "f2db422382a7cdfabb94267fb03c961e4541031e2ad340167b8cc11876c2c13d",
+    ("sigmoid", 2): "12bc15b6bf6342f6b6e49fcfe77f2bad1cf5b701c5327f38dd85a5e0485356b4",
+    ("swish", 2): "61cf7fe1db0982acad911bf36a43dfc9394d3047c57fd468a2e5e0d3e6dbfdc6",
+}
+
+
+@pytest.mark.parametrize("trainable", ["all", 2])
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_pinned_training_grid(kind, trainable):
+    # 45 training rows in batches of 16: each epoch ends on a 13-row batch
+    ds = synthetic_dataset(23, 60, 3)
+    X, y = ds.features, ds.labels
+    h = hashlib.sha256()
+    for theta in (0.0, 1.5, 2.0):
+        for l2 in (0.0, 0.1):
+            stream = RngStream(5, f"grid-{kind}")
+            tensors = assemble([init_node(3, "uniform", stream) for _ in range(3)])
+            hyper = TrainHyper(theta=theta, l2=l2, batch_size=16, max_epochs=6)
+            history: list = []
+            out = train_network(X[:45], y[:45], *tensors, kind, hyper, X[45:], y[45:],
+                                stream, trainable=trainable, history=history)
+            for a in out:
+                h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+            h.update(repr(history).encode())
+    assert h.hexdigest() == GRID_PINS[(kind, trainable)]
+
+
+def _pin_rows(seed, n, m):
+    stream = RngStream(seed, "pin-rows")
+    return np.array([[stream.uniform(-1, 1) for _ in range(m)] for _ in range(n)])
+
+
+class TestPinnedPredict:
+    """predict_batch bytes where the two-class softmax is at its edges."""
+
+    def test_tied_scores(self):
+        node = NodeParams(np.array([1.0, -2.0]), 0.5, np.array([3.0, 3.0]),
+                          np.array([0.25, 0.25]))
+        labels, p = predict_batch(LayeredNetwork([node], "swish"), _pin_rows(1, 50, 2))
+        assert (p == 0.5).all() and (labels == 1).all()
+        assert hashlib.sha256(p.tobytes()).hexdigest() == \
+            "0ce0682cae4938d9a5e89dbb42c90e1374f48d1b61aaeeda2942ee62cfb9e922"
+
+    def test_scores_near_700(self):
+        # both scores near +-700, or 700 apart: p down to a subnormal and up to 1
+        stream = RngStream(2, "pin-700")
+        X = _pin_rows(3, 100, 2)
+        h = hashlib.sha256()
+        for b2 in ((700.0, 699.0), (-700.0, -703.0), (350.0, -350.0), (-352.0, 352.0)):
+            nodes = [NodeParams(np.array([stream.normal(), stream.normal()]), stream.normal(),
+                                np.array([stream.normal(0, 4), stream.normal(0, 4)]),
+                                np.array(b2))
+                     for _ in range(2)]
+            labels, p = predict_batch(LayeredNetwork(nodes, "tanh"), X)
+            h.update(p.tobytes())
+            h.update(labels.tobytes())
+        assert h.hexdigest() == \
+            "6dd08290eabfd6c4c794652c4833a26e1db084a9cb661e206084ca510a244e0b"
 
 
 class TestTrainNode:
