@@ -11,10 +11,11 @@ import math
 from dataclasses import replace
 
 from .data import Dataset, Split
-from .network import LayeredNetwork, NodeParams, TrainHyper, assemble, init_node, train_network
+from .network import (LayeredNetwork, NodeParams, TrainHyper, assemble, init_node, predict_batch,
+                      train_network)
 from .numerics import RngStream, derive_stream
 from .threeway import CostMatrix, first_level_matrix
-from .trainer import FixedPolicy, TrainConfig, _run_core
+from .trainer import FixedPolicy, TrainConfig, _run_core, run
 from .metrics import accuracy
 
 BASELINE_KINDS = ("m1", "m2", "m3", "grid-search", "twd-fixed", "stwd-nk")
@@ -65,8 +66,6 @@ def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
     """Best validation-accuracy topology over 1..max_nodes (ties: fewest)."""
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    from .network import predict_batch
-
     va = list(split.validation) or list(split.train)
     best = None
     for nodes in range(1, max_nodes + 1):
@@ -92,12 +91,9 @@ def run_twd_fixed(ds: Dataset, split: Split, cfg: TrainConfig,
     """
     if matrix is None:
         matrix = first_level_matrix(cfg.master_seed)
-    cfg = replace(cfg, schedule=None)
     return _run_core(ds, split, cfg, FixedPolicy(matrix, cfg.t, triple))
 
 
 def run_stwd_nk(ds: Dataset, split: Split, cfg: TrainConfig):
     """Sequential run without the discretizer: classes are identical rows."""
-    from .trainer import run
-
     return run(ds, split, replace(cfg, grouping="identity"))

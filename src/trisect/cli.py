@@ -2,8 +2,8 @@
 
 Settings come from a flat key=value config file overridden by flags; every
 command is deterministic given (config, seed), and reruns produce
-byte-identical JSON/CSV outputs. Exit codes: 0 success, 1 configuration
-error, 2 data error, 3 convergence/sampling error.
+byte-identical JSON/CSV outputs. A command exits 0 on success; an error is
+printed to stderr and exits with the code ``EXIT_CODES`` gives its type.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import baselines
 from .data import (apply_normalization, Dataset, fold_split, load_csv, make_folds,
                    normalize, split_811)
 from .errors import ConfigError, DataError, SamplingError
-from .metrics import metrics_report, roc_auc
+from .metrics import accuracy, metrics_report, roc_auc
 from .network import TrainHyper, model_to_json, model_from_json, predict_batch
 from .numerics import derive_stream
 from .threeway import build_schedule, first_level_matrix, schedule_to_json, ThresholdSchedule
@@ -82,7 +82,7 @@ CONFIG_SCHEMA = {
     "label_col": (None, _ident),
     "positive": (None, _ident),
     "normalize": ("min-max", _parse_norm),
-    "out": ("trisect-out", _ident),
+    "out": (None, _ident),  # unset: the command's default, see resolve_settings
     **{key: (getattr(_HYPER, f), parse) for key, (f, parse) in HYPER_KEYS.items()},
     **{key: (getattr(_RUN, f), parse) for key, (f, parse) in RUN_KEYS.items()},
     "folds": (10, int),
@@ -118,8 +118,8 @@ def parse_config_file(path: str) -> dict:
     return raw
 
 
-def resolve_settings(args) -> dict:
-    """Defaults < config file < command-line flags."""
+def resolve_settings(args, default_out: str = "trisect-out") -> dict:
+    """Defaults < config file < command-line flags; an unset ``out`` is ``default_out``."""
     settings = {k: default for k, (default, _) in CONFIG_SCHEMA.items()}
     if getattr(args, "config", None):
         for key, value in parse_config_file(args.config).items():
@@ -132,17 +132,16 @@ def resolve_settings(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    if settings["out"] is None:
+        settings["out"] = default_out
     return settings
 
 
 def _build_config(settings: dict, schedule=None) -> TrainConfig:
     hyper = TrainHyper(**{f: settings[key] for key, (f, _) in HYPER_KEYS.items()})
-    try:
-        return TrainConfig(hyper=hyper, cost_range=(settings["cost_lo"], settings["cost_hi"]),
-                           schedule=schedule,
-                           **{f: settings[key] for key, (f, _) in RUN_KEYS.items()})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return TrainConfig(hyper=hyper, cost_range=(settings["cost_lo"], settings["cost_hi"]),
+                       schedule=schedule,
+                       **{f: settings[key] for key, (f, _) in RUN_KEYS.items()})
 
 
 def _read_dataset(settings) -> Dataset:
@@ -156,8 +155,13 @@ def _load_dataset(settings) -> Dataset:
     return normalize(_read_dataset(settings), settings["normalize"])
 
 
-def _write_json(path: str, obj) -> None:
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:  # streamed: a ledger can list 10^5 indices
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -180,65 +184,63 @@ def _write_roc_csv(path: str, curve) -> None:
     if curve is not None:  # header only for a single-class evaluation set
         for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
             lines.append(f"{thr!r},{fpr!r},{tpr!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
-def _write_costs_csv(path: str, ledger) -> None:
-    lines = ["level,m,cost_test,cost_delay,risk"]
-    for rec in ledger.levels:
-        if rec.m > 0:
-            lines.append(f"{rec.level},{rec.m},{rec.cost_test!r},{rec.cost_delay!r},{rec.risk!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _cost_lines(levels, columns) -> list[str]:
+    """The cost CSV: ``columns`` of each ledger.json level record that processed instances."""
+    return [",".join(columns)] + [",".join(repr(rec[c]) for c in columns)
+                                  for rec in levels if rec["m"] > 0]
+
+
+def _write_costs_csv(path: str, levels) -> None:
+    _write_lines(path, _cost_lines(levels, ("level", "m", "cost_test", "cost_delay", "risk")))
 
 
 def _evaluate(net, ds: Dataset, indices):
+    """Truth, predicted labels and positive-class scores of the indexed rows."""
     idx = list(indices)
-    labels, scores = predict_batch(net, ds.features[idx])
-    truth = ds.labels[idx]
-    return truth, labels, scores
+    return (ds.labels[idx], *predict_batch(net, ds.features[idx]))
 
 
-def _schedule_for(settings) -> ThresholdSchedule:
-    try:
-        return build_schedule(settings["t"], settings["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _write_bundle(out: str, settings, ds, net, ledger, truth, labels, scores,
-                  schedule_doc, extra_metrics=None) -> None:
+def _write_report(out: str, truth, labels, scores, extra_metrics=None) -> None:
+    """``metrics.json`` and ``roc.csv`` of one scored evaluation set."""
     os.makedirs(out, exist_ok=True)
     report, curve = _scored_report(truth, labels, scores)
-    if extra_metrics:
-        report.update(extra_metrics)
+    report.update(extra_metrics or {})
     _write_json(os.path.join(out, "metrics.json"), report)
+    _write_roc_csv(os.path.join(out, "roc.csv"), curve)
+
+
+def _write_bundle(settings, ds, split, net, ledger, schedule, extra_metrics=None) -> None:
+    """Report a fitted run in ``settings["out"]``: the test split's metrics and
+    ROC, its ingestion record, its model and, from the level loop, its ledger."""
+    out = settings["out"]
+    _write_report(out, *_evaluate(net, ds, split.test), extra_metrics)
     _write_json(os.path.join(out, "ingestion.json"), ds.ingestion)
+    schedule_doc = None if schedule is None else schedule_to_json(schedule)
     seeds = {"master_seed": settings["seed"]}
     doc = model_to_json(net, ds.norm_mode, ds.norm_stats, schedule_doc, seeds)
     _write_json(os.path.join(out, "model.json"), doc)
-    _write_roc_csv(os.path.join(out, "roc.csv"), curve)
     if ledger is not None:
-        _write_json(os.path.join(out, "ledger.json"), ledger.to_dict())
-        _write_costs_csv(os.path.join(out, "costs.csv"), ledger)
+        ledger_doc = ledger.to_dict()
+        _write_json(os.path.join(out, "ledger.json"), ledger_doc)
+        _write_costs_csv(os.path.join(out, "costs.csv"), ledger_doc["levels"])
 
 
 def cmd_train(args) -> int:
     settings = resolve_settings(args)
     ds = _load_dataset(settings)
-    schedule = _schedule_for(settings)
+    schedule = build_schedule(settings["t"], settings["seed"])
     cfg = _build_config(settings, schedule=schedule)
     split = split_811(ds, derive_stream(cfg.master_seed, "split"))
     net, ledger = run(ds, split, cfg)
-    truth, labels, scores = _evaluate(net, ds, split.test)
-    _write_bundle(settings["out"], settings, ds, net, ledger, truth, labels, scores,
-                  schedule_to_json(schedule))
+    _write_bundle(settings, ds, split, net, ledger, schedule)
     return 0
 
 
 def cmd_eval(args) -> int:
-    settings = resolve_settings(args)
+    settings = resolve_settings(args, default_out=os.path.join(args.run_dir, "eval"))
     model_path = os.path.join(args.run_dir, "model.json")
     if not os.path.isfile(model_path):
         raise DataError(f"model not found: {model_path}")
@@ -249,12 +251,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"{settings['data']} has {ds.n_features} feature columns, "
                         f"the model expects {net.n_features}")
     X = apply_normalization(norm_mode, norm_stats, ds.features)
-    labels, scores = predict_batch(net, X)
-    out = settings["out"] if settings["out"] != "trisect-out" else os.path.join(args.run_dir, "eval")
-    os.makedirs(out, exist_ok=True)
-    report, curve = _scored_report(ds.labels, labels, scores)
-    _write_json(os.path.join(out, "metrics.json"), report)
-    _write_roc_csv(os.path.join(out, "roc.csv"), curve)
+    _write_report(settings["out"], ds.labels, *predict_batch(net, X))
     return 0
 
 
@@ -266,8 +263,7 @@ def _crossval_fold(payload):
     cfg = _build_config({**settings, "seed": fold_seed}, schedule=schedule)
     split = fold_split(ds, plan, fold, derive_stream(seed, f"crossval-val-{fold}"))
     net, ledger = run(ds, split, cfg)
-    truth, labels, scores = _evaluate(net, ds, split.test)
-    report = _scored_report(truth, labels, scores)[0]
+    report = _scored_report(*_evaluate(net, ds, split.test))[0]
     tr_truth, tr_labels, _ = _evaluate(net, ds, split.train)
     counts = np.bincount((np.asarray(tr_truth) == 1).astype(int), minlength=2)
     return {
@@ -276,7 +272,7 @@ def _crossval_fold(payload):
         "weighted_f1": report["weighted_f1"],
         "auc": report["auc"],
         "nodes": net.n_nodes,
-        "train_accuracy": float((np.asarray(tr_truth) == np.asarray(tr_labels)).mean()),
+        "train_accuracy": accuracy(tr_truth, tr_labels),
         "majority_fraction": float(counts.max() / counts.sum()),
     }
 
@@ -290,17 +286,18 @@ def _mean_std(values):
     return mean, std
 
 
+# the fold-record fields that crossval aggregates and tabulates
+SUMMARY_COLUMNS = ("accuracy", "weighted_f1", "auc", "nodes", "train_accuracy")
+
+
 def cmd_crossval(args) -> int:
     settings = resolve_settings(args)
     k = settings["folds"]
     if k < 2:
         raise ConfigError(f"folds must be >= 2, got {k}")
     ds = _load_dataset(settings)
-    schedule = _schedule_for(settings)
-    try:
-        plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    schedule = build_schedule(settings["t"], settings["seed"])
+    plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
     payloads = [(ds, plan, f, settings, schedule) for f in range(1, k + 1)]
     jobs = max(1, settings["jobs"])
     if jobs == 1:
@@ -311,7 +308,7 @@ def cmd_crossval(args) -> int:
     records.sort(key=lambda r: r["fold"])
 
     aggregate = {}
-    for key in ("accuracy", "weighted_f1", "auc", "nodes", "train_accuracy"):
+    for key in SUMMARY_COLUMNS:
         mean, std = _mean_std([r[key] for r in records])
         display = None if mean is None else f"{mean:.4f}±{std:.4f}"
         aggregate[key] = {"mean": mean, "std": std, "display": display}
@@ -325,17 +322,13 @@ def cmd_crossval(args) -> int:
         "seed": settings["seed"],
     }
     _write_json(os.path.join(out, "summary.json"), summary)
-    cols = ("accuracy", "weighted_f1", "auc", "nodes", "train_accuracy")
-    lines = ["fold," + ",".join(cols)]
-    for r in records:
-        lines.append(str(r["fold"]) + "," + ",".join(
-            "" if r[c] is None else repr(float(r[c])) for c in cols))
-    lines.append("mean," + ",".join(
-        "" if aggregate[c]["mean"] is None else repr(aggregate[c]["mean"]) for c in cols))
-    lines.append("std," + ",".join(
-        "" if aggregate[c]["std"] is None else repr(aggregate[c]["std"]) for c in cols))
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [(r["fold"], r) for r in records]
+    rows += [(stat, {c: aggregate[c][stat] for c in SUMMARY_COLUMNS}) for stat in ("mean", "std")]
+    lines = ["fold," + ",".join(SUMMARY_COLUMNS)]
+    for name, row in rows:
+        lines.append(f"{name}," + ",".join("" if row[c] is None else repr(float(row[c]))
+                                             for c in SUMMARY_COLUMNS))
+    _write_lines(os.path.join(out, "summary.csv"), lines)
     return 0
 
 
@@ -348,64 +341,42 @@ def cmd_baseline(args) -> int:
     ds = _load_dataset(settings)
     seed = settings["seed"]
     split = split_811(ds, derive_stream(seed, "split"))
-    hyper = _build_config(settings).hyper
-    out = settings["out"]
+    cfg = _build_config(settings)
+    ledger, schedule, extra_metrics = None, None, {}
 
     if kind in ("m1", "m2", "m3"):
         nodes = baselines.empirical_nodes(kind, ds.n_features, 2, settings["m1_a"])
         stream = derive_stream(seed, "fixed-topology")
-        net = baselines.train_fixed_topology(ds, split, nodes, hyper,
-                                             settings["activation"], settings["init_dist"],
-                                             stream)
-        truth, labels, scores = _evaluate(net, ds, split.test)
-        _write_bundle(out, settings, ds, net, None, truth, labels, scores, None,
-                      extra_metrics={"kind": kind, "nodes": nodes})
+        net = baselines.train_fixed_topology(ds, split, nodes, cfg.hyper, cfg.activation,
+                                             cfg.init_dist, stream)
     elif kind == "grid-search":
         best_nodes, net = baselines.grid_search(ds, split, settings["grid_max_nodes"],
-                                                hyper, settings["activation"],
-                                                settings["init_dist"], seed)
-        truth, labels, scores = _evaluate(net, ds, split.test)
-        _write_bundle(out, settings, ds, net, None, truth, labels, scores, None,
-                      extra_metrics={"kind": kind, "best_nodes": best_nodes,
-                                     "nodes": best_nodes})
+                                                cfg.hyper, cfg.activation, cfg.init_dist, seed)
+        extra_metrics["best_nodes"] = best_nodes
     elif kind == "twd-fixed":
-        cfg = _build_config(settings)
         matrix = first_level_matrix(seed)
         net, ledger = baselines.run_twd_fixed(ds, split, cfg, matrix)
-        truth, labels, scores = _evaluate(net, ds, split.test)
-        triple = ThresholdSchedule.from_matrices([matrix, matrix])
-        _write_bundle(out, settings, ds, net, ledger, truth, labels, scores,
-                      schedule_to_json(triple),
-                      extra_metrics={"kind": kind, "nodes": net.n_nodes})
+        schedule = ThresholdSchedule.from_matrices([matrix, matrix])
     else:  # stwd-nk
-        schedule = _schedule_for(settings)
-        cfg = _build_config(settings, schedule=schedule)
-        net, ledger = baselines.run_stwd_nk(ds, split, cfg)
-        truth, labels, scores = _evaluate(net, ds, split.test)
-        _write_bundle(out, settings, ds, net, ledger, truth, labels, scores,
-                      schedule_to_json(schedule),
-                      extra_metrics={"kind": kind, "nodes": net.n_nodes})
+        schedule = build_schedule(settings["t"], settings["seed"])
+        net, ledger = baselines.run_stwd_nk(ds, split, _build_config(settings, schedule))
+    _write_bundle(settings, ds, split, net, ledger, schedule,
+                  {"kind": kind, "nodes": net.n_nodes, **extra_metrics})
     return 0
 
 
 def cmd_costs(args) -> int:
-    settings = resolve_settings(args)
+    resolve_settings(args)  # validates --config; only the --out flag redirects the output
     ledger_path = os.path.join(args.run_dir, "ledger.json")
     if not os.path.isfile(ledger_path):
         raise DataError(f"ledger not found: {ledger_path}")
     with open(ledger_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    lines = ["level,cost_test,cost_delay"]
-    for rec in doc["levels"]:
-        if rec["m"] > 0:
-            lines.append(f"{rec['level']},{rec['cost_test']!r},{rec['cost_delay']!r}")
-    text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
+        lines = _cost_lines(json.load(fh)["levels"], ("level", "cost_test", "cost_delay"))
+    if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "costs.csv"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_lines(os.path.join(args.out, "costs.csv"), lines)
     else:
-        sys.stdout.write(text)
+        print("\n".join(lines))
     return 0
 
 
@@ -414,10 +385,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_shared(parser):
-    parser.add_argument("--config")
-    for key in FLAG_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), type=CONFIG_SCHEMA[key][1])
+# command -> (handler, whether it takes a run directory)
+COMMANDS = {
+    "train": (cmd_train, False),
+    "eval": (cmd_eval, True),
+    "crossval": (cmd_crossval, False),
+    "baseline": (cmd_baseline, False),
+    "costs": (cmd_costs, True),
+}
+
+# error type -> exit code; the first type an error is an instance of applies. The
+# library raises ValueError for a value it rejects (TrainHyper's ranges, t < 2,
+# more folds than rows), so the CLI reports it as a configuration error.
+EXIT_CODES = (
+    (ConfigError, 1),
+    (DataError, 2),
+    (SamplingError, 3),
+    (RuntimeError, 3),
+    (ValueError, 1),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,40 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Grow a compact one-hidden-layer classifier with "
                                  "sequential three-way decisions")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, needs_dir in (("train", False), ("eval", True), ("crossval", False),
-                            ("baseline", False), ("costs", True)):
+    for name, (handler, needs_dir) in COMMANDS.items():
         p = sub.add_parser(name)
         if needs_dir:
             p.add_argument("run_dir")
-        _add_shared(p)
+        p.add_argument("--config")
+        for key in FLAG_KEYS:
+            p.add_argument("--" + key.replace("_", "-"), type=CONFIG_SCHEMA[key][1])
+        p.set_defaults(handler=handler)
     return parser
-
-
-_COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "crossval": cmd_crossval,
-    "baseline": cmd_baseline,
-    "costs": cmd_costs,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+        return args.handler(args)
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SamplingError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

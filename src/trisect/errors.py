@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-SamplingError -> 3. Plain ValueError is used for programming-level
-argument errors inside the library.
+Plain ValueError is used for argument errors inside the library. The CLI
+prints an error and exits with the code of the first row of
+``cli.EXIT_CODES`` it is an instance of: ConfigError -> 1, DataError -> 2,
+SamplingError -> 3, RuntimeError -> 3, ValueError -> 1.
 """
 
 

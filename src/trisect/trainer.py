@@ -15,7 +15,7 @@ rows instead.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -328,5 +328,4 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig):
     schedule = cfg.schedule
     if schedule is None:
         schedule = build_schedule(cfg.t, cfg.master_seed)
-        cfg = replace(cfg, schedule=schedule)
     return _run_core(ds, split, cfg, SequentialPolicy(schedule))

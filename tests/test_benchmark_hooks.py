@@ -32,6 +32,8 @@ def _trisect(argv, cwd):
     ("train", [], ("costs.csv", "ingestion.json", "ledger.json", "metrics.json",
                    "model.json", "roc.csv")),
     ("crossval", ["--folds", "3", "--jobs", "1"], ("summary.csv", "summary.json")),
+    # eval-bulk's command, on the model a plain train run first writes to (cwd)/model
+    ("eval", ["model"], ("metrics.json", "roc.csv")),
 ])
 def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outputs):
     ds = synthetic_dataset(5, 60, 3)
@@ -41,8 +43,13 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         for row, label in zip(ds.features.tolist(), ds.labels.tolist())))
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("max_epochs = 5\nbatch_size = 32\nt = 4\nl2 = 0.01\n")
-    args = [command, "--data", str(data), "--label-col", "y", "--positive", "1",
-            "--seed", "2", "--config", str(cfg), *extra]
+    shared = ["--data", str(data), "--label-col", "y", "--positive", "1",
+              "--seed", "2", "--config", str(cfg)]
+    if command == "eval":
+        model = _trisect(["-m", "trisect.cli", "train", *shared,
+                          "--out", str(tmp_path / "model")], tmp_path)
+        assert model.returncode == 0, model.stderr
+    args = [command, *extra, *shared]
     spans = tmp_path / "spans.json"
 
     plain = _trisect(["-m", "trisect.cli", *args, "--out", str(tmp_path / "plain")], tmp_path)
@@ -55,7 +62,9 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         assert (tmp_path / "traced" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes(), name
     traced_spans = json.loads(spans.read_text())
-    assert "trainer.run" in {s["name"] for s in traced_spans}
+    names = {s["name"] for s in traced_spans}
+    assert "cli.write" in names
+    assert ("network.predict" if command == "eval" else "trainer.run") in names
     if command == "train":
         # settle-fine's per-layer k-means metrics come from this span, which
         # exists only while the trainer calls k-means as trainer.kmeans_cluster

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import os
 
@@ -7,6 +10,7 @@ import pytest
 
 from trisect.cli import main
 from trisect.data import Dataset
+from trisect.errors import ConfigError, DataError, SamplingError
 from trisect.metrics import roc_auc
 from trisect.trainer import TrainConfig, run
 
@@ -81,6 +85,22 @@ class TestTrain:
         code = main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
                      "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("error, code", [(ConfigError, 1), (DataError, 2),
+                                             (SamplingError, 3), (RuntimeError, 3),
+                                             (ValueError, 1)])
+    def test_error_type_sets_exit_code(self, toy_csv, tmp_path, monkeypatch, capsys,
+                                       error, code):
+        import trisect.cli as cli
+
+        def failing(*args):
+            raise error("stopped")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == "error: stopped\n"
+        assert not os.path.exists(tmp_path / "o")
 
     def test_missing_required_setting_is_exit_1(self, toy_csv, tmp_path):
         code = main(["train", "--data", toy_csv, "--out", str(tmp_path / "o")])
@@ -198,6 +218,31 @@ class TestEval:
             assert rows[1:] == [f"{t!r},{f!r},{r!r}"
                                 for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr)]
             assert json.loads(open(os.path.join(run_dir, "metrics.json")).read())["auc"] == auc
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_default_named_out_is_honoured(self, tmp_path, monkeypatch, source):
+        # only an unset out falls back to <run_dir>/eval; naming trisect-out,
+        # the other commands' default, still writes there
+        out = self._train(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["eval", out, "--data", str(tmp_path / "synth.csv"), "--label-col", "label",
+                "--positive", "yes"]
+        if source == "flag":
+            argv += ["--out", "trisect-out"]
+        else:
+            (tmp_path / "out.cfg").write_text("out = trisect-out\n")
+            argv += ["--config", str(tmp_path / "out.cfg")]
+        assert main(argv) == 0
+        assert sorted(os.listdir(tmp_path / "trisect-out")) == ["metrics.json", "roc.csv"]
+        assert not os.path.exists(os.path.join(out, "eval"))
+
+    def test_unset_out_writes_into_the_run(self, tmp_path, monkeypatch):
+        out = self._train(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", out, "--data", str(tmp_path / "synth.csv"),
+                     "--label-col", "label", "--positive", "yes"]) == 0
+        assert sorted(os.listdir(os.path.join(out, "eval"))) == ["metrics.json", "roc.csv"]
+        assert not os.path.exists(tmp_path / "trisect-out")
 
     def test_missing_model_is_exit_2(self, tmp_path):
         code = main(["eval", str(tmp_path / "norun"), "--data", "x.csv",
@@ -340,5 +385,99 @@ class TestCosts:
         costs = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
+    def test_level_without_misclassified_instances_is_omitted(self, tmp_path, capsys):
+        # a level whose node misclassifies nothing ends the run with m = 0
+        run_dir = self._toy_run_dir(tmp_path)
+        path = os.path.join(run_dir, "ledger.json")
+        doc = json.loads(open(path).read())
+        doc["levels"].append({**doc["levels"][-1], "level": 3, "m": 0})
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["costs", run_dir]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "level,cost_test,cost_delay", "1,3.0,3.0", "2,7.0,4.0"]
+
     def test_missing_ledger_is_exit_2(self, tmp_path):
         assert main(["costs", str(tmp_path / "empty")]) == 2
+
+
+def _command_outputs(tmp_path):
+    """sha256 of every file each command writes, keyed by its path under tmp_path.
+
+    Runs train, eval, costs (stdout and --out), the six baseline kinds and
+    crossval on one small dataset; a short-trained t = 4 run goes to level 2.
+    """
+    data = _write_synth_csv(tmp_path / "synth.csv")
+    cfg = _fast_config(tmp_path, l2=0.01, grid_max_nodes=3)
+    shared = ["--data", data, "--label-col", "label", "--positive", "yes", "--seed", "0",
+              "--config", cfg]
+    run_dir = str(tmp_path / "train")
+    stdout = io.StringIO()
+    commands = [["train", *shared, "--out", run_dir],
+                ["eval", run_dir, *shared],
+                ["costs", run_dir, "--out", str(tmp_path / "costs")],
+                ["crossval", *shared, "--folds", "3", "--out", str(tmp_path / "crossval")]]
+    commands += [["baseline", "--kind", kind, *shared, "--out", str(tmp_path / kind)]
+                 for kind in ("m1", "m2", "m3", "grid-search", "twd-fixed", "stwd-nk")]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    with contextlib.redirect_stdout(stdout):
+        assert main(["costs", run_dir]) == 0
+    digests = {"costs-stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    for root, _, files in os.walk(tmp_path):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, tmp_path).replace(os.sep, "/")
+            if rel not in ("synth.csv", "fast.cfg"):
+                with open(path, "rb") as fh:
+                    digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+# every output byte of every command: a writer that changes one fails here
+PINNED_OUTPUTS = {
+    "costs-stdout": "746952028f9e3da5d7fc5ac62a3e563a5dcd03e626b96476a9ad714c09f2f785",
+    "costs/costs.csv": "746952028f9e3da5d7fc5ac62a3e563a5dcd03e626b96476a9ad714c09f2f785",
+    "crossval/summary.csv": "d403ca86ea90a7ab46d0928d9b413e6f8a390ac2a0b406721964e26cdcc8262c",
+    "crossval/summary.json": "ce9a9092c58be81044031ffb923658e77f5c98a7050241de0f0cc7fe0490a3eb",
+    "grid-search/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "grid-search/metrics.json": "7625b49a256c3cb7ee870b9072bde2657f204eb27a2d905da6642582c345a63a",
+    "grid-search/model.json": "43f3d63b8c0daeddfee094dc722336c6df44f4540f327b1b17519b315b9d3d4b",
+    "grid-search/roc.csv": "368ffef574d55eebdacfea8df61b09a00fca6396d1f9f605db22f5c4daa215d4",
+    "m1/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "m1/metrics.json": "f65328a26d94db916acba594c727ea04324c9bef1c3e44e6abd714f54a6ab804",
+    "m1/model.json": "4623ca3714dbe4d88c6ec53d452337d3980b9cc681db0543f7918197522d29f2",
+    "m1/roc.csv": "5500eacd3588727b48cf0f865f81aad64965824659c4b42767d4403b68812569",
+    "m2/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "m2/metrics.json": "7a321b7b8a1f1f999e423a10f2fe55cb223dc6b27161a587cd6db6e9ae29b195",
+    "m2/model.json": "77fadf36b84984265f4a36265d8bbd062872914e9526ea2d510458de09581a40",
+    "m2/roc.csv": "fb90c51f73fcc23cfc2479706ff06d2bdc42ca7646ca0d862ee3a8ba707baaea",
+    "m3/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "m3/metrics.json": "be98e684610fcb1207149f60efe0d9cdb5ddbefa1e4ebe3ba1876246a30090fb",
+    "m3/model.json": "77fadf36b84984265f4a36265d8bbd062872914e9526ea2d510458de09581a40",
+    "m3/roc.csv": "fb90c51f73fcc23cfc2479706ff06d2bdc42ca7646ca0d862ee3a8ba707baaea",
+    "stwd-nk/costs.csv": "7ed4ff2479d85a1ef1edc27d570ec84b40c8587553e856da76e1c528de794d20",
+    "stwd-nk/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "stwd-nk/ledger.json": "a59ce2dd6bee3498fc5a1660c58732a1010bd6f48b5982d77cad98006abd41ed",
+    "stwd-nk/metrics.json": "aef719bf6cfeebfa93f337b0468a55654ad1f6e30fbe67752f85367da2d98379",
+    "stwd-nk/model.json": "25f9fe6fceffd037bb2c66d1694f64b6a01cb5a61fa2cc64a8ced7fab01f69a0",
+    "stwd-nk/roc.csv": "7e11e09c84661f0ed0086a8d942f4a6e82ca7068d3d813e311ebef01cc5dbd0f",
+    "train/costs.csv": "f0f4f748139f2385ed7e588f128d6713d00103859cb256b858527484517d752a",
+    "train/eval/metrics.json": "169623246ea4d2c5c0533c232d6a907f6a90e306aa347e26885db3d4f35c4aec",
+    "train/eval/roc.csv": "626bd5dacc8d46f0cd6e1c487486d7f8e48f11535cf27fee0a52f9b24d52f3bb",
+    "train/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "train/ledger.json": "3f0a49fd241a65f79e32f8bb9e22a97db27d256fde5351f9da26d153e091bc05",
+    "train/metrics.json": "d8a6691b95660d1034af36374fb3fb808232e0a918bb7a7b7a60785ae4c8cccf",
+    "train/model.json": "f34e0102487446c62c3d1f6b6617cf745820d2b55ad403e6606ccff97ccefaf0",
+    "train/roc.csv": "7f54d1ad97fb3dc32f9052b0f1988a6d2761dd254c1cd0951c1fefe9059a4f7f",
+    "twd-fixed/costs.csv": "3c5109afd979a108495ca76ef22fe30713bc3c9cdabe14042b8ba94d47f16df9",
+    "twd-fixed/ingestion.json": "e348f34210d0c4a87d5a664fc7734d1ba35bce61378aa58f0c228f8ac4acc51e",
+    "twd-fixed/ledger.json": "bbcffee086a2ff7d3709909fa127a269af79bf10d705d7a910bab0cf14af02fe",
+    "twd-fixed/metrics.json": "ad0d2edad7722f98b0ed37cd3c8de675cbd045a054f84b08b482883e63478ecd",
+    "twd-fixed/model.json": "9fdba8bc0d10b948cafb063718b986a9ff80d6019bad51ca6cca8c954f3792a6",
+    "twd-fixed/roc.csv": "7f54d1ad97fb3dc32f9052b0f1988a6d2761dd254c1cd0951c1fefe9059a4f7f",
+}
+
+
+def test_every_command_writes_its_pinned_bytes(tmp_path):
+    assert _command_outputs(tmp_path) == PINNED_OUTPUTS
