@@ -27,7 +27,6 @@ from .network import (
 from .numerics import ACTIVATION_KINDS, RngStream, activate, activate_derivative, derive_stream
 from .threeway import (
     CostMatrix,
-    ProcessCostLedger,
     Regions,
     ThresholdSchedule,
     accrue_process_costs,

@@ -14,8 +14,8 @@ from .data import Dataset, Split
 from .network import (LayeredNetwork, NodeParams, TrainHyper, assemble, init_node, predict_batch,
                       train_network)
 from .numerics import RngStream, derive_stream
-from .threeway import CostMatrix, first_level_matrix
-from .trainer import FixedPolicy, TrainConfig, _run_core, run
+from .threeway import ThresholdSchedule, first_level_matrix
+from .trainer import TrainConfig, _run_core, run
 from .metrics import accuracy
 
 BASELINE_KINDS = ("m1", "m2", "m3", "grid-search", "twd-fixed", "stwd-nk")
@@ -78,20 +78,22 @@ def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
     return best[1], best[2]
 
 
-def run_twd_fixed(ds: Dataset, split: Split, cfg: TrainConfig,
-                  matrix: CostMatrix | None = None,
-                  triple: tuple | None = None):
-    """Level loop with one constant threshold triple at every level.
+def twd_fixed_schedule(master_seed: int) -> ThresholdSchedule:
+    """The fixed-threshold run's default schedule: two levels of level 1's matrix."""
+    return ThresholdSchedule.from_matrices([first_level_matrix(master_seed)] * 2)
 
-    The three-way pair applies while some equivalence class still holds
-    more than one misclassified instance; otherwise (and always at the
-    level cap) the two-way threshold settles the remainder. ``triple``
-    optionally replays recorded (alpha, beta, gamma) values in place of the
-    ones the matrix derives to.
+
+def run_twd_fixed(ds: Dataset, split: Split, cfg: TrainConfig,
+                  schedule: ThresholdSchedule | None = None):
+    """Level loop with one fixed threshold pair, and its gamma, at every level.
+
+    The schedule's level-1 pair applies while some equivalence class still
+    holds more than one misclassified instance; otherwise (and always at the
+    level cap) its gamma settles the remainder.
     """
-    if matrix is None:
-        matrix = first_level_matrix(cfg.master_seed)
-    return _run_core(ds, split, cfg, FixedPolicy(matrix, cfg.t, triple))
+    if schedule is None:
+        schedule = twd_fixed_schedule(cfg.master_seed)
+    return _run_core(ds, split, cfg, schedule, fixed=True)
 
 
 def run_stwd_nk(ds: Dataset, split: Split, cfg: TrainConfig):

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
 from .network import TrainHyper, model_to_json, model_from_json, predict_batch
 from .numerics import derive_stream
-from .threeway import build_schedule, first_level_matrix, schedule_to_json, ThresholdSchedule
+from .threeway import build_schedule, schedule_to_json
 from .trainer import TrainConfig, run
 
 
@@ -155,6 +155,21 @@ def _load_dataset(settings) -> Dataset:
     return normalize(_read_dataset(settings), settings["normalize"])
 
 
+def _check_output_dir(out: str) -> str:
+    """``out``, once checked to be non-empty with a writable directory as its
+    nearest existing ancestor. Commands call this before any training; the
+    directory itself is made when the outputs are written, so a run that
+    fails leaves none behind.
+    """
+    parent = out
+    while parent and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    parent = parent or os.curdir
+    if not out or not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out!r} cannot be created or written")
+    return out
+
+
 def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -233,6 +248,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(settings)
     schedule = build_schedule(settings["t"], settings["seed"])
     cfg = _build_config(settings, schedule=schedule)
+    _check_output_dir(settings["out"])
     split = split_811(ds, derive_stream(cfg.master_seed, "split"))
     net, ledger = run(ds, split, cfg)
     _write_bundle(settings, ds, split, net, ledger, schedule)
@@ -250,6 +266,7 @@ def cmd_eval(args) -> int:
     if ds.n_features != net.n_features:
         raise DataError(f"{settings['data']} has {ds.n_features} feature columns, "
                         f"the model expects {net.n_features}")
+    _check_output_dir(settings["out"])
     X = apply_normalization(norm_mode, norm_stats, ds.features)
     _write_report(settings["out"], ds.labels, *predict_batch(net, X))
     return 0
@@ -296,6 +313,7 @@ def cmd_crossval(args) -> int:
     if k < 2:
         raise ConfigError(f"folds must be >= 2, got {k}")
     ds = _load_dataset(settings)
+    out = _check_output_dir(settings["out"])
     schedule = build_schedule(settings["t"], settings["seed"])
     plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
     payloads = [(ds, plan, f, settings, schedule) for f in range(1, k + 1)]
@@ -313,7 +331,6 @@ def cmd_crossval(args) -> int:
         display = None if mean is None else f"{mean:.4f}±{std:.4f}"
         aggregate[key] = {"mean": mean, "std": std, "display": display}
 
-    out = settings["out"]
     os.makedirs(out, exist_ok=True)
     summary = {
         "folds": records,
@@ -342,6 +359,7 @@ def cmd_baseline(args) -> int:
     seed = settings["seed"]
     split = split_811(ds, derive_stream(seed, "split"))
     cfg = _build_config(settings)
+    _check_output_dir(settings["out"])
     ledger, schedule, extra_metrics = None, None, {}
 
     if kind in ("m1", "m2", "m3"):
@@ -354,9 +372,8 @@ def cmd_baseline(args) -> int:
                                                 cfg.hyper, cfg.activation, cfg.init_dist, seed)
         extra_metrics["best_nodes"] = best_nodes
     elif kind == "twd-fixed":
-        matrix = first_level_matrix(seed)
-        net, ledger = baselines.run_twd_fixed(ds, split, cfg, matrix)
-        schedule = ThresholdSchedule.from_matrices([matrix, matrix])
+        schedule = baselines.twd_fixed_schedule(seed)
+        net, ledger = baselines.run_twd_fixed(ds, split, cfg, schedule)
     else:  # stwd-nk
         schedule = build_schedule(settings["t"], settings["seed"])
         net, ledger = baselines.run_stwd_nk(ds, split, _build_config(settings, schedule))
@@ -373,7 +390,7 @@ def cmd_costs(args) -> int:
     with open(ledger_path, encoding="utf-8") as fh:
         lines = _cost_lines(json.load(fh)["levels"], ("level", "cost_test", "cost_delay"))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        os.makedirs(_check_output_dir(args.out), exist_ok=True)
         _write_lines(os.path.join(args.out, "costs.csv"), lines)
     else:
         print("\n".join(lines))

@@ -268,9 +268,7 @@ def normalize(ds: Dataset, mode: str) -> Dataset:
         raise ValueError(f"normalization mode must be one of {NORMALIZE_MODES}")
     if mode == "none":
         stats = tuple((0.0, 1.0) for _ in range(ds.n_features))
-        return Dataset(ds.features.copy(), ds.labels.copy(), ds.feature_names,
-                       "none", stats, dict(ds.ingestion))
-    if mode == "min-max":
+    elif mode == "min-max":
         stats = tuple(
             (float(ds.features[:, j].min()), float(ds.features[:, j].max()))
             for j in range(ds.n_features)

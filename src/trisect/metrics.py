@@ -54,14 +54,8 @@ def _precision_recall_f1(c: dict) -> tuple[float, float, float]:
 
 def weighted_f1(truth, predicted) -> float:
     """Support-weighted mean of the two per-class F1 scores."""
-    truth, predicted = _check_pair(truth, predicted)
-    cm = confusion_counts(truth, predicted)
-    total = 0.0
-    for c in CLASSES:
-        support = int((truth == c).sum())
-        _, _, f1 = _precision_recall_f1(cm.counts[c])
-        total += support * f1
-    return total / truth.size
+    report = per_class_report(truth, predicted)
+    return sum(c["support"] * c["f1"] for c in report.values()) / np.size(truth)
 
 
 def per_class_report(truth, predicted) -> dict:

@@ -118,11 +118,6 @@ class ThresholdSchedule:
     def t(self) -> int:
         return len(self.matrices)
 
-    def alpha_beta(self, level: int) -> tuple[float, float]:
-        if not 1 <= level <= self.t - 1:
-            raise ValueError(f"three-way thresholds exist for levels 1..{self.t - 1}")
-        return self.pairs[level - 1]
-
     @classmethod
     def from_matrices(cls, matrices) -> "ThresholdSchedule":
         matrices = tuple(matrices)
@@ -273,48 +268,17 @@ def decision_risk_two_way(regions: Regions, matrix: CostMatrix) -> float:
             + _region_risk(regions.neg, matrix.lnp, matrix.lnn))
 
 
-@dataclass(frozen=True)
-class ProcessCostLedger:
-    """Cumulative test/delay process costs across levels.
+def accrue_process_costs(totals: tuple[float, float], m: int, unit_test: float,
+                         unit_delay: float) -> tuple[float, float]:
+    """(cost_test, cost_delay) after a level that processes ``m`` instances.
 
     Test cost accumulates m_i * unit_test_i; delay cost is the running
-    maximum of m_i * unit_delay_i. ``entries`` holds one
-    (level, m, cost_test, cost_delay) tuple per accrued level.
+    maximum of m_i * unit_delay_i.
     """
-
-    unit_test: tuple[float, ...]
-    unit_delay: tuple[float, ...]
-    entries: tuple[tuple[int, int, float, float], ...] = ()
-
-    def __post_init__(self):
-        if len(self.unit_test) != len(self.unit_delay):
-            raise ValueError("unit cost vectors must have equal length")
-        if any(u <= 0 for u in self.unit_test) or any(u <= 0 for u in self.unit_delay):
-            raise ValueError("unit costs must be positive")
-
-    @property
-    def levels_accrued(self) -> int:
-        return len(self.entries)
-
-    def totals(self) -> tuple[float, float]:
-        if not self.entries:
-            return (0.0, 0.0)
-        return self.entries[-1][2], self.entries[-1][3]
-
-
-def accrue_process_costs(ledger: ProcessCostLedger, level: int, m: int) -> ProcessCostLedger:
-    """Extend the ledger with level ``level`` processing ``m`` instances."""
     if m <= 0:
         raise ValueError(f"instance count must be positive, got {m}")
-    if level != ledger.levels_accrued + 1:
-        raise ValueError(f"levels accrue sequentially; expected {ledger.levels_accrued + 1}")
-    if level > len(ledger.unit_test):
-        raise ValueError(f"no unit costs configured for level {level}")
-    prev_test, prev_delay = ledger.totals()
-    cost_test = prev_test + m * ledger.unit_test[level - 1]
-    cost_delay = max(prev_delay, m * ledger.unit_delay[level - 1])
-    entry = (level, m, cost_test, cost_delay)
-    return ProcessCostLedger(ledger.unit_test, ledger.unit_delay, ledger.entries + (entry,))
+    cost_test, cost_delay = totals
+    return cost_test + m * unit_test, max(cost_delay, m * unit_delay)
 
 
 def schedule_to_json(schedule: ThresholdSchedule) -> dict:

@@ -34,16 +34,13 @@ from .network import (
 from .numerics import ACTIVATION_KINDS, derive_stream
 from .threeway import (
     CostMatrix,
-    ProcessCostLedger,
     ThresholdSchedule,
     accrue_process_costs,
     build_schedule,
     decision_risk_three_way,
     decision_risk_two_way,
-    gamma_from,
     partition_three_way,
     partition_two_way,
-    thresholds_from,
 )
 
 DEFAULT_COST_RANGE = (1.0, 50.0)
@@ -179,42 +176,13 @@ class Rule:
         return regions, decision_risk_two_way(regions, self.matrix)
 
 
-class SequentialPolicy:
-    """Three-way thresholds per level, forced two-way at the last level."""
-
-    def __init__(self, schedule: ThresholdSchedule):
-        self.schedule = schedule
-
-    def rule_for(self, level: int, n_misclassified: int, n_classes: int) -> Rule:
-        if level < self.schedule.t:
-            alpha, beta = self.schedule.alpha_beta(level)
-            return Rule("three-way", self.schedule.matrices[level - 1], alpha=alpha, beta=beta)
-        return Rule("two-way", self.schedule.matrices[-1], gamma=self.schedule.gamma)
-
-
-class FixedPolicy:
-    """One constant threshold triple for every level.
-
-    Three-way applies while the misclassified set is larger than the number
-    of equivalence classes it occupies (some class still has two or more
-    members); otherwise, and always at the level cap, the two-way threshold
-    settles everything. An explicit ``triple`` replays externally recorded
-    (alpha, beta, gamma) values instead of deriving them from the matrix.
-    """
-
-    def __init__(self, matrix, t: int, triple: tuple | None = None):
-        self.matrix = matrix
-        if triple is None:
-            self.alpha, self.beta = thresholds_from(matrix)
-            self.gamma = gamma_from(matrix)
-        else:
-            self.alpha, self.beta, self.gamma = triple
-        self.t = t
-
-    def rule_for(self, level: int, n_misclassified: int, n_classes: int) -> Rule:
-        if level >= self.t or n_misclassified <= n_classes:
-            return Rule("two-way", self.matrix, gamma=self.gamma)
-        return Rule("three-way", self.matrix, alpha=self.alpha, beta=self.beta)
+def level_rule(schedule: ThresholdSchedule, j: int) -> Rule:
+    """Schedule level j's rule: three-way with ``pairs[j-1]`` below level t,
+    two-way with ``gamma`` at level t."""
+    if j < schedule.t:
+        alpha, beta = schedule.pairs[j - 1]
+        return Rule("three-way", schedule.matrices[j - 1], alpha=alpha, beta=beta)
+    return Rule("two-way", schedule.matrices[-1], gamma=schedule.gamma)
 
 
 def resolve_unit_costs(cfg: TrainConfig):
@@ -247,7 +215,12 @@ def _kmeans_categories(ds, members, categories, cfg, level):
     return [categories[i] for i in members]
 
 
-def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
+def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSchedule,
+              fixed: bool = False):
+    """The level loop. Level i applies schedule level i; a ``fixed`` run applies
+    schedule level 1 while some equivalence class still holds two or more
+    misclassified instances, and the schedule's last level otherwise and
+    always at the level cap."""
     X, y = ds.features, ds.labels
     train_idx = np.array(split.train, dtype=np.int64)
     if train_idx.size == 0:
@@ -257,7 +230,7 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
     y_val = y[val_idx] if val_idx.size else None
 
     unit_test, unit_delay = resolve_unit_costs(cfg)
-    process = ProcessCostLedger(unit_test, unit_delay)
+    process = (0.0, 0.0)
     net = LayeredNetwork([], cfg.activation)
     categories: dict[int, int] = {}
     pos_idx: set[int] = set()
@@ -285,9 +258,8 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
         neg_idx.update(nn)
 
         if not mn:
-            ct, cd = process.totals()
             records.append(LevelRecord(level, len(active), 0, len(pn), 0, len(nn),
-                                       0, 0, 0, "none", None, None, None, 0.0, ct, cd))
+                                       0, 0, 0, "none", None, None, None, 0.0, *process))
             active = ()
             break
 
@@ -297,17 +269,23 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, policy):
             keys = [ds.features[i].tobytes() for i in mn]
         classes = build_equivalence_classes(mn, keys, ds.labels)
 
-        rule = policy.rule_for(level, len(mn), len(classes))
+        if not fixed:
+            j = level
+        elif level < cfg.t and len(mn) > len(classes):
+            j = 1
+        else:
+            j = schedule.t
+        rule = level_rule(schedule, j)
         regions, risk = rule.apply(classes, cfg.epsilon)
 
-        process = accrue_process_costs(process, level, len(mn))
+        process = accrue_process_costs(process, len(mn), unit_test[level - 1],
+                                       unit_delay[level - 1])
         pos_idx.update(regions.indices("pos"))
         neg_idx.update(regions.indices("neg"))
         up, ub, un = regions.instance_counts()
-        ct, cd = process.totals()
         records.append(LevelRecord(level, len(active), len(mn), len(pn), len(mn), len(nn),
                                    up, ub, un, rule.name, rule.alpha, rule.beta, rule.gamma,
-                                   risk, ct, cd))
+                                   risk, *process))
         active = regions.indices("bnd")
         if not active:
             break
@@ -328,4 +306,4 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig):
     schedule = cfg.schedule
     if schedule is None:
         schedule = build_schedule(cfg.t, cfg.master_seed)
-    return _run_core(ds, split, cfg, SequentialPolicy(schedule))
+    return _run_core(ds, split, cfg, schedule)

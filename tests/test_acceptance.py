@@ -39,7 +39,6 @@ from trisect.network import AdamState, TrainHyper as Hyper, adam_step, cost_and_
 from trisect.metrics import roc_auc, weighted_f1
 from trisect.numerics import ACTIVATION_KINDS
 from trisect.threeway import (
-    ProcessCostLedger,
     ThresholdSchedule,
     accrue_process_costs,
     decision_risk_three_way,
@@ -204,11 +203,8 @@ def test_c02_risk_values():
 
 def test_c03_process_costs():
     """Unit vectors (1,2,3) with m = (3,2) give (3,3) then (7,4) exactly."""
-    ledger = ProcessCostLedger((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
-    ledger = accrue_process_costs(ledger, 1, 3)
-    first = ledger.totals()
-    ledger = accrue_process_costs(ledger, 2, 2)
-    second = ledger.totals()
+    first = accrue_process_costs((0.0, 0.0), 3, 1.0, 1.0)
+    second = accrue_process_costs(first, 2, 2.0, 2.0)
     ok = first == (3.0, 3.0) and second == (7.0, 4.0)
     report(3, ok, f"costs {first} then {second}")
     assert first == (3.0, 3.0)
@@ -483,8 +479,8 @@ def test_c13_degenerate_schedule_equivalence():
         degenerate = ThresholdSchedule.from_matrices([matrix] * 6)
         _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper,
                                                 schedule=degenerate))
-        _, led_fix = run_twd_fixed(ds, split,
-                                   TrainConfig(t=6, master_seed=seed, hyper=hyper), matrix)
+        _, led_fix = run_twd_fixed(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
+                                   ThresholdSchedule.from_matrices([matrix] * 2))
         assert json.dumps(led_seq.to_dict(), sort_keys=True) == \
             json.dumps(led_fix.to_dict(), sort_keys=True), f"seed {seed}"
         saw_multi_level |= len(led_seq.levels) > 1

@@ -18,7 +18,6 @@ from trisect import (
     split_811,
     train_fixed_topology,
 )
-from trisect import baselines
 from trisect.network import predict_batch
 from trisect.threeway import ThresholdSchedule, build_schedule, sample_cost_matrix
 from trisect.metrics import accuracy
@@ -145,15 +144,16 @@ class TestTwdFixed:
     def test_coarsest_thresholds_keep_deferring(self):
         # level-1 corridor holds p = 0.5, so the two instances stay deferred
         # at level 2 and a third node is needed
-        net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(), MATRIX_1)
+        net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(),
+                                    ThresholdSchedule.from_matrices([MATRIX_1] * 2))
         assert net.n_nodes == 3
         assert [r.rule for r in ledger.levels] == ["three-way", "three-way", "two-way"]
         assert ledger.levels[1].bl == 2
 
     def test_finest_thresholds_stop_early(self):
         # recorded level-2 pair held fixed settles everything at level 1
-        net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(), MATRIX_2,
-                                    triple=(0.5389, 0.5016, 0.5204))
+        recorded = ThresholdSchedule(((0.5389, 0.5016),), 0.5204, (MATRIX_2, MATRIX_2))
+        net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(), recorded)
         assert net.n_nodes == 1
         assert ledger.pos == (1, 2, 5)
         assert ledger.neg == (0, 3, 4)
@@ -173,28 +173,20 @@ class TestTwdFixed:
                                                     schedule=degenerate))
             _, led_fix = run_twd_fixed(ds, split,
                                        TrainConfig(t=6, master_seed=seed, hyper=hyper),
-                                       matrix)
+                                       ThresholdSchedule.from_matrices([matrix] * 2))
             assert (json.dumps(led_seq.to_dict(), sort_keys=True)
                     == json.dumps(led_fix.to_dict(), sort_keys=True))
             saw_multi_level |= len(led_seq.levels) > 1
         assert saw_multi_level
 
-    def test_default_matrix_is_schedule_level_one(self, monkeypatch):
-        seen = []
-
-        class RecordingPolicy(baselines.FixedPolicy):
-            def __init__(self, matrix, t, triple=None):
-                seen.append(matrix)
-                super().__init__(matrix, t, triple)
-
-        monkeypatch.setattr(baselines, "FixedPolicy", RecordingPolicy)
+    def test_default_matrix_is_schedule_level_one(self):
         for seed in (0, 5, 11):
             cfg = self._cfg(master_seed=seed)
             level_one = build_schedule(cfg.t, seed).matrices[0]
             _, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg)
-            assert seen[-1] == level_one
-            _, explicit = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg, level_one)
-            assert ledger.to_dict() == explicit.to_dict()
+            explicit = ThresholdSchedule.from_matrices([level_one] * 2)
+            _, explicit_ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg, explicit)
+            assert ledger.to_dict() == explicit_ledger.to_dict()
 
 
 class TestStwdNk:

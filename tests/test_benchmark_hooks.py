@@ -69,6 +69,15 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         # settle-fine's per-layer k-means metrics come from this span, which
         # exists only while the trainer calls k-means as trainer.kmeans_cluster
         kmeans = [s for s in traced_spans if s["name"] == "discretize.kmeans"]
-        level_1 = json.loads((tmp_path / "traced" / "ledger.json").read_text())["levels"][0]
-        assert kmeans and kmeans[0]["points"] == level_1["m"] == 6
+        levels = json.loads((tmp_path / "traced" / "ledger.json").read_text())["levels"]
+        assert kmeans and kmeans[0]["points"] == levels[0]["m"] == 6
         assert kmeans[0]["iters"] == 1
+        # the threeway.* metrics exist only while the level rule calls the
+        # partition, risk and cost accrual through trainer's own names: one
+        # partition and two risk spans (decision risk, cost accrual) a level
+        processed = [r for r in levels if r["m"] > 0]
+        partitions = [s for s in traced_spans if s["name"] == "threeway.partition"]
+        risks = [s for s in traced_spans if s["name"] == "threeway.risk"]
+        assert len(partitions) == len(processed)
+        assert all(s["classes"] >= 1 for s in partitions)
+        assert len(risks) == 2 * len(processed)

@@ -102,6 +102,21 @@ class TestTrain:
         assert capsys.readouterr().err == "error: stopped\n"
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command, below_file", [("train", False), ("crossval", True)])
+    def test_unusable_out_fails_before_training(self, toy_csv, monkeypatch, capsys,
+                                                command, below_file):
+        import trisect.cli as cli
+
+        def never(*args):
+            raise AssertionError("trained despite an unusable --out")
+
+        monkeypatch.setattr(cli, "run", never)
+        out = os.path.join(toy_csv, "run") if below_file else ""
+        assert main([command, "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            f"error: output directory {out!r} cannot be created or written\n"
+
     def test_missing_required_setting_is_exit_1(self, toy_csv, tmp_path):
         code = main(["train", "--data", toy_csv, "--out", str(tmp_path / "o")])
         assert code == 1

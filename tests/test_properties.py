@@ -15,7 +15,7 @@ from trisect import (
 from trisect.discretize import EquivalenceClass
 from trisect.metrics import roc_auc
 from trisect.network import focal_loss
-from trisect.threeway import ProcessCostLedger, accrue_process_costs
+from trisect.threeway import accrue_process_costs
 
 labels = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=40)
 pairs = st.tuples(labels, labels).map(lambda t: (t[0], t[1][:len(t[0])] +
@@ -117,11 +117,9 @@ def test_focal_reduces_to_balanced_cross_entropy(p):
 @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=8),
        st.lists(st.floats(min_value=0.01, max_value=50.0), min_size=8, max_size=8))
 def test_process_costs_monotone(ms, units):
-    ledger = ProcessCostLedger(tuple(units), tuple(units))
     previous_test, previous_delay = 0.0, 0.0
-    for level, m in enumerate(ms, start=1):
-        ledger = accrue_process_costs(ledger, level, m)
-        test, delay = ledger.totals()
+    for m, unit in zip(ms, units):
+        test, delay = accrue_process_costs((previous_test, previous_delay), m, unit, unit)
         assert test > previous_test
         assert delay >= previous_delay
         previous_test, previous_delay = test, delay

@@ -3,7 +3,6 @@ import pytest
 from trisect import (
     CostMatrix,
     EquivalenceClass,
-    ProcessCostLedger,
     RngStream,
     SamplingError,
     ThresholdSchedule,
@@ -105,8 +104,7 @@ class TestSchedule:
     def test_recorded_threshold_injection(self):
         sched = ThresholdSchedule(RECORDED_PAIRS, RECORDED_GAMMA,
                                   (MATRIX_1, MATRIX_2, MATRIX_3))
-        assert sched.alpha_beta(1) == (0.6894, 0.1425)
-        assert sched.alpha_beta(2) == (0.5389, 0.5016)
+        assert sched.pairs == ((0.6894, 0.1425), (0.5389, 0.5016))
         assert sched.t == 3
 
     def test_ordering_violation_rejected(self):
@@ -264,33 +262,25 @@ class TestRisks:
 
 class TestProcessCosts:
     def test_worked_example_sequence(self):
-        ledger = ProcessCostLedger((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
-        ledger = accrue_process_costs(ledger, 1, 3)
-        assert ledger.totals() == (3.0, 3.0)
-        ledger = accrue_process_costs(ledger, 2, 2)
-        assert ledger.totals() == (7.0, 4.0)
+        totals = accrue_process_costs((0.0, 0.0), 3, 1.0, 1.0)
+        assert totals == (3.0, 3.0)
+        totals = accrue_process_costs(totals, 2, 2.0, 2.0)
+        assert totals == (7.0, 4.0)
 
     def test_single_level_base_case(self):
-        ledger = accrue_process_costs(ProcessCostLedger((1.0,), (1.0,)), 1, 1)
-        assert ledger.totals() == (1.0, 1.0)
+        assert accrue_process_costs((0.0, 0.0), 1, 1.0, 1.0) == (1.0, 1.0)
 
     def test_invalid_inputs(self):
-        ledger = ProcessCostLedger((1.0, 2.0), (1.0, 2.0))
         with pytest.raises(ValueError):
-            accrue_process_costs(ledger, 1, 0)
-        with pytest.raises(ValueError):
-            accrue_process_costs(ledger, 2, 1)  # levels accrue in order
-        with pytest.raises(ValueError):
-            ProcessCostLedger((0.0,), (1.0,))
+            accrue_process_costs((0.0, 0.0), 0, 1.0, 1.0)
 
     def test_test_cost_strictly_increases(self):
         stream = RngStream(41, "pc")
         units = tuple(sorted(stream.uniform(1.0, 50.0) for _ in range(6)))
-        ledger = ProcessCostLedger(units, units)
         previous_test, previous_delay = 0.0, 0.0
-        for level in range(1, 7):
-            ledger = accrue_process_costs(ledger, level, 1 + stream.randrange(30))
-            test, delay = ledger.totals()
+        for unit in units:
+            test, delay = accrue_process_costs((previous_test, previous_delay),
+                                               1 + stream.randrange(30), unit, unit)
             assert test > previous_test
             assert delay >= previous_delay
             previous_test, previous_delay = test, delay

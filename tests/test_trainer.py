@@ -177,6 +177,10 @@ class TestLiveRuns:
             TrainConfig(activation="bogus")
         with pytest.raises(ConfigError):
             TrainConfig(t=3, unit_test_costs=(1.0,))
+        with pytest.raises(ConfigError):
+            TrainConfig(t=2, unit_test_costs=(1.0, 0.0))
+        with pytest.raises(ConfigError):
+            TrainConfig(t=2, unit_delay_costs=(-1.0, 1.0))
 
     def test_empty_train_split_rejected(self, toy_dataset, toy_config):
         empty = Split(train=(), validation=(6, 7), test=(8, 9))
