@@ -16,7 +16,6 @@ from .network import (
     NodeParams,
     TrainHyper,
     adam_step,
-    assemble,
     classify_split,
     focal_loss,
     init_node,

@@ -8,14 +8,12 @@ discretizer-free variant that groups identical raw rows.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .data import Dataset, Split
-from .network import (LayeredNetwork, NodeParams, TrainHyper, assemble, init_node, predict_batch,
-                      train_network)
+from .network import LayeredNetwork, TrainHyper, init_node, predict_batch, train_network
 from .numerics import RngStream, derive_stream
 from .threeway import ThresholdSchedule, first_level_matrix
-from .trainer import TrainConfig, _run_core, run
+from .trainer import TrainConfig, _run_core
 from .metrics import accuracy
 
 BASELINE_KINDS = ("m1", "m2", "m3", "grid-search", "twd-fixed", "stwd-nk")
@@ -47,18 +45,17 @@ def train_fixed_topology(ds: Dataset, split: Split, nodes: int, hyper: TrainHype
     """Initialize ``nodes`` hidden nodes together and train them jointly."""
     if nodes < 1:
         raise ValueError("need at least one hidden node")
-    drawn = [init_node(ds.n_features, init_dist, stream) for _ in range(nodes)]
-    W1, b1, W2, b2 = assemble(drawn)
+    drawn = LayeredNetwork.empty(ds.n_features, activation)
+    for _ in range(nodes):
+        drawn = drawn.with_node(init_node(ds.n_features, init_dist, stream))
     X, y = ds.features, ds.labels
     tr = list(split.train)
     va = list(split.validation)
     X_val = X[va] if va else None
     y_val = y[va] if va else None
-    W1, b1, W2, b2 = train_network(X[tr], y[tr], W1, b1, W2, b2, activation,
-                                   hyper, X_val, y_val, stream,
-                                   trainable="all", history=history)
-    trained = [NodeParams(W1[i], float(b1[i]), W2[:, i], b2) for i in range(nodes)]
-    return LayeredNetwork(trained, activation)
+    tensors = train_network(X[tr], y[tr], *drawn.tensors, activation, hyper, X_val, y_val,
+                            stream, trainable="all", history=history)
+    return LayeredNetwork(*tensors, activation)
 
 
 def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
@@ -96,6 +93,7 @@ def run_twd_fixed(ds: Dataset, split: Split, cfg: TrainConfig,
     return _run_core(ds, split, cfg, schedule, fixed=True)
 
 
-def run_stwd_nk(ds: Dataset, split: Split, cfg: TrainConfig):
+def run_stwd_nk(ds: Dataset, split: Split, cfg: TrainConfig,
+                schedule: ThresholdSchedule | None = None):
     """Sequential run without the discretizer: classes are identical rows."""
-    return run(ds, split, replace(cfg, grouping="identity"))
+    return _run_core(ds, split, cfg, schedule, identity=True)

@@ -137,10 +137,9 @@ def resolve_settings(args, default_out: str = "trisect-out") -> dict:
     return settings
 
 
-def _build_config(settings: dict, schedule=None) -> TrainConfig:
+def _build_config(settings: dict) -> TrainConfig:
     hyper = TrainHyper(**{f: settings[key] for key, (f, _) in HYPER_KEYS.items()})
     return TrainConfig(hyper=hyper, cost_range=(settings["cost_lo"], settings["cost_hi"]),
-                       schedule=schedule,
                        **{f: settings[key] for key, (f, _) in RUN_KEYS.items()})
 
 
@@ -168,6 +167,28 @@ def _check_output_dir(out: str) -> str:
     if not out or not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
         raise ConfigError(f"output directory {out!r} cannot be created or written")
     return out
+
+
+def _read_run_json(run_dir: str, name: str, lists, parse):
+    """``parse(doc)`` of the JSON file ``name`` in ``run_dir``, whose top-level
+    keys ``lists`` must hold lists. A missing file, a document that does not
+    parse, and one that lacks a key or that ``parse`` rejects are a DataError
+    naming the file.
+    """
+    path = os.path.join(run_dir, name)
+    if not os.path.isfile(path):
+        raise DataError(f"{name} not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for key in lists:
+            if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+                raise DataError(f"{path}: key {key!r} is missing or not a list")
+        return parse(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # ValueError: also bad JSON and undecodable bytes
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _write_lines(path: str, lines) -> None:
@@ -247,21 +268,18 @@ def cmd_train(args) -> int:
     settings = resolve_settings(args)
     ds = _load_dataset(settings)
     schedule = build_schedule(settings["t"], settings["seed"])
-    cfg = _build_config(settings, schedule=schedule)
+    cfg = _build_config(settings)
     _check_output_dir(settings["out"])
     split = split_811(ds, derive_stream(cfg.master_seed, "split"))
-    net, ledger = run(ds, split, cfg)
+    net, ledger = run(ds, split, cfg, schedule)
     _write_bundle(settings, ds, split, net, ledger, schedule)
     return 0
 
 
 def cmd_eval(args) -> int:
     settings = resolve_settings(args, default_out=os.path.join(args.run_dir, "eval"))
-    model_path = os.path.join(args.run_dir, "model.json")
-    if not os.path.isfile(model_path):
-        raise DataError(f"model not found: {model_path}")
-    with open(model_path, encoding="utf-8") as fh:
-        net, norm_mode, norm_stats, _, _ = model_from_json(json.load(fh))
+    net, norm_mode, norm_stats, _, _ = _read_run_json(
+        args.run_dir, "model.json", ("W1", "b1", "W2", "b2"), model_from_json)
     ds = _read_dataset(settings)
     if ds.n_features != net.n_features:
         raise DataError(f"{settings['data']} has {ds.n_features} feature columns, "
@@ -277,9 +295,9 @@ def _crossval_fold(payload):
     ds, plan, fold, settings, schedule = payload
     seed = settings["seed"]
     fold_seed = derive_stream(seed, f"fold-{fold}").next_u64()
-    cfg = _build_config({**settings, "seed": fold_seed}, schedule=schedule)
+    cfg = _build_config({**settings, "seed": fold_seed})
     split = fold_split(ds, plan, fold, derive_stream(seed, f"crossval-val-{fold}"))
-    net, ledger = run(ds, split, cfg)
+    net, ledger = run(ds, split, cfg, schedule)
     report = _scored_report(*_evaluate(net, ds, split.test))[0]
     tr_truth, tr_labels, _ = _evaluate(net, ds, split.train)
     counts = np.bincount((np.asarray(tr_truth) == 1).astype(int), minlength=2)
@@ -312,12 +330,14 @@ def cmd_crossval(args) -> int:
     k = settings["folds"]
     if k < 2:
         raise ConfigError(f"folds must be >= 2, got {k}")
+    jobs = settings["jobs"]
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ds = _load_dataset(settings)
     out = _check_output_dir(settings["out"])
     schedule = build_schedule(settings["t"], settings["seed"])
     plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
     payloads = [(ds, plan, f, settings, schedule) for f in range(1, k + 1)]
-    jobs = max(1, settings["jobs"])
     if jobs == 1:
         records = [_crossval_fold(p) for p in payloads]
     else:
@@ -376,7 +396,7 @@ def cmd_baseline(args) -> int:
         net, ledger = baselines.run_twd_fixed(ds, split, cfg, schedule)
     else:  # stwd-nk
         schedule = build_schedule(settings["t"], settings["seed"])
-        net, ledger = baselines.run_stwd_nk(ds, split, _build_config(settings, schedule))
+        net, ledger = baselines.run_stwd_nk(ds, split, cfg, schedule)
     _write_bundle(settings, ds, split, net, ledger, schedule,
                   {"kind": kind, "nodes": net.n_nodes, **extra_metrics})
     return 0
@@ -384,12 +404,10 @@ def cmd_baseline(args) -> int:
 
 def cmd_costs(args) -> int:
     resolve_settings(args)  # validates --config; only the --out flag redirects the output
-    ledger_path = os.path.join(args.run_dir, "ledger.json")
-    if not os.path.isfile(ledger_path):
-        raise DataError(f"ledger not found: {ledger_path}")
-    with open(ledger_path, encoding="utf-8") as fh:
-        lines = _cost_lines(json.load(fh)["levels"], ("level", "cost_test", "cost_delay"))
-    if args.out:
+    columns = ("level", "cost_test", "cost_delay")
+    lines = _read_run_json(args.run_dir, "ledger.json", ("levels",),
+                           lambda doc: _cost_lines(doc["levels"], columns))
+    if args.out is not None:
         os.makedirs(_check_output_dir(args.out), exist_ok=True)
         _write_lines(os.path.join(args.out, "costs.csv"), lines)
     else:

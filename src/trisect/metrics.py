@@ -54,8 +54,7 @@ def _precision_recall_f1(c: dict) -> tuple[float, float, float]:
 
 def weighted_f1(truth, predicted) -> float:
     """Support-weighted mean of the two per-class F1 scores."""
-    report = per_class_report(truth, predicted)
-    return sum(c["support"] * c["f1"] for c in report.values()) / np.size(truth)
+    return metrics_report(truth, predicted)["weighted_f1"]
 
 
 def per_class_report(truth, predicted) -> dict:
@@ -129,9 +128,10 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
 
 
 def metrics_report(truth, predicted) -> dict:
-    """Aggregate report used by the JSON outputs."""
+    """Aggregate report used by the JSON outputs; the per-class report is built once."""
+    per_class = per_class_report(truth, predicted)
     return {
         "accuracy": accuracy(truth, predicted),
-        "weighted_f1": weighted_f1(truth, predicted),
-        "per_class": per_class_report(truth, predicted),
+        "weighted_f1": sum(c["support"] * c["f1"] for c in per_class.values()) / np.size(truth),
+        "per_class": per_class,
     }

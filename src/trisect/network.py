@@ -1,12 +1,11 @@
 """Single-hidden-layer network grown one node at a time.
 
-A network is an ordered list of per-node parameter records. Assembly stacks
-node i's input weights as row i of W1 and its output weights as column i of
-W2; the output bias of the whole network is always the newest node's b2.
-Training minimizes mean focal loss plus an L2 penalty over all four
-assembled tensors, with hand-derived gradients and in-place Adam updates.
-When a fresh node is trained on top of existing ones, only the fresh
-node's parameters and the shared output bias move.
+A network is its four tensors: node i's input weights are row i of W1 and
+its output weights column i of W2; the output bias b2 is the one learned
+with the newest node. Training minimizes mean focal loss plus an L2 penalty
+over all four tensors, with hand-derived gradients and in-place Adam
+updates. When a fresh node is trained on top of existing ones, only the
+fresh node's parameters and the shared output bias move.
 """
 
 from __future__ import annotations
@@ -23,25 +22,12 @@ INIT_DISTRIBUTIONS = ("uniform", "normal")
 
 @dataclass(frozen=True)
 class NodeParams:
-    """Parameters contributed by one hidden node."""
+    """One hidden node's parameters, as drawn; ``LayeredNetwork.with_node`` checks them."""
 
     w1: np.ndarray  # (m,) input -> node
     b1: float
     w2: np.ndarray  # (2,) node -> outputs
-    b2: np.ndarray  # (2,) output bias learned alongside this node
-
-    def __post_init__(self):
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        b2 = np.asarray(self.b2, dtype=np.float64)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", b2)
-        if w2.shape != (2,) or b2.shape != (2,):
-            raise ValueError("w2 and b2 must have shape (2,)")
-        if not (np.isfinite(w1).all() and np.isfinite(self.b1)
-                and np.isfinite(w2).all() and np.isfinite(b2).all()):
-            raise ValueError("node parameters must be finite")
+    b2: np.ndarray  # (2,) output bias drawn with this node
 
 
 @dataclass(frozen=True)
@@ -89,45 +75,53 @@ def resolve_delta(hyper: TrainHyper, y: np.ndarray) -> float:
     return float(np.clip(neg_fraction, 0.01, 0.99))
 
 
+@dataclass(frozen=True, eq=False)
 class LayeredNetwork:
-    """Ordered stack of optimized nodes plus the activation they share."""
+    """The four tensors of a grown network plus the activation they share.
 
-    def __init__(self, nodes, activation: str):
-        if activation not in ACTIVATION_KINDS:
-            raise ValueError(f"unknown activation kind: {activation!r}")
-        self.nodes = list(nodes)
-        self.activation = activation
+    Row i of W1, entry i of b1 and column i of W2 belong to hidden node i;
+    b2 is the output bias, learned alongside the newest node. A network
+    without nodes keeps its input width as W1's shape (0, m). The tensors
+    are checked once, for shape and finiteness.
+    """
+
+    W1: np.ndarray  # (t, m)
+    b1: np.ndarray  # (t,)
+    W2: np.ndarray  # (2, t)
+    b2: np.ndarray  # (2,)
+    activation: str
+
+    def __post_init__(self):
+        if self.activation not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown activation kind: {self.activation!r}")
+        for name in ("W1", "b1", "W2", "b2"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        W1, b1, W2, b2 = self.tensors
+        if W1.ndim != 2 or b1.shape != (len(W1),) or W2.shape != (2, len(W1)) or b2.shape != (2,):
+            raise ValueError("inconsistent network tensor shapes")
+        if not all(np.isfinite(a).all() for a in (W1, b1, W2, b2)):
+            raise ValueError("network parameters must be finite")
+
+    @classmethod
+    def empty(cls, m: int, activation: str) -> "LayeredNetwork":
+        return cls(np.zeros((0, m)), np.zeros(0), np.zeros((2, 0)), np.zeros(2), activation)
+
+    @property
+    def tensors(self):
+        return self.W1, self.b1, self.W2, self.b2
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.W1.shape[0]
 
     @property
     def n_features(self) -> int:
-        if not self.nodes:
-            raise ValueError("empty network")
-        return self.nodes[0].w1.shape[0]
-
-    def assembled(self):
-        return assemble(self.nodes)
+        return self.W1.shape[1]
 
     def with_node(self, node: NodeParams) -> "LayeredNetwork":
-        return LayeredNetwork(self.nodes + [node], self.activation)
-
-
-def assemble(nodes):
-    """Stack per-node parameters into (W1, b1, W2, b2).
-
-    Row/column i belongs to node i; b2 comes from the last node only.
-    """
-    nodes = list(nodes)
-    if not nodes:
-        raise ValueError("cannot assemble an empty node list")
-    W1 = np.stack([n.w1 for n in nodes])
-    b1 = np.array([n.b1 for n in nodes], dtype=np.float64)
-    W2 = np.stack([n.w2 for n in nodes], axis=1)
-    b2 = nodes[-1].b2.copy()
-    return W1, b1, W2, b2
+        """This network plus ``node`` as its last hidden node, with ``node``'s b2."""
+        return LayeredNetwork(np.vstack([self.W1, node.w1]), np.append(self.b1, node.b1),
+                              np.column_stack([self.W2, node.w2]), node.b2, self.activation)
 
 
 def init_node(m: int, dist: str, stream: RngStream) -> NodeParams:
@@ -171,11 +165,12 @@ def forward_arrays(X, W1, b1, W2, b2, activation):
 
 def predict_batch(net: LayeredNetwork, X):
     """(labels, p_pos) for a batch of rows; label ties go to +1."""
+    if net.n_nodes == 0:
+        raise ValueError("network has no nodes")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.n_features:
         raise ValueError(f"expected (n, {net.n_features}) input, got {X.shape}")
-    W1, b1, W2, b2 = net.assembled()
-    _, _, scores, p = forward_arrays(X, W1, b1, W2, b2, net.activation)
+    _, _, scores, p = forward_arrays(X, *net.tensors, net.activation)
     labels = np.where(scores[:, 0] >= scores[:, 1], 1, -1)
     return labels, p
 
@@ -342,29 +337,25 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
 
 def train_node(X_active, y_active, frozen: LayeredNetwork, fresh: NodeParams,
                hyper: TrainHyper, X_val, y_val, stream: RngStream,
-               history=None) -> NodeParams:
-    """Optimize one fresh node on top of a frozen stack.
+               history=None) -> LayeredNetwork:
+    """``frozen`` grown by the ``fresh`` node, optimized on the active rows.
 
     Earlier nodes keep their parameters; only the fresh node's w1/b1/w2 and
-    the shared output bias are updated. Returns the optimized node.
+    the shared output bias are updated.
     """
     if len(X_active) == 0:
         raise ValueError("active set is empty")
+    grown = frozen.with_node(fresh)
     if hyper.max_epochs == 0:
-        return fresh
-    nodes = frozen.nodes + [fresh]
-    W1, b1, W2, b2 = assemble(nodes)
-    i = len(nodes) - 1
-    W1, b1, W2, b2 = train_network(X_active, y_active, W1, b1, W2, b2,
-                                   frozen.activation, hyper, X_val, y_val, stream,
-                                   trainable=i, history=history)
-    return NodeParams(W1[i], float(b1[i]), W2[:, i], b2)
+        return grown
+    tensors = train_network(X_active, y_active, *grown.tensors, grown.activation, hyper,
+                            X_val, y_val, stream, trainable=grown.n_nodes - 1,
+                            history=history)
+    return LayeredNetwork(*tensors, grown.activation)
 
 
 def classify_split(net: LayeredNetwork, X, y, indices):
     """Partition rows into correct positives, misclassified, correct negatives."""
-    if net.n_nodes < 1:
-        raise ValueError("network has no nodes")
     indices = np.asarray(indices, dtype=np.int64)
     labels, _ = predict_batch(net, X)
     y = np.asarray(y)
@@ -378,7 +369,7 @@ def classify_split(net: LayeredNetwork, X, y, indices):
 def model_to_json(net: LayeredNetwork, norm_mode: str, norm_stats,
                   schedule_doc: dict | None, seeds: dict) -> dict:
     """Serialize a trained model (floats as decimal strings)."""
-    W1, b1, W2, b2 = net.assembled()
+    W1, b1, W2, b2 = net.tensors
     return {
         "activation": net.activation,
         "normalization": {
@@ -396,15 +387,10 @@ def model_to_json(net: LayeredNetwork, norm_mode: str, norm_stats,
 
 def model_from_json(doc: dict):
     """Rebuild (net, norm_mode, norm_stats, schedule_doc, seeds)."""
-    W1 = np.array([[float(v) for v in row] for row in doc["W1"]])
-    b1 = np.array([float(v) for v in doc["b1"]])
-    W2 = np.array([[float(v) for v in row] for row in doc["W2"]])
-    b2 = np.array([float(v) for v in doc["b2"]])
-    t = W1.shape[0]
-    if W2.shape != (2, t) or b1.shape != (t,) or b2.shape != (2,):
-        raise ValueError("inconsistent model tensor shapes")
-    nodes = [NodeParams(W1[i], float(b1[i]), W2[:, i], b2) for i in range(t)]
-    net = LayeredNetwork(nodes, doc["activation"])
+    net = LayeredNetwork(np.array([[float(v) for v in row] for row in doc["W1"]]),
+                         np.array([float(v) for v in doc["b1"]]),
+                         np.array([[float(v) for v in row] for row in doc["W2"]]),
+                         np.array([float(v) for v in doc["b2"]]), doc["activation"])
     norm = doc["normalization"]
     stats = tuple((float(a), float(b)) for a, b in norm["stats"])
     return net, norm["mode"], stats, doc.get("threshold_schedule"), doc.get("seeds", {})

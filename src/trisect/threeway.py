@@ -10,6 +10,7 @@ which forces every deferred instance to be settled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .discretize import EquivalenceClass
@@ -165,9 +166,10 @@ def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
     unconditioned matrix lands inside it decays below any practical budget
     after a few levels. Candidates whose recomputed thresholds fail to
     extend the chain (rounding at the corridor edge) are rejected and
-    redrawn within LEVEL_ATTEMPT_BUDGET attempts. The final level's gamma
-    is the mediant of its own corridor-contained thresholds and therefore
-    falls strictly inside the last (beta, alpha) corridor.
+    redrawn within LEVEL_ATTEMPT_BUDGET attempts; a SamplingError names the
+    level whose corridor holds no float, or whose budget ran out. The final
+    level's gamma is the mediant of its own corridor-contained thresholds
+    and therefore falls strictly inside the last (beta, alpha) corridor.
     """
     if t < 2:
         raise ValueError("schedule needs t >= 2 levels")
@@ -177,12 +179,18 @@ def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
     for level in range(2, t + 1):
         s = derive_stream(master_seed, f"cost-matrix-level-{level}")
         prev_alpha, prev_beta = pairs[-1]
+        where = (f"level {level} of a t = {t} schedule, defer corridor (beta, alpha) = "
+                 f"({prev_beta!r}, {prev_alpha!r})")
+        if not math.nextafter(prev_beta, 1.0) < prev_alpha:
+            # gamma must end up strictly inside this corridor: no attempt can succeed
+            raise SamplingError(f"{where}: no float lies strictly inside the corridor")
         for _ in range(LEVEL_ATTEMPT_BUDGET):
-            beta_target = s.uniform(prev_beta, prev_alpha)
-            alpha_target = s.uniform(beta_target, prev_alpha)
-            if not beta_target < alpha_target:
+            try:  # a corridor a few ulps wide can fail a draw or the matrix checks
+                beta_target = s.uniform(prev_beta, prev_alpha)
+                alpha_target = s.uniform(beta_target, prev_alpha)
+                mx = matrix_with_thresholds(alpha_target, beta_target, s)
+            except ValueError:
                 continue
-            mx = matrix_with_thresholds(alpha_target, beta_target, s)
             alpha, beta = thresholds_from(mx)
             if not (prev_beta <= beta < alpha <= prev_alpha):
                 continue
@@ -196,8 +204,8 @@ def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
             pairs.append((alpha, beta))
             break
         else:
-            raise SamplingError(f"no sequential matrix for level {level} "
-                                f"within {LEVEL_ATTEMPT_BUDGET} attempts")
+            raise SamplingError(f"{where}: no sequential matrix within "
+                                f"{LEVEL_ATTEMPT_BUDGET} attempts")
 
 
 @dataclass(frozen=True)

@@ -48,15 +48,7 @@ DEFAULT_COST_RANGE = (1.0, 50.0)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a run needs besides the data and the split.
-
-    ``schedule`` and ``fixture_nodes`` support replaying externally fixed
-    configurations: an explicit schedule skips threshold sampling, and
-    injected per-level nodes skip gradient training entirely.
-    ``grouping`` selects how misclassified instances form equivalence
-    classes: "kmeans" discretizes feature rows, "identity" groups exactly
-    equal rows.
-    """
+    """Everything a run needs besides the data, the split and the schedule."""
 
     t: int = 10
     activation: str = "selu"
@@ -68,9 +60,6 @@ class TrainConfig:
     unit_test_costs: tuple | None = None
     unit_delay_costs: tuple | None = None
     cost_range: tuple = DEFAULT_COST_RANGE
-    grouping: str = "kmeans"
-    schedule: ThresholdSchedule | None = None
-    fixture_nodes: tuple | None = None
 
     def __post_init__(self):
         if self.t < 2:
@@ -85,8 +74,6 @@ class TrainConfig:
             raise ConfigError("cluster count must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master seed must be non-negative")
-        if self.schedule is not None and self.schedule.t != self.t:
-            raise ConfigError(f"schedule spans {self.schedule.t} levels, config says {self.t}")
         lo, hi = self.cost_range
         if not 0 < lo < hi:
             raise ConfigError("cost range must satisfy 0 < lo < hi")
@@ -215,12 +202,20 @@ def _kmeans_categories(ds, members, categories, cfg, level):
     return [categories[i] for i in members]
 
 
-def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSchedule,
-              fixed: bool = False):
-    """The level loop. Level i applies schedule level i; a ``fixed`` run applies
+def _run_core(ds: Dataset, split: Split, cfg: TrainConfig,
+              schedule: ThresholdSchedule | None, fixed: bool = False, identity: bool = False):
+    """The level loop. Level i applies schedule level i, which must span
+    ``cfg.t`` levels (None samples the run's own); a ``fixed`` run applies
     schedule level 1 while some equivalence class still holds two or more
     misclassified instances, and the schedule's last level otherwise and
-    always at the level cap."""
+    always at the level cap. Misclassified instances form equivalence
+    classes by k-means category, or by identical feature rows if ``identity``.
+    """
+    if not fixed:
+        if schedule is None:
+            schedule = build_schedule(cfg.t, cfg.master_seed)
+        elif schedule.t != cfg.t:
+            raise ConfigError(f"schedule spans {schedule.t} levels, config says {cfg.t}")
     X, y = ds.features, ds.labels
     train_idx = np.array(split.train, dtype=np.int64)
     if train_idx.size == 0:
@@ -231,7 +226,7 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSc
 
     unit_test, unit_delay = resolve_unit_costs(cfg)
     process = (0.0, 0.0)
-    net = LayeredNetwork([], cfg.activation)
+    net = LayeredNetwork.empty(ds.n_features, cfg.activation)
     categories: dict[int, int] = {}
     pos_idx: set[int] = set()
     neg_idx: set[int] = set()
@@ -242,15 +237,8 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSc
         stream = derive_stream(cfg.master_seed, f"init-node-{level}")
         rows = np.array(active, dtype=np.int64)
         X_active, y_active = X[rows], y[rows]
-        if cfg.fixture_nodes is not None:
-            if level > len(cfg.fixture_nodes):
-                raise ConfigError(f"fixture provides {len(cfg.fixture_nodes)} nodes, "
-                                  f"level {level} reached")
-            node = cfg.fixture_nodes[level - 1]
-        else:
-            fresh = init_node(ds.n_features, cfg.init_dist, stream)
-            node = train_node(X_active, y_active, net, fresh, cfg.hyper, X_val, y_val, stream)
-        net = net.with_node(node)
+        fresh = init_node(ds.n_features, cfg.init_dist, stream)
+        net = train_node(X_active, y_active, net, fresh, cfg.hyper, X_val, y_val, stream)
 
         pn, mn, nn = classify_split(net, X_active, y_active, rows)
         del X_active, y_active  # not held through the level's k-means, its memory peak
@@ -263,10 +251,8 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSc
             active = ()
             break
 
-        if cfg.grouping == "kmeans":
-            keys = _kmeans_categories(ds, mn, categories, cfg, level)
-        else:  # identical raw feature rows
-            keys = [ds.features[i].tobytes() for i in mn]
+        keys = ([ds.features[i].tobytes() for i in mn] if identity
+                else _kmeans_categories(ds, mn, categories, cfg, level))
         classes = build_equivalence_classes(mn, keys, ds.labels)
 
         if not fixed:
@@ -301,9 +287,7 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSc
     return net, ledger
 
 
-def run(ds: Dataset, split: Split, cfg: TrainConfig):
-    """Full sequential run; returns the grown network and its ledger."""
-    schedule = cfg.schedule
-    if schedule is None:
-        schedule = build_schedule(cfg.t, cfg.master_seed)
+def run(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSchedule | None = None):
+    """Full sequential run on ``schedule`` (None samples one from the config's
+    seed); returns the grown network and its ledger."""
     return _run_core(ds, split, cfg, schedule)

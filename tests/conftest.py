@@ -8,6 +8,7 @@ import pytest
 from trisect import (
     CostMatrix,
     Dataset,
+    LayeredNetwork,
     NodeParams,
     RngStream,
     Split,
@@ -71,15 +72,37 @@ def toy_schedule() -> ThresholdSchedule:
                              matrices=(MATRIX_1, MATRIX_2, MATRIX_3))
 
 
+def network_of(nodes, activation: str = "selu") -> LayeredNetwork:
+    """The network whose hidden nodes are ``nodes``, in order."""
+    net = LayeredNetwork.empty(len(nodes[0].w1), activation)
+    for node in nodes:
+        net = net.with_node(node)
+    return net
+
+
+def replay_nodes(monkeypatch, nodes) -> None:
+    """Make the level loop append ``nodes[i - 1]`` at level i instead of training one."""
+
+    def replay(X_active, y_active, frozen, fresh, *args, **kwargs):
+        return frozen.with_node(nodes[frozen.n_nodes])
+
+    monkeypatch.setattr("trisect.trainer.train_node", replay)
+
+
 @pytest.fixture
-def toy_config(toy_schedule) -> TrainConfig:
+def worked_nodes(monkeypatch) -> None:
+    """Runs in the test replay the worked example's optimized nodes."""
+    replay_nodes(monkeypatch, (NODE_1, NODE_2))
+
+
+@pytest.fixture
+def toy_config(worked_nodes) -> TrainConfig:
+    """The worked example's configuration; its runs replay NODE_1 and NODE_2."""
     return TrainConfig(t=3, activation="selu", init_dist="uniform",
                        hyper=TrainHyper(), epsilon=2.0, clusters=2,
                        master_seed=TOY_SEED,
                        unit_test_costs=(1.0, 2.0, 3.0),
-                       unit_delay_costs=(1.0, 2.0, 3.0),
-                       schedule=toy_schedule,
-                       fixture_nodes=(NODE_1, NODE_2))
+                       unit_delay_costs=(1.0, 2.0, 3.0))
 
 
 def toy_csv_text() -> str:

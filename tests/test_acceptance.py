@@ -51,13 +51,13 @@ from conftest import (
     MATRIX_2,
     MATRIX_3,
     NODE_1,
-    NODE_2,
     RECORDED_GAMMA,
     RECORDED_PAIRS,
     TOY_FEATURES,
     TOY_LABELS,
     TOY_SEED,
     TOY_SPLIT,
+    network_of,
     synthetic_dataset,
     write_health_survey_csv,
 )
@@ -74,13 +74,14 @@ def _toy_dataset():
 
 
 def _toy_config():
-    schedule = ThresholdSchedule(RECORDED_PAIRS, RECORDED_GAMMA,
-                                 (MATRIX_1, MATRIX_2, MATRIX_3))
     return TrainConfig(t=3, activation="selu", master_seed=TOY_SEED,
                        unit_test_costs=(1.0, 2.0, 3.0),
                        unit_delay_costs=(1.0, 2.0, 3.0),
-                       epsilon=2.0, clusters=2, schedule=schedule,
-                       fixture_nodes=(NODE_1, NODE_2))
+                       epsilon=2.0, clusters=2)
+
+
+def _toy_schedule():
+    return ThresholdSchedule(RECORDED_PAIRS, RECORDED_GAMMA, (MATRIX_1, MATRIX_2, MATRIX_3))
 
 
 # the fixture matrices are written to four decimals
@@ -211,16 +212,16 @@ def test_c03_process_costs():
     assert second == (7.0, 4.0)
 
 
-def test_c04_worked_example_end_to_end():
-    """Fixture-mode replay of the documented two-level run, in < 1 s."""
+def test_c04_worked_example_end_to_end(worked_nodes):
+    """Replay of the documented two-level run with its optimized nodes, in < 1 s."""
     t0 = time.perf_counter()
     ds = _toy_dataset()
-    net, ledger = run(ds, TOY_SPLIT, _toy_config())
+    net, ledger = run(ds, TOY_SPLIT, _toy_config(), _toy_schedule())
     elapsed = time.perf_counter() - t0
 
     from trisect.network import predict_batch
 
-    one_node = type(net)([NODE_1], "selu")
+    one_node = network_of([NODE_1])
     labels, _ = predict_batch(one_node, TOY_FEATURES[:6])
     checks = {
         "level-1 predictions": labels.tolist() == [1, 1, 1, -1, 1, 1],
@@ -234,7 +235,7 @@ def test_c04_worked_example_end_to_end():
         "two hidden nodes": net.n_nodes == 2,
         "runtime < 1 s": elapsed < 1.0,
     }
-    W1, b1, W2, b2 = net.assembled()
+    W1, b1, W2, b2 = net.tensors
     checks["assembled W1"] = np.abs(W1 - np.array(
         [[0.8115, -1.0612, 0.3465, 0.1514], [-0.2338, -0.1741, 0.9333, 0.2477]])).max() <= 1e-4
     checks["assembled b1"] = np.abs(b1 - np.array([0.1139, 0.0818])).max() <= 1e-4
@@ -477,8 +478,8 @@ def test_c13_degenerate_schedule_equivalence():
         matrix = sample_cost_matrix(RngStream(seed, "one-matrix"))
         hyper = TrainHyper(max_epochs=2, batch_size=32)
         degenerate = ThresholdSchedule.from_matrices([matrix] * 6)
-        _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper,
-                                                schedule=degenerate))
+        _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
+                         degenerate)
         _, led_fix = run_twd_fixed(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
                                    ThresholdSchedule.from_matrices([matrix] * 2))
         assert json.dumps(led_seq.to_dict(), sort_keys=True) == \

@@ -30,6 +30,7 @@ from conftest import (
     TOY_FEATURES,
     TOY_LABELS,
     TOY_SPLIT,
+    replay_nodes,
     synthetic_dataset,
 )
 
@@ -76,7 +77,7 @@ class TestFixedTopology:
         nets = [train_fixed_topology(ds, split, 3, TrainHyper(max_epochs=8),
                                      "tanh", "normal", RngStream(4, "ft"))
                 for _ in range(2)]
-        a, b = nets[0].assembled(), nets[1].assembled()
+        a, b = nets[0].tensors, nets[1].tensors
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_best_checkpoint_costs_non_increasing(self):
@@ -133,15 +134,19 @@ class TestGridSearch:
 
 
 class TestTwdFixed:
+    @pytest.fixture
+    def replayed(self, monkeypatch):
+        """Level i of a run appends the i-th of NODE_1, NODE_2, NODE_2."""
+        replay_nodes(monkeypatch, (NODE_1, NODE_2, NODE_2))
+
     def _cfg(self, **kwargs):
         defaults = dict(t=3, activation="selu", master_seed=0,
                         unit_test_costs=(1.0, 2.0, 3.0),
-                        unit_delay_costs=(1.0, 2.0, 3.0),
-                        fixture_nodes=(NODE_1, NODE_2, NODE_2))
+                        unit_delay_costs=(1.0, 2.0, 3.0))
         defaults.update(kwargs)
         return TrainConfig(**defaults)
 
-    def test_coarsest_thresholds_keep_deferring(self):
+    def test_coarsest_thresholds_keep_deferring(self, replayed):
         # level-1 corridor holds p = 0.5, so the two instances stay deferred
         # at level 2 and a third node is needed
         net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(),
@@ -150,7 +155,7 @@ class TestTwdFixed:
         assert [r.rule for r in ledger.levels] == ["three-way", "three-way", "two-way"]
         assert ledger.levels[1].bl == 2
 
-    def test_finest_thresholds_stop_early(self):
+    def test_finest_thresholds_stop_early(self, replayed):
         # recorded level-2 pair held fixed settles everything at level 1
         recorded = ThresholdSchedule(((0.5389, 0.5016),), 0.5204, (MATRIX_2, MATRIX_2))
         net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(), recorded)
@@ -169,8 +174,8 @@ class TestTwdFixed:
             matrix = sample_cost_matrix(RngStream(seed, "one-matrix"))
             hyper = TrainHyper(max_epochs=2, batch_size=32)
             degenerate = ThresholdSchedule.from_matrices([matrix] * 6)
-            _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper,
-                                                    schedule=degenerate))
+            _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
+                             degenerate)
             _, led_fix = run_twd_fixed(ds, split,
                                        TrainConfig(t=6, master_seed=seed, hyper=hyper),
                                        ThresholdSchedule.from_matrices([matrix] * 2))
@@ -179,7 +184,7 @@ class TestTwdFixed:
             saw_multi_level |= len(led_seq.levels) > 1
         assert saw_multi_level
 
-    def test_default_matrix_is_schedule_level_one(self):
+    def test_default_matrix_is_schedule_level_one(self, replayed):
         for seed in (0, 5, 11):
             cfg = self._cfg(master_seed=seed)
             level_one = build_schedule(cfg.t, seed).matrices[0]
@@ -211,9 +216,8 @@ class TestStwdNk:
         split = Split(train=tuple(range(10)), validation=(10,), test=(11,))
         sched = ThresholdSchedule(((0.95, 0.05),), 0.5,
                                   (MATRIX_1, MATRIX_1))
-        cfg = TrainConfig(t=2, master_seed=2, schedule=sched,
-                          hyper=TrainHyper(max_epochs=2, batch_size=4))
-        net, ledger = run_stwd_nk(ds, split, cfg)
+        cfg = TrainConfig(t=2, master_seed=2, hyper=TrainHyper(max_epochs=2, batch_size=4))
+        net, ledger = run_stwd_nk(ds, split, cfg, sched)
         first = ledger.levels[0]
         if first.m:
             # any non-settled class must carry a strictly fractional p
@@ -228,6 +232,4 @@ class TestStwdNk:
         cfg = TrainConfig(master_seed=13, hyper=hyper)
         net_a, _ = run(ds, split, cfg)
         net_b, _ = run_stwd_nk(ds, split, cfg)
-        a1 = net_a.nodes[0]
-        b1 = net_b.nodes[0]
-        assert np.array_equal(a1.w1, b1.w1) and a1.b1 == b1.b1
+        assert np.array_equal(net_a.W1[0], net_b.W1[0]) and net_a.b1[0] == net_b.b1[0]

@@ -9,16 +9,11 @@ import numpy as np
 import pytest
 
 from trisect.cli import main
-from trisect.data import Dataset
 from trisect.errors import ConfigError, DataError, SamplingError
 from trisect.metrics import roc_auc
-from trisect.trainer import TrainConfig, run
+from trisect.trainer import run
 
 from conftest import (
-    NODE_1,
-    NODE_2,
-    TOY_FEATURES,
-    TOY_LABELS,
     TOY_SPLIT,
     synthetic_dataset,
     toy_csv_text,
@@ -142,6 +137,15 @@ class TestTrain:
         assert "row 4 cannot be read: field larger than field limit" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_collapsed_schedule_is_exit_3(self, toy_csv, tmp_path, capsys):
+        # seed 0's defer corridor holds no float strictly inside by level 20
+        cfg = tmp_path / "t40.cfg"
+        cfg.write_text("t = 40\n")
+        assert main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--seed", "0", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: level 20 of a t = 40 schedule, ")
+
     def test_model_json_schedule_roundtrips(self, tmp_path):
         from trisect.threeway import schedule_from_json
 
@@ -264,6 +268,24 @@ class TestEval:
                      "--label-col", "a", "--positive", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: json.dumps({**json.loads(text), "W1": None}),
+         "model.json: key 'W1' is missing or not a list"),
+        (lambda text: text[:len(text) // 2], "model.json: Unterminated string"),
+    ], ids=["without-W1", "truncated"])
+    def test_damaged_model_is_exit_2(self, tmp_path, capsys, damage, message):
+        out = self._train(tmp_path)
+        path = os.path.join(out, "model.json")
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(damage(text))
+        capsys.readouterr()
+        code = main(["eval", out, "--data", str(tmp_path / "synth.csv"), "--label-col", "label",
+                     "--positive", "yes", "--out", str(tmp_path / "ev")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
 
 class TestCrossval:
     def test_fold_records_and_summary(self, tmp_path):
@@ -314,6 +336,13 @@ class TestCrossval:
             blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_negative_jobs_is_exit_1(self, tmp_path, capsys):
+        data = _write_synth_csv(tmp_path / "synth.csv")
+        code = main(["crossval", "--data", data, "--label-col", "label", "--positive", "yes",
+                     "--jobs", "-3", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got -3\n"
+
     def test_too_few_folds_is_exit_1(self, tmp_path):
         data = _write_synth_csv(tmp_path / "synth.csv")
         code = main(["crossval", "--data", data, "--label-col", "label",
@@ -363,46 +392,35 @@ class TestBaseline:
 
 
 class TestCosts:
-    def _toy_run_dir(self, tmp_path):
+    @pytest.fixture
+    def toy_run_dir(self, tmp_path, toy_dataset, toy_config, toy_schedule):
         """Ledger of the worked example, written the way train does."""
-        from conftest import MATRIX_1, MATRIX_2, MATRIX_3, RECORDED_PAIRS, RECORDED_GAMMA
-        from trisect.threeway import ThresholdSchedule
-
-        ds = Dataset(TOY_FEATURES.copy(), TOY_LABELS.copy(), ("a1", "a2", "a3", "a4"))
-        sched = ThresholdSchedule(RECORDED_PAIRS, RECORDED_GAMMA,
-                                  (MATRIX_1, MATRIX_2, MATRIX_3))
-        cfg = TrainConfig(t=3, activation="selu", master_seed=0,
-                          unit_test_costs=(1.0, 2.0, 3.0),
-                          unit_delay_costs=(1.0, 2.0, 3.0),
-                          schedule=sched, fixture_nodes=(NODE_1, NODE_2))
-        _, ledger = run(ds, TOY_SPLIT, cfg)
+        _, ledger = run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule)
         run_dir = tmp_path / "toyrun"
         run_dir.mkdir()
         with open(run_dir / "ledger.json", "w") as fh:
             json.dump(ledger.to_dict(), fh, sort_keys=True, indent=2)
         return str(run_dir)
 
-    def test_worked_example_rows(self, tmp_path, capsys):
-        run_dir = self._toy_run_dir(tmp_path)
-        assert main(["costs", run_dir]) == 0
+    def test_worked_example_rows(self, toy_run_dir, capsys):
+        assert main(["costs", toy_run_dir]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "level,cost_test,cost_delay"
         assert [tuple(float(v) for v in line.split(",")) for line in lines[1:]] == [
             (1.0, 3.0, 3.0), (2.0, 7.0, 4.0)]
 
-    def test_out_dir_writes_csv(self, tmp_path):
-        run_dir = self._toy_run_dir(tmp_path)
+    def test_out_dir_writes_csv(self, toy_run_dir, tmp_path):
         out = str(tmp_path / "plots")
-        assert main(["costs", run_dir, "--out", out]) == 0
+        assert main(["costs", toy_run_dir, "--out", out]) == 0
         rows = open(os.path.join(out, "costs.csv")).read().strip().splitlines()
         assert len(rows) == 3
         # the test-cost column strictly increases
         costs = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(b > a for a, b in zip(costs, costs[1:]))
 
-    def test_level_without_misclassified_instances_is_omitted(self, tmp_path, capsys):
+    def test_level_without_misclassified_instances_is_omitted(self, toy_run_dir, capsys):
         # a level whose node misclassifies nothing ends the run with m = 0
-        run_dir = self._toy_run_dir(tmp_path)
+        run_dir = toy_run_dir
         path = os.path.join(run_dir, "ledger.json")
         doc = json.loads(open(path).read())
         doc["levels"].append({**doc["levels"][-1], "level": 3, "m": 0})
@@ -414,6 +432,17 @@ class TestCosts:
 
     def test_missing_ledger_is_exit_2(self, tmp_path):
         assert main(["costs", str(tmp_path / "empty")]) == 2
+
+    def test_levels_not_a_list_is_exit_2(self, tmp_path, capsys):
+        (tmp_path / "ledger.json").write_text('{"levels": 5}\n')
+        assert main(["costs", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'ledger.json'}: key 'levels' is missing or not a list\n"
+
+    def test_empty_out_is_exit_1(self, toy_run_dir, capsys):
+        assert main(["costs", toy_run_dir, "--out", ""]) == 1
+        assert capsys.readouterr() == \
+            ("", "error: output directory '' cannot be created or written\n")
 
 
 def _command_outputs(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from trisect import RngStream, accuracy, roc_auc, weighted_f1
 from trisect.cli import _scored_report
-from trisect.metrics import confusion_counts, per_class_report
+from trisect.metrics import confusion_counts, metrics_report, per_class_report
 
 
 def _oracle_weighted_f1(truth, predicted):
@@ -53,6 +53,8 @@ class TestWeightedF1:
             truth = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
             predicted = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
             assert weighted_f1(truth, predicted) == _oracle_weighted_f1(truth, predicted)
+            assert metrics_report(truth, predicted)["weighted_f1"] == \
+                _oracle_weighted_f1(truth, predicted)
 
     def test_relabeling_invariance(self):
         stream = RngStream(56, "inv")

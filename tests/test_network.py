@@ -11,7 +11,6 @@ from trisect import (
     RngStream,
     TrainHyper,
     adam_step,
-    assemble,
     classify_split,
     focal_loss,
     init_node,
@@ -31,11 +30,19 @@ from trisect.network import (
 )
 from trisect.numerics import ACTIVATION_KINDS, activate
 
-from conftest import NODE_1, NODE_2, TOY_FEATURES, TOY_LABELS, split_for, synthetic_dataset
+from conftest import (
+    NODE_1,
+    NODE_2,
+    TOY_FEATURES,
+    TOY_LABELS,
+    network_of,
+    split_for,
+    synthetic_dataset,
+)
 
 
 def _toy_net(nodes=(NODE_1,)):
-    return LayeredNetwork(list(nodes), "selu")
+    return network_of(nodes)
 
 
 class TestInitNode:
@@ -76,9 +83,9 @@ class TestForward:
 
     def test_zero_network_ties_to_positive(self):
         node = NodeParams(np.zeros(3), 0.0, np.zeros(2), np.zeros(2))
-        net = LayeredNetwork([node], "relu")
+        net = network_of([node], "relu")
         x = np.array([[0.5, 0.5, 0.5]])
-        _, _, scores, _ = forward_arrays(x, *net.assembled(), net.activation)
+        _, _, scores, _ = forward_arrays(x, *net.tensors, net.activation)
         assert scores.tolist() == [[0.0, 0.0]]
         labels, p_pos = predict_batch(net, x)
         assert labels.tolist() == [1]
@@ -86,18 +93,18 @@ class TestForward:
 
     def test_appending_node_preserves_first_preactivation(self):
         x = TOY_FEATURES[2]
-        one = assemble([NODE_1])
-        two = assemble([NODE_1, NODE_2])
+        one = _toy_net().tensors
+        two = _toy_net((NODE_1, NODE_2)).tensors
         z_one = one[0] @ x + one[1]
         z_two = two[0] @ x + two[1]
         assert z_two[0] == z_one[0]
 
     def test_forward_equals_per_node_contributions(self):
         net = _toy_net((NODE_1, NODE_2))
-        _, _, batch_scores, _ = forward_arrays(TOY_FEATURES, *net.assembled(), net.activation)
+        _, _, batch_scores, _ = forward_arrays(TOY_FEATURES, *net.tensors, net.activation)
         for x, scores in zip(TOY_FEATURES, batch_scores):
             total = NODE_2.b2.copy()
-            for node in net.nodes:
+            for node in (NODE_1, NODE_2):
                 total = total + node.w2 * activate("selu", float(node.w1 @ x + node.b1))
             assert np.abs(scores - total).max() <= 1e-12
 
@@ -106,6 +113,10 @@ class TestForward:
             predict_batch(_toy_net(), np.ones((1, 3)))
         with pytest.raises(ValueError):
             predict_batch(_toy_net(), np.ones(4))  # one row must still be 2-d
+
+    def test_empty_network_rejected(self):
+        with pytest.raises(ValueError, match="no nodes"):
+            predict_batch(LayeredNetwork.empty(4, "selu"), TOY_FEATURES)
 
 
 def _focal(p, y, delta, theta):
@@ -313,15 +324,15 @@ class TestPinnedTraining:
         X, y = ds.features, ds.labels
         stream = RngStream(8, "pin-node")
         fresh = init_node(4, "uniform", stream)
-        node = train_node(X[:96], y[:96], _toy_net(), fresh, self.HYPER, X[96:], y[96:], stream)
-        assert _sha256([node.w1, [node.b1], node.w2, node.b2]) == \
+        net = train_node(X[:96], y[:96], _toy_net(), fresh, self.HYPER, X[96:], y[96:], stream)
+        assert _sha256([net.W1[1], net.b1[1:], net.W2[:, 1], net.b2]) == \
             "d4d85c42e776db058fb4b5c23aabfccba96d124467d488ac5924046d7e02c17b"
 
     def test_train_fixed_topology_all_nodes(self):
         ds = synthetic_dataset(21, 120, 4)
         net = train_fixed_topology(ds, split_for(ds, 21), 3, self.HYPER, "selu", "uniform",
                                    RngStream(8, "pin-all"))
-        assert _sha256(net.assembled()) == \
+        assert _sha256(net.tensors) == \
             "d4e38741764ee3f44dcdbdcd2432006da78a30a41ec829426691bb3457cd7fee"
 
 
@@ -353,7 +364,7 @@ def test_pinned_training_grid(kind, trainable):
     for theta in (0.0, 1.5, 2.0):
         for l2 in (0.0, 0.1):
             stream = RngStream(5, f"grid-{kind}")
-            tensors = assemble([init_node(3, "uniform", stream) for _ in range(3)])
+            tensors = network_of([init_node(3, "uniform", stream) for _ in range(3)]).tensors
             hyper = TrainHyper(theta=theta, l2=l2, batch_size=16, max_epochs=6)
             history: list = []
             out = train_network(X[:45], y[:45], *tensors, kind, hyper, X[45:], y[45:],
@@ -375,7 +386,7 @@ class TestPinnedPredict:
     def test_tied_scores(self):
         node = NodeParams(np.array([1.0, -2.0]), 0.5, np.array([3.0, 3.0]),
                           np.array([0.25, 0.25]))
-        labels, p = predict_batch(LayeredNetwork([node], "swish"), _pin_rows(1, 50, 2))
+        labels, p = predict_batch(network_of([node], "swish"), _pin_rows(1, 50, 2))
         assert (p == 0.5).all() and (labels == 1).all()
         assert hashlib.sha256(p.tobytes()).hexdigest() == \
             "0ce0682cae4938d9a5e89dbb42c90e1374f48d1b61aaeeda2942ee62cfb9e922"
@@ -390,7 +401,7 @@ class TestPinnedPredict:
                                 np.array([stream.normal(0, 4), stream.normal(0, 4)]),
                                 np.array(b2))
                      for _ in range(2)]
-            labels, p = predict_batch(LayeredNetwork(nodes, "tanh"), X)
+            labels, p = predict_batch(network_of(nodes, "tanh"), X)
             h.update(p.tobytes())
             h.update(labels.tobytes())
         assert h.hexdigest() == \
@@ -408,9 +419,9 @@ class TestTrainNode:
     def test_zero_epochs_is_identity(self):
         X, y = self._data()
         fresh = init_node(4, "uniform", RngStream(1, "init"))
-        out = train_node(X, y, LayeredNetwork([], "selu"), fresh,
+        out = train_node(X, y, LayeredNetwork.empty(4, "selu"), fresh,
                          TrainHyper(max_epochs=0), None, None, RngStream(1, "init"))
-        assert out is fresh
+        assert all(np.array_equal(a, b) for a, b in zip(out.tensors, network_of([fresh]).tensors))
 
     def test_deterministic(self):
         X, y = self._data()
@@ -418,10 +429,10 @@ class TestTrainNode:
         for _ in range(2):
             stream = RngStream(9, "train")
             fresh = init_node(4, "uniform", stream)
-            node = train_node(X[:30], y[:30], LayeredNetwork([], "selu"), fresh,
-                              TrainHyper(max_epochs=15), X[30:], y[30:], stream)
-            results.append(node)
-        assert np.array_equal(results[0].w1, results[1].w1)
+            net = train_node(X[:30], y[:30], LayeredNetwork.empty(4, "selu"), fresh,
+                             TrainHyper(max_epochs=15), X[30:], y[30:], stream)
+            results.append(net)
+        assert np.array_equal(results[0].W1, results[1].W1)
         assert np.array_equal(results[0].b2, results[1].b2)
 
     def test_best_checkpoint_costs_non_increasing(self):
@@ -431,7 +442,7 @@ class TestTrainNode:
         stream = RngStream(12, "train")
         fresh = init_node(4, "uniform", stream)
         history: list = []
-        train_node(X[:30], y[:30], LayeredNetwork([], "selu"), fresh,
+        train_node(X[:30], y[:30], LayeredNetwork.empty(4, "selu"), fresh,
                    TrainHyper(max_epochs=40), X[30:], y[30:], stream, history=history)
         improving = [(tc, vc) for _, tc, vc, improved in history if improved]
         assert len(improving) >= 2
@@ -442,18 +453,18 @@ class TestTrainNode:
 
     def test_earlier_nodes_stay_frozen(self):
         X, y = self._data(seed=7)
-        frozen = LayeredNetwork([NODE_1], "selu")
+        frozen = _toy_net()
         stream = RngStream(3, "train")
         fresh = init_node(4, "uniform", stream)
-        node = train_node(X, y, frozen, fresh, TrainHyper(max_epochs=5),
-                          None, None, stream)
-        assert np.array_equal(frozen.nodes[0].w1, NODE_1.w1)
-        assert frozen.nodes[0].b1 == NODE_1.b1
-        assert not np.array_equal(node.w1, fresh.w1)  # the fresh node moved
+        net = train_node(X, y, frozen, fresh, TrainHyper(max_epochs=5),
+                         None, None, stream)
+        assert np.array_equal(net.W1[0], NODE_1.w1) and net.b1[0] == NODE_1.b1
+        assert np.array_equal(net.W2[:, 0], NODE_1.w2)
+        assert not np.array_equal(net.W1[1], fresh.w1)  # the fresh node moved
 
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValueError):
-            train_node(np.empty((0, 4)), np.empty(0), LayeredNetwork([], "selu"),
+            train_node(np.empty((0, 4)), np.empty(0), LayeredNetwork.empty(4, "selu"),
                        init_node(4, "uniform", RngStream(0)), TrainHyper(),
                        None, None, RngStream(0))
 
@@ -501,5 +512,5 @@ class TestModelJson:
         value = 1.0 / 3.0
         node = NodeParams(np.array([value]), value, np.array([value, value]),
                           np.array([value, value]))
-        doc = model_to_json(LayeredNetwork([node], "relu"), "none", (), None, {})
+        doc = model_to_json(network_of([node], "relu"), "none", (), None, {})
         assert float(doc["W1"][0][0]) == value

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from trisect import (
@@ -144,6 +147,24 @@ class TestSchedule:
     def test_t_too_small(self):
         with pytest.raises(ValueError):
             build_schedule(1, 0)
+
+    def test_seeded_schedules_are_pinned(self):
+        # every seed builds at t = 10 and 13; a change to the level sampler
+        # that moves any of these 400 schedules changes the digest
+        h = hashlib.sha256()
+        for t in (10, 13):
+            for seed in range(200):
+                doc = schedule_to_json(build_schedule(t, seed))
+                h.update(json.dumps(doc, sort_keys=True).encode())
+        assert h.hexdigest() == \
+            "363fcf29b83a2e21c4195f4eb7e289588384500827596f30594150bddffc0880"
+
+    @pytest.mark.parametrize("seed, level", [(0, 20), (1, 16)])
+    def test_collapsed_corridor_is_a_sampling_error(self, seed, level):
+        # the corridor narrows geometrically until no float lies inside it
+        with pytest.raises(SamplingError, match=rf"^level {level} of a t = 40 schedule, "
+                                                r"defer corridor \(beta, alpha\) = \(0\.\d+, "):
+            build_schedule(40, seed)
 
     def test_json_roundtrip(self):
         sched = build_schedule(4, 3)

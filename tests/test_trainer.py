@@ -6,28 +6,33 @@ import pytest
 from trisect import (
     ConfigError,
     Split,
+    ThresholdSchedule,
     TrainConfig,
     TrainHyper,
-    assemble,
     predict_batch,
     run,
 )
-from trisect.network import LayeredNetwork
+from trisect.baselines import run_stwd_nk
+from trisect.network import LayeredNetwork, classify_split
 from trisect.trainer import resolve_unit_costs
 
 from conftest import (
+    MATRIX_1,
+    MATRIX_2,
     NODE_1,
     NODE_2,
     TOY_FEATURES,
+    TOY_LABELS,
     TOY_SPLIT,
+    network_of,
     synthetic_dataset,
     split_for,
 )
 
 
 class TestWorkedExample:
-    def test_full_run(self, toy_dataset, toy_config):
-        net, ledger = run(toy_dataset, TOY_SPLIT, toy_config)
+    def test_full_run(self, toy_dataset, toy_config, toy_schedule):
+        net, ledger = run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule)
 
         assert net.n_nodes == 2
         level1, level2 = ledger.levels
@@ -44,9 +49,9 @@ class TestWorkedExample:
         assert ledger.neg == (0, 3, 4)  # x1, x4, x5
         assert ledger.bnd == ()
 
-    def test_assembled_matrices(self, toy_dataset, toy_config):
-        net, _ = run(toy_dataset, TOY_SPLIT, toy_config)
-        W1, b1, W2, b2 = net.assembled()
+    def test_assembled_matrices(self, toy_dataset, toy_config, toy_schedule):
+        net, _ = run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule)
+        W1, b1, W2, b2 = net.tensors
         expected_W1 = np.array([[0.8115, -1.0612, 0.3465, 0.1514],
                                 [-0.2338, -0.1741, 0.9333, 0.2477]])
         expected_W2 = np.array([[0.2019, 0.1343], [0.0860, 0.0133]])
@@ -55,40 +60,43 @@ class TestWorkedExample:
         assert np.abs(W2 - expected_W2).max() <= 1e-4
         assert np.abs(b2 - np.array([0.0768, 0.0821])).max() <= 1e-4
 
-    def test_fixture_exhaustion_is_an_error(self, toy_dataset, toy_config):
-        from dataclasses import replace
-
-        cfg = replace(toy_config, fixture_nodes=(NODE_1,))
-        with pytest.raises(ConfigError, match="fixture"):
-            run(toy_dataset, TOY_SPLIT, cfg)
+    @pytest.mark.parametrize("runner", [run, run_stwd_nk])
+    def test_schedule_must_span_the_level_cap(self, toy_dataset, toy_config, runner):
+        two_levels = ThresholdSchedule.from_matrices([MATRIX_1, MATRIX_2])
+        with pytest.raises(ConfigError, match="schedule spans 2 levels, config says 3"):
+            runner(toy_dataset, TOY_SPLIT, toy_config, two_levels)
 
 
 class TestAssemble:
+    """``LayeredNetwork.with_node`` stacks node i as row i of W1 and column i of W2."""
+
     def test_worked_example_stacking(self):
-        W1, b1, W2, b2 = assemble([NODE_1, NODE_2])
+        W1, b1, W2, b2 = network_of((NODE_1, NODE_2)).tensors
         assert W1.shape == (2, 4) and W2.shape == (2, 2)
         assert b2.tolist() == [0.0768, 0.0821]  # newest node's output bias
 
     def test_single_node_identity(self):
-        W1, b1, W2, b2 = assemble([NODE_1])
+        W1, b1, W2, b2 = network_of((NODE_1,)).tensors
         assert np.array_equal(W1[0], NODE_1.w1)
         assert b1[0] == NODE_1.b1
         assert np.array_equal(W2[:, 0], NODE_1.w2)
         assert np.array_equal(b2, NODE_1.b2)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            assemble([])
+        empty = LayeredNetwork.empty(4, "selu")
+        assert empty.n_nodes == 0 and empty.n_features == 4
+        with pytest.raises(ValueError, match="no nodes"):
+            classify_split(empty, TOY_FEATURES, TOY_LABELS, np.arange(10))
 
 
 class TestPredict:
     def test_worked_example_one_node(self):
-        net = LayeredNetwork([NODE_1], "selu")
+        net = network_of((NODE_1,))
         labels, _ = predict_batch(net, TOY_FEATURES[:6])
         assert labels.tolist() == [1, 1, 1, -1, 1, 1]
 
     def test_batch_equals_rowwise(self):
-        net = LayeredNetwork([NODE_1, NODE_2], "selu")
+        net = network_of((NODE_1, NODE_2))
         batch_labels, batch_scores = predict_batch(net, TOY_FEATURES)
         for i, x in enumerate(TOY_FEATURES):
             one_label, one_score = predict_batch(net, x[None, :])
