@@ -13,22 +13,19 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
 from . import baselines
 from .data import (apply_normalization, Dataset, fold_split, load_csv, make_folds,
-                   normalize, split_811)
+                   normalize, require_file, split_811)
 from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
 from .network import TrainHyper, model_to_json, model_from_json, predict_batch
 from .numerics import derive_stream
 from .threeway import build_schedule, schedule_to_json
 from .trainer import TrainConfig, run
-
-
-def _ident(s):
-    return s
 
 
 def _parse_norm(s):
@@ -49,62 +46,43 @@ def _parse_delta(s):
     return None if s == "auto" else float(s)
 
 
-# config key -> (TrainHyper field, value parser)
-HYPER_KEYS = {
-    "delta": ("delta", _parse_delta),
-    "theta": ("theta", float),
-    "l2": ("l2", float),
-    "lr": ("learning_rate", float),
-    "rho1": ("rho1", float),
-    "rho2": ("rho2", float),
-    "tau": ("tau", float),
-    "batch_size": ("batch_size", int),
-    "max_epochs": ("max_epochs", int),
-    "patience": ("patience", int),
+# config key -> value parser. A key named after a TrainHyper or TrainConfig field
+# (see FIELD_KEYS for the two renamed ones) sets that field and takes its default;
+# cost_lo and cost_hi make TrainConfig's cost_range; the other keys are the CLI's own.
+CONFIG_KEYS = {
+    "data": str, "label_col": str, "positive": str, "normalize": _parse_norm, "out": str,
+    "seed": int, "t": int, "activation": str, "init_dist": str,
+    "delta": _parse_delta, "theta": float, "l2": float, "lr": float,
+    "rho1": float, "rho2": float, "tau": float,
+    "batch_size": int, "max_epochs": int, "patience": int,
+    "epsilon": float, "clusters": int,
+    "unit_test_costs": _parse_costs, "unit_delay_costs": _parse_costs,
+    "cost_lo": float, "cost_hi": float,
+    "folds": int, "jobs": int, "kind": str, "grid_max_nodes": int, "m1_a": float,
 }
-# config key -> (TrainConfig field, value parser)
-RUN_KEYS = {
-    "seed": ("master_seed", int),
-    "t": ("t", int),
-    "activation": ("activation", _ident),
-    "init_dist": ("init_dist", _ident),
-    "epsilon": ("epsilon", float),
-    "clusters": ("clusters", int),
-    "unit_test_costs": ("unit_test_costs", _parse_costs),
-    "unit_delay_costs": ("unit_delay_costs", _parse_costs),
-}
-_HYPER, _RUN = TrainHyper(), TrainConfig()
-
-# key -> (default, value parser); the keys above take their defaults from
-# TrainHyper and TrainConfig
-CONFIG_SCHEMA = {
-    "data": (None, _ident),
-    "label_col": (None, _ident),
-    "positive": (None, _ident),
-    "normalize": ("min-max", _parse_norm),
-    "out": (None, _ident),  # unset: the command's default, see resolve_settings
-    **{key: (getattr(_HYPER, f), parse) for key, (f, parse) in HYPER_KEYS.items()},
-    **{key: (getattr(_RUN, f), parse) for key, (f, parse) in RUN_KEYS.items()},
-    "folds": (10, int),
-    "jobs": (1, int),
-    "kind": (None, _ident),
-    "cost_lo": (_RUN.cost_range[0], float),
-    "cost_hi": (_RUN.cost_range[1], float),
-    "grid_max_nodes": (10, int),
-    "m1_a": (4.0, float),
-}
-
-# keys that a command-line flag overrides (--label-col sets label_col)
-FLAG_KEYS = ("data", "label_col", "positive", "seed", "out", "folds", "jobs", "kind")
+FIELD_KEYS = {"learning_rate": "lr", "master_seed": "seed"}
+# config key -> the dataclass field it sets
+HYPER_FIELDS = {FIELD_KEYS.get(f.name, f.name): f for f in fields(TrainHyper)}
+RUN_FIELDS = {FIELD_KEYS.get(f.name, f.name): f for f in fields(TrainConfig)
+              if f.name not in ("hyper", "cost_range")}
+_COST_LO, _COST_HI = next(f.default for f in fields(TrainConfig) if f.name == "cost_range")
+# every key's default; None is unset, and an unset out is the command's default
+# (see resolve_settings)
+DEFAULTS = {**dict.fromkeys(CONFIG_KEYS),
+            **{key: f.default for key, f in {**HYPER_FIELDS, **RUN_FIELDS}.items()},
+            "cost_lo": _COST_LO, "cost_hi": _COST_HI,
+            "normalize": "min-max", "folds": 10, "jobs": 1, "grid_max_nodes": 10, "m1_a": 4.0}
 
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and #-comments ignored."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
+    require_file(path, "config file", ConfigError)
     raw = {}
-    with open(path, encoding="utf-8") as fh:
+    # each byte that is not UTF-8 reads as one of the lone surrogates U+DC80..U+DCFF
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                raise ConfigError(f"{path}:{lineno}: not valid UTF-8")
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -112,7 +90,7 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_SCHEMA:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value
     return raw
@@ -120,15 +98,14 @@ def parse_config_file(path: str) -> dict:
 
 def resolve_settings(args, default_out: str = "trisect-out") -> dict:
     """Defaults < config file < command-line flags; an unset ``out`` is ``default_out``."""
-    settings = {k: default for k, (default, _) in CONFIG_SCHEMA.items()}
-    if getattr(args, "config", None):
+    settings = dict(DEFAULTS)
+    if args.config:
         for key, value in parse_config_file(args.config).items():
-            _, parser = CONFIG_SCHEMA[key]
             try:
-                settings[key] = parser(value)
+                settings[key] = CONFIG_KEYS[key](value)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
-    for key in FLAG_KEYS:
+    for key in CONFIG_KEYS:  # the command's flags; args lacks the others
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -138,9 +115,9 @@ def resolve_settings(args, default_out: str = "trisect-out") -> dict:
 
 
 def _build_config(settings: dict) -> TrainConfig:
-    hyper = TrainHyper(**{f: settings[key] for key, (f, _) in HYPER_KEYS.items()})
+    hyper = TrainHyper(**{f.name: settings[key] for key, f in HYPER_FIELDS.items()})
     return TrainConfig(hyper=hyper, cost_range=(settings["cost_lo"], settings["cost_hi"]),
-                       **{f: settings[key] for key, (f, _) in RUN_KEYS.items()})
+                       **{f.name: settings[key] for key, f in RUN_FIELDS.items()})
 
 
 def _read_dataset(settings) -> Dataset:
@@ -176,8 +153,7 @@ def _read_run_json(run_dir: str, name: str, lists, parse):
     naming the file.
     """
     path = os.path.join(run_dir, name)
-    if not os.path.isfile(path):
-        raise DataError(f"{name} not found: {path}")
+    require_file(path, name, DataError)
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -266,9 +242,9 @@ def _write_bundle(settings, ds, split, net, ledger, schedule, extra_metrics=None
 
 def cmd_train(args) -> int:
     settings = resolve_settings(args)
-    ds = _load_dataset(settings)
-    schedule = build_schedule(settings["t"], settings["seed"])
     cfg = _build_config(settings)
+    schedule = build_schedule(cfg.t, cfg.master_seed)
+    ds = _load_dataset(settings)
     _check_output_dir(settings["out"])
     split = split_811(ds, derive_stream(cfg.master_seed, "split"))
     net, ledger = run(ds, split, cfg, schedule)
@@ -333,9 +309,10 @@ def cmd_crossval(args) -> int:
     jobs = settings["jobs"]
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    _build_config(settings)  # each fold builds its own; this checks the settings first
+    schedule = build_schedule(settings["t"], settings["seed"])
     ds = _load_dataset(settings)
     out = _check_output_dir(settings["out"])
-    schedule = build_schedule(settings["t"], settings["seed"])
     plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
     payloads = [(ds, plan, f, settings, schedule) for f in range(1, k + 1)]
     if jobs == 1:
@@ -375,12 +352,17 @@ def cmd_baseline(args) -> int:
     if kind not in baselines.BASELINE_KINDS:
         raise ConfigError(f"unknown baseline kind {kind!r} "
                           f"(choose from {', '.join(baselines.BASELINE_KINDS)})")
-    ds = _load_dataset(settings)
-    seed = settings["seed"]
-    split = split_811(ds, derive_stream(seed, "split"))
     cfg = _build_config(settings)
+    seed = cfg.master_seed
+    schedule = None
+    if kind == "twd-fixed":
+        schedule = baselines.twd_fixed_schedule(seed)
+    elif kind == "stwd-nk":
+        schedule = build_schedule(cfg.t, seed)
+    ds = _load_dataset(settings)
+    split = split_811(ds, derive_stream(seed, "split"))
     _check_output_dir(settings["out"])
-    ledger, schedule, extra_metrics = None, None, {}
+    ledger, extra_metrics = None, {}
 
     if kind in ("m1", "m2", "m3"):
         nodes = baselines.empirical_nodes(kind, ds.n_features, 2, settings["m1_a"])
@@ -392,10 +374,8 @@ def cmd_baseline(args) -> int:
                                                 cfg.hyper, cfg.activation, cfg.init_dist, seed)
         extra_metrics["best_nodes"] = best_nodes
     elif kind == "twd-fixed":
-        schedule = baselines.twd_fixed_schedule(seed)
         net, ledger = baselines.run_twd_fixed(ds, split, cfg, schedule)
     else:  # stwd-nk
-        schedule = build_schedule(settings["t"], settings["seed"])
         net, ledger = baselines.run_stwd_nk(ds, split, cfg, schedule)
     _write_bundle(settings, ds, split, net, ledger, schedule,
                   {"kind": kind, "nodes": net.n_nodes, **extra_metrics})
@@ -403,7 +383,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_costs(args) -> int:
-    resolve_settings(args)  # validates --config; only the --out flag redirects the output
     columns = ("level", "cost_test", "cost_delay")
     lines = _read_run_json(args.run_dir, "ledger.json", ("levels",),
                            lambda doc: _cost_lines(doc["levels"], columns))
@@ -420,13 +399,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# command -> (handler, whether it takes a run directory)
+# the flags of every command that reads a config file; --config names that file
+# and each other flag overrides the config key it names (--label-col: label_col)
+SHARED_FLAGS = ("config", "data", "label_col", "positive", "seed", "out")
+
+# command -> (handler, whether it takes a run directory, its flags)
 COMMANDS = {
-    "train": (cmd_train, False),
-    "eval": (cmd_eval, True),
-    "crossval": (cmd_crossval, False),
-    "baseline": (cmd_baseline, False),
-    "costs": (cmd_costs, True),
+    "train": (cmd_train, False, SHARED_FLAGS),
+    "eval": (cmd_eval, True, SHARED_FLAGS),
+    "crossval": (cmd_crossval, False, SHARED_FLAGS + ("folds", "jobs")),
+    "baseline": (cmd_baseline, False, SHARED_FLAGS + ("kind",)),
+    "costs": (cmd_costs, True, ("out",)),
 }
 
 # error type -> exit code; the first type an error is an instance of applies. The
@@ -446,13 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Grow a compact one-hidden-layer classifier with "
                                  "sequential three-way decisions")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (handler, needs_dir) in COMMANDS.items():
+    for name, (handler, needs_dir, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         if needs_dir:
             p.add_argument("run_dir")
-        p.add_argument("--config")
-        for key in FLAG_KEYS:
-            p.add_argument("--" + key.replace("_", "-"), type=CONFIG_SCHEMA[key][1])
+        for key in flags:
+            p.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS.get(key, str))
         p.set_defaults(handler=handler)
     return parser
 

@@ -167,6 +167,14 @@ def _scan_rows(reader, header, label_idx: int, feature_names):
     return np.array(feats, dtype=np.float64), raw_labels, rows_read, rows_dropped
 
 
+def require_file(path: str, what: str, error: type) -> None:
+    """Raise ``error`` naming ``path`` unless it is an existing regular file."""
+    if os.path.isdir(path):
+        raise error(f"{what} expected, but {path} is a directory")
+    if not os.path.isfile(path):
+        raise error(f"{what} not found: {path}")
+
+
 def load_csv(path: str, label_column, positive_label) -> Dataset:
     """Load a UTF-8, header-first CSV into a Dataset.
 
@@ -179,8 +187,7 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     cannot read (a cell longer than its field limit) and label columns
     without exactly two distinct values are errors.
     """
-    if not os.path.isfile(path):
-        raise DataError(f"dataset file not found: {path}")
+    require_file(path, "dataset file", DataError)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from trisect import (
-    Dataset,
     RngStream,
     TrainConfig,
     TrainHyper,
@@ -54,8 +53,6 @@ from conftest import (
     RECORDED_GAMMA,
     RECORDED_PAIRS,
     TOY_FEATURES,
-    TOY_LABELS,
-    TOY_SEED,
     TOY_SPLIT,
     network_of,
     synthetic_dataset,
@@ -67,21 +64,6 @@ from test_discretize import _lloyd_fixed_point
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[ACCEPTANCE {criterion:>2}] {'PASS' if ok else 'FAIL'} {detail}")
-
-
-def _toy_dataset():
-    return Dataset(TOY_FEATURES.copy(), TOY_LABELS.copy(), ("a1", "a2", "a3", "a4"))
-
-
-def _toy_config():
-    return TrainConfig(t=3, activation="selu", master_seed=TOY_SEED,
-                       unit_test_costs=(1.0, 2.0, 3.0),
-                       unit_delay_costs=(1.0, 2.0, 3.0),
-                       epsilon=2.0, clusters=2)
-
-
-def _toy_schedule():
-    return ThresholdSchedule(RECORDED_PAIRS, RECORDED_GAMMA, (MATRIX_1, MATRIX_2, MATRIX_3))
 
 
 # the fixture matrices are written to four decimals
@@ -212,11 +194,10 @@ def test_c03_process_costs():
     assert second == (7.0, 4.0)
 
 
-def test_c04_worked_example_end_to_end(worked_nodes):
+def test_c04_worked_example_end_to_end(toy_dataset, toy_config, toy_schedule):
     """Replay of the documented two-level run with its optimized nodes, in < 1 s."""
     t0 = time.perf_counter()
-    ds = _toy_dataset()
-    net, ledger = run(ds, TOY_SPLIT, _toy_config(), _toy_schedule())
+    net, ledger = run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule)
     elapsed = time.perf_counter() - t0
 
     from trisect.network import predict_batch

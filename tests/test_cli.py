@@ -2,8 +2,10 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +113,47 @@ class TestTrain:
                      "--out", out]) == 1
         assert capsys.readouterr().err == \
             f"error: output directory {out!r} cannot be created or written\n"
+
+    def test_directory_as_data_is_exit_2(self, tmp_path, capsys):
+        assert main(["train", "--data", str(tmp_path), "--label-col", "D", "--positive", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: dataset file expected, but {tmp_path} is a directory\n"
+
+    def test_directory_as_config_is_exit_1(self, toy_csv, tmp_path, capsys):
+        assert main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: config file expected, but {tmp_path} is a directory\n"
+
+    def test_undecodable_config_names_its_line(self, toy_csv, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes("t = 4\n# café\n".encode() + b"l2 = 0.\xff1\n")
+        assert main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("command", [["train"], ["crossval"],
+                                         ["baseline", "--kind", "stwd-nk"]])
+    @pytest.mark.parametrize("setting, code, message", [
+        ("lr = 0", 1, "error: learning rate must be positive"),
+        ("t = 40", 3, "error: level 20 of a t = 40 schedule, "),  # seed 0's corridor collapses
+    ])
+    def test_settings_are_checked_before_the_data_is_read(self, tmp_path, monkeypatch, capsys,
+                                                          command, setting, code, message):
+        import trisect.cli as cli
+
+        def never(*args):
+            raise AssertionError("read the data before checking the settings")
+
+        monkeypatch.setattr(cli, "load_csv", never)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(setting + "\n")
+        assert main([*command, "--data", str(tmp_path / "absent.csv"), "--label-col", "D",
+                     "--positive", "1", "--seed", "0", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
 
     def test_missing_required_setting_is_exit_1(self, toy_csv, tmp_path):
         code = main(["train", "--data", toy_csv, "--out", str(tmp_path / "o")])
@@ -443,6 +486,62 @@ class TestCosts:
         assert main(["costs", toy_run_dir, "--out", ""]) == 1
         assert capsys.readouterr() == \
             ("", "error: output directory '' cannot be created or written\n")
+
+
+@pytest.fixture(scope="module")
+def trained_toy_run(tmp_path_factory):
+    """(run directory, CSV, config file) of one short train run on the worked example."""
+    root = tmp_path_factory.mktemp("toyrun")
+    data = root / "toy.csv"
+    data.write_text(toy_csv_text())
+    cfg = _fast_config(root)
+    run_dir = str(root / "run")
+    assert main(["train", "--data", str(data), "--label-col", "D", "--positive", "1",
+                 "--config", cfg, "--out", run_dir]) == 0
+    return run_dir, str(data), cfg
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", ["--jobs", "2"]),
+    ("train", ["--folds", "3"]),
+    ("train", ["--kind", "m2"]),
+    ("eval", ["--kind", "m2"]),
+    ("costs", ["--config"]),
+])
+def test_flag_of_another_command_is_exit_1(trained_toy_run, tmp_path, capsys, command, flag):
+    run_dir, data, cfg = trained_toy_run
+    argv = [command]
+    if command in ("eval", "costs"):
+        argv.append(run_dir)
+    if command != "costs":
+        argv += ["--data", data, "--label-col", "D", "--positive", "1"]
+    if flag == ["--config"]:
+        flag = ["--config", cfg]
+    out = tmp_path / "o"
+    assert main(argv + flag + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    assert not out.exists()
+
+
+def _readme_table(header):
+    """The backticked words of each cell of each row of the README table under ``header``."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[lines.index(header) + 2:])  # past the |---| row
+    return [[re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:-1]] for row in rows]
+
+
+def test_readme_lists_every_config_key_and_every_command_flag():
+    import trisect.cli as cli
+
+    keys = [key for row in _readme_table("| key | default | meaning |") for key in row[0]]
+    assert sorted(keys) == sorted(cli.CONFIG_KEYS)
+    assert list(cli.DEFAULTS) == list(cli.CONFIG_KEYS)  # no dataclass field lacks a key
+    flags = {row[0][0]: row[1] for row in _readme_table("| command | arguments |")}
+    assert flags == {name: ["run_dir"] * needs_dir + ["--" + key.replace("_", "-") for key in keys]
+                     for name, (_, needs_dir, keys) in cli.COMMANDS.items()}
 
 
 def _command_outputs(tmp_path):
