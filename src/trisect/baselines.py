@@ -51,11 +51,7 @@ def train_fixed_topology(ds: Dataset, split: Split, nodes: int, hyper: TrainHype
     X, y = ds.features, ds.labels
     tr = list(split.train)
     va = list(split.validation)
-    X_val = X[va] if va else None
-    y_val = y[va] if va else None
-    tensors = train_network(X[tr], y[tr], *drawn.tensors, activation, hyper, X_val, y_val,
-                            stream, trainable="all", history=history)
-    return LayeredNetwork(*tensors, activation)
+    return train_network(drawn, X[tr], y[tr], hyper, X[va], y[va], stream, history=history)
 
 
 def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,

@@ -403,10 +403,11 @@ class _Parser(argparse.ArgumentParser):
 # and each other flag overrides the config key it names (--label-col: label_col)
 SHARED_FLAGS = ("config", "data", "label_col", "positive", "seed", "out")
 
-# command -> (handler, whether it takes a run directory, its flags)
+# command -> (handler, whether it takes a run directory, its flags); eval trains
+# nothing, so it takes no --seed
 COMMANDS = {
     "train": (cmd_train, False, SHARED_FLAGS),
-    "eval": (cmd_eval, True, SHARED_FLAGS),
+    "eval": (cmd_eval, True, ("config", "data", "label_col", "positive", "out")),
     "crossval": (cmd_crossval, False, SHARED_FLAGS + ("folds", "jobs")),
     "baseline": (cmd_baseline, False, SHARED_FLAGS + ("kind",)),
     "costs": (cmd_costs, True, ("out",)),

@@ -188,43 +188,46 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     without exactly two distinct values are errors.
     """
     require_file(path, "dataset file", DataError)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty CSV file") from None
-        except csv.Error as err:
-            raise DataError(f"header cannot be read: {err}") from None
-        header = [h.strip() for h in header]
-        if isinstance(label_column, int):
-            label_idx = label_column
-        elif label_column in header:
-            label_idx = header.index(label_column)
-        else:
-            try:
-                label_idx = int(label_column)
-            except (TypeError, ValueError):
-                raise DataError(f"label column {label_column!r} not in header") from None
-        if not 0 <= label_idx < len(header):
-            raise DataError(f"label column index {label_idx} out of range")
-
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        table = _parse_table(fh, len(header), label_idx)
-        if table is None:
-            fh.seek(0)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)
-            features, raw_labels, rows_read, rows_dropped = _scan_rows(
-                reader, header, label_idx, feature_names)
-        else:
-            features, raw_labels = table
-            rows_read, rows_dropped = len(raw_labels), 0
-            finite = np.isfinite(features)
-            if not finite.all():  # blank lines are skipped by both parsers, so row = index + 1
-                row, col = np.argwhere(~finite)[0]
-                raise DataError(f"non-finite value {float(features[row, col])} in column "
-                                f"{feature_names[col]!r}, row {row + 1}")
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError("empty CSV file") from None
+            except csv.Error as err:
+                raise DataError(f"header cannot be read: {err}") from None
+            header = [h.strip() for h in header]
+            if isinstance(label_column, int):
+                label_idx = label_column
+            elif label_column in header:
+                label_idx = header.index(label_column)
+            else:
+                try:
+                    label_idx = int(label_column)
+                except (TypeError, ValueError):
+                    raise DataError(f"label column {label_column!r} not in header") from None
+            if not 0 <= label_idx < len(header):
+                raise DataError(f"label column index {label_idx} out of range")
+
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            table = _parse_table(fh, len(header), label_idx)
+            if table is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                features, raw_labels, rows_read, rows_dropped = _scan_rows(
+                    reader, header, label_idx, feature_names)
+            else:
+                features, raw_labels = table
+                rows_read, rows_dropped = len(raw_labels), 0
+                finite = np.isfinite(features)
+                if not finite.all():  # blank lines are skipped by both parsers, so row = index + 1
+                    row, col = np.argwhere(~finite)[0]
+                    raise DataError(f"non-finite value {float(features[row, col])} in column "
+                                    f"{feature_names[col]!r}, row {row + 1}")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})") from None
 
     if len(features) < 2:
         raise DataError(f"need at least 2 usable data rows, got {len(features)}")

@@ -213,27 +213,27 @@ def regularized_cost(losses, W1, b1, W2, b2, l2: float) -> float:
 
 
 class AdamState:
-    """First/second moment estimates plus the step counter."""
+    """First/second moment estimates of one parameter vector plus the step counter."""
 
-    def __init__(self, params):
-        self.V = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
-        self.S = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in params]
+    def __init__(self, param):
+        self.V = np.zeros_like(np.asarray(param, dtype=np.float64))
+        self.S = np.zeros_like(self.V)
         self.h = 0
 
 
-def adam_step(state: AdamState, params, grads, hyper: TrainHyper) -> None:
-    """One bias-corrected Adam update of ``state`` and each ``params`` array, in place."""
-    if len(params) != len(grads) or any(p.shape != g.shape for p, g in zip(params, grads)):
-        raise ValueError("parameter and gradient shapes must agree")
+def adam_step(state: AdamState, param, grad, hyper: TrainHyper) -> None:
+    """One bias-corrected Adam update of ``state`` and the ``param`` array, in place."""
+    if param.shape != grad.shape or param.shape != state.V.shape:
+        raise ValueError("parameter, gradient and moment shapes must agree")
     state.h += 1
     corr1 = 1.0 - hyper.rho1**state.h
     corr2 = 1.0 - hyper.rho2**state.h
-    for p, g, v, s in zip(params, grads, state.V, state.S):
-        v *= hyper.rho1
-        v += (1.0 - hyper.rho1) * g
-        s *= hyper.rho2
-        s += (1.0 - hyper.rho2) * g * g
-        p -= hyper.learning_rate * (v / corr1) / (np.sqrt(s / corr2) + hyper.tau)
+    v, s = state.V, state.S
+    v *= hyper.rho1
+    v += (1.0 - hyper.rho1) * grad
+    s *= hyper.rho2
+    s += (1.0 - hyper.rho2) * grad * grad
+    param -= hyper.learning_rate * (v / corr1) / (np.sqrt(s / corr2) + hyper.tau)
 
 
 def _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
@@ -266,45 +266,37 @@ def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
     return c, (dW1, db1, dW2, db2)
 
 
-def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
-                  X_val, y_val, stream: RngStream, trainable="all", history=None):
-    """Mini-batch Adam with early stopping on validation cost.
+def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
+                  stream: RngStream, first: int = 0, history=None) -> LayeredNetwork:
+    """Mini-batch Adam on nodes ``first`` onward, with early stopping on validation cost.
 
-    ``trainable`` is either "all" or the index of the single node whose
-    w1 row, b1 entry, and W2 column may move (the output bias b2 always
-    trains). Adam updates one vector packing those slices, and each step
-    writes it back into them. Returns the
-    best-validation copies of the four tensors. When the validation set is
-    empty the training cost drives early stopping. If ``history`` is a
-    list, (epoch, train_cost, val_cost, improved) tuples are appended per
-    evaluated checkpoint.
+    Row i of W1, entry i of b1 and column i of W2 move for every node
+    i >= ``first``, and the output bias b2 always does; earlier nodes stay
+    as they are. Adam updates one vector packing those slices, and each
+    step writes it back into them. Returns the network at its best
+    validation cost. When the validation set is empty the training cost
+    drives early stopping. If ``history`` is a list, (epoch, train_cost,
+    val_cost, improved) tuples are appended per evaluated checkpoint.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.shape[0] == 0:
         raise ValueError("training set is empty")
-    W1, b1 = W1.copy(), b1.copy()
-    W2, b2 = W2.copy(), b2.copy()
-    loss = (activation, resolve_delta(hyper, y), hyper.theta, hyper.l2)
+    W1, b1, W2, b2 = (a.copy() for a in net.tensors)
+    loss = (net.activation, resolve_delta(hyper, y), hyper.theta, hyper.l2)
     if X_val is None or len(X_val) == 0:
         X_val, y_val = X, y
 
     def snapshot():
         return W1.copy(), b1.copy(), W2.copy(), b2.copy()
 
-    if trainable == "all":
-        params = [W1, b1, W2, b2]
-        pick = lambda grads: grads
-    else:
-        i = int(trainable)
-        params = [W1[i], b1[i:i + 1], W2[:, i], b2]
-        pick = lambda grads: (grads[0][i], grads[1][i:i + 1], grads[2][:, i], grads[3])
+    params = [W1[first:], b1[first:], W2[:, first:], b2]
     # Adam is elementwise, so packing the slices into one vector changes no bit
     flat = np.concatenate(params, axis=None)
     ends = np.cumsum([p.size for p in params]).tolist()
     unpacked = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
 
-    state = AdamState([flat])
+    state = AdamState(flat)
     best_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
     best = snapshot()
     if history is not None:
@@ -316,8 +308,9 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
         rows = np.array(order)
         for start in range(0, len(rows), hyper.batch_size):
             batch = rows[start:start + hyper.batch_size]
-            _, grads = cost_and_grads(X[batch], y[batch], W1, b1, W2, b2, *loss)
-            adam_step(state, [flat], [np.concatenate(pick(grads), axis=None)], hyper)
+            _, (dW1, db1, dW2, db2) = cost_and_grads(X[batch], y[batch], W1, b1, W2, b2, *loss)
+            grad = np.concatenate((dW1[first:], db1[first:], dW2[:, first:], db2), axis=None)
+            adam_step(state, flat, grad, hyper)
             for p, part in zip(params, unpacked):
                 p[...] = part
         val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
@@ -332,7 +325,7 @@ def train_network(X, y, W1, b1, W2, b2, activation, hyper: TrainHyper,
             history.append((epoch, cost(X, y, W1, b1, W2, b2, *loss), val_cost, improved))
         if bad_epochs >= hyper.patience:
             break
-    return best
+    return LayeredNetwork(*best, net.activation)
 
 
 def train_node(X_active, y_active, frozen: LayeredNetwork, fresh: NodeParams,
@@ -348,10 +341,8 @@ def train_node(X_active, y_active, frozen: LayeredNetwork, fresh: NodeParams,
     grown = frozen.with_node(fresh)
     if hyper.max_epochs == 0:
         return grown
-    tensors = train_network(X_active, y_active, *grown.tensors, grown.activation, hyper,
-                            X_val, y_val, stream, trainable=grown.n_nodes - 1,
-                            history=history)
-    return LayeredNetwork(*tensors, grown.activation)
+    return train_network(grown, X_active, y_active, hyper, X_val, y_val, stream,
+                         first=frozen.n_nodes, history=history)
 
 
 def classify_split(net: LayeredNetwork, X, y, indices):

@@ -7,10 +7,12 @@ thresholds: accepted/rejected classes are settled, deferred classes carry
 over to the next level. The final level applies the forced two-way
 threshold, so the loop always terminates within the configured level cap.
 
-Instances keep the category they received when first discretized, so later
-levels partition shrinking subsets of a fixed granulation (classes never
-split mid-run); the discretizer-free variant groups identical raw feature
-rows instead.
+The granulation is made once, at level 1, over that level's misclassified
+instances (k-means categories, or identical raw feature rows for the
+discretizer-free variant). Every later level's misclassified instances were
+deferred at the level before, so they are a subset of level 1's, and each
+level groups them by the category they received there: later levels
+partition shrinking subsets of one fixed granulation.
 """
 
 from __future__ import annotations
@@ -184,22 +186,16 @@ def resolve_unit_costs(cfg: TrainConfig):
     return tuple(values), tuple(values)
 
 
-def _distinct_row_count(X: np.ndarray) -> int:
-    return np.unique(X, axis=0).shape[0]
-
-
-def _kmeans_categories(ds, members, categories, cfg, level):
-    """Cached k-means category of each of ``members``, clustering the new ones."""
-    missing = [i for i in members if i not in categories]
-    if missing:
-        pts = ds.features[np.array(missing)]
-        k_eff = min(cfg.clusters, _distinct_row_count(pts))
-        stream = derive_stream(cfg.master_seed, f"kmeans-level-{level}")
-        clustering = kmeans_cluster(pts, k_eff, stream)
-        base = max(categories.values(), default=-1) + 1
-        for local, inst in enumerate(missing):
-            categories[inst] = base + int(clustering.assignments[local])
-    return [categories[i] for i in members]
+def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
+    """Category of each row of ``points``: its k-means cluster among at most
+    ``cfg.clusters`` clusters, or, if ``identity``, an id per distinct raw row
+    (compared as bytes, so -0.0 and 0.0 stay apart)."""
+    if identity:
+        ids: dict[bytes, int] = {}
+        return [ids.setdefault(row.tobytes(), len(ids)) for row in points]
+    k = min(cfg.clusters, len(np.unique(points, axis=0)))
+    stream = derive_stream(cfg.master_seed, "kmeans-level-1")
+    return kmeans_cluster(points, k, stream).assignments
 
 
 def _run_core(ds: Dataset, split: Split, cfg: TrainConfig,
@@ -221,13 +217,12 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig,
     if train_idx.size == 0:
         raise ValueError("training split is empty")
     val_idx = np.array(split.validation, dtype=np.int64)
-    X_val = X[val_idx] if val_idx.size else None
-    y_val = y[val_idx] if val_idx.size else None
+    X_val, y_val = X[val_idx], y[val_idx]
 
     unit_test, unit_delay = resolve_unit_costs(cfg)
     process = (0.0, 0.0)
     net = LayeredNetwork.empty(ds.n_features, cfg.activation)
-    categories: dict[int, int] = {}
+    category = np.empty(len(X), dtype=np.int64)
     pos_idx: set[int] = set()
     neg_idx: set[int] = set()
     records: list[LevelRecord] = []
@@ -251,9 +246,10 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig,
             active = ()
             break
 
-        keys = ([ds.features[i].tobytes() for i in mn] if identity
-                else _kmeans_categories(ds, mn, categories, cfg, level))
-        classes = build_equivalence_classes(mn, keys, ds.labels)
+        misclassified = np.array(mn, dtype=np.int64)
+        if level == 1:  # later levels' misclassified rows are level 1's deferred ones
+            category[misclassified] = _granulate(X[misclassified], cfg, identity)
+        classes = build_equivalence_classes(mn, category[misclassified].tolist(), ds.labels)
 
         if not fixed:
             j = level

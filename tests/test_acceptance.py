@@ -31,6 +31,7 @@ from trisect import (
     run_twd_fixed,
     split_811,
     thresholds_from,
+    trainer,
 )
 from trisect.cli import main as cli_main
 from trisect.discretize import kmeans_cluster, within_sse
@@ -353,6 +354,33 @@ def test_c08_cost_monotonicity(synthetic_runs):
     assert grown >= 4
 
 
+def test_multi_level_suite_clusters_once_at_level_1(monkeypatch):
+    """k-means runs once per run of the C08 multi-level suite, on level 1's
+    misclassified rows and stream; later levels reuse those categories."""
+    first_misses, calls = [], []
+    cluster, split = trainer.kmeans_cluster, trainer.classify_split
+
+    def recorded_split(net, X, y, indices):
+        pn, mn, nn = split(net, X, y, indices)
+        if net.n_nodes == 1:
+            first_misses.append(X[np.isin(indices, mn)])
+        return pn, mn, nn
+
+    def recorded_cluster(points, k, stream, *args, **kwargs):
+        calls.append((len(first_misses) - 1, points.copy(), stream.stream_id))
+        return cluster(points, k, stream, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "classify_split", recorded_split)
+    monkeypatch.setattr(trainer, "kmeans_cluster", recorded_cluster)
+    ledgers = [ledger for _, ledger in _multi_level_suite()]
+    clustered = [r for r, ledger in enumerate(ledgers) if ledger.levels[0].m > 0]
+    assert [r for r, _, _ in calls] == clustered
+    for r, points, stream_id in calls:
+        assert stream_id == "kmeans-level-1"
+        assert points.tobytes() == first_misses[r].tobytes()
+    assert sum(len(ledger.levels) > 1 for ledger in ledgers) >= 4
+
+
 def test_c09_gradient_check():
     """Analytic cost gradients vs central differences, 100 points per kind."""
     from test_network import _random_setup
@@ -384,16 +412,16 @@ def test_c10_adam_oracle():
     """Hand-computed single step to 1e-12; zero gradient is a no-op."""
     hyper = Hyper(learning_rate=0.1, rho1=0.9, rho2=0.999, tau=1e-8)
     param = np.array([0.5])
-    state = AdamState([param])
-    adam_step(state, [param], [np.array([1.0])], hyper)
+    state = AdamState(param)
+    adam_step(state, param, np.array([1.0]), hyper)
     expected = 0.5 - 0.1 / (1.0 + 1e-8)
     delta_ok = abs(param[0] - expected) <= 1e-12
-    moments_ok = (abs(state.V[0][0] - 0.1) <= 1e-15
-                  and abs(state.S[0][0] - 0.001) <= 1e-15)
+    moments_ok = (abs(state.V[0] - 0.1) <= 1e-15
+                  and abs(state.S[0] - 0.001) <= 1e-15)
 
-    params = [np.array([1.0, -2.0])]
-    adam_step(AdamState(params), params, [np.zeros(2)], hyper)
-    zero_ok = np.array_equal(params[0], [1.0, -2.0])
+    param = np.array([1.0, -2.0])
+    adam_step(AdamState(param), param, np.zeros(2), hyper)
+    zero_ok = np.array_equal(param, [1.0, -2.0])
 
     ok = delta_ok and moments_ok and zero_ok
     report(10, ok, "single-step oracle and zero-gradient no-op")

@@ -18,6 +18,7 @@ from trisect import (
     split_811,
     train_fixed_topology,
 )
+from trisect import trainer
 from trisect.network import predict_batch
 from trisect.threeway import ThresholdSchedule, build_schedule, sample_cost_matrix
 from trisect.metrics import accuracy
@@ -223,6 +224,28 @@ class TestStwdNk:
             # any non-settled class must carry a strictly fractional p
             assert first.rule in ("three-way", "two-way")
         assert ledger.bnd == ()
+
+    def test_signed_zeros_stay_separate_classes(self, monkeypatch):
+        # 0.0 and -0.0 rows predict alike, so each label group misclassifies
+        # two rows of each sign; grouping by the rows' bytes keeps them apart
+        classes = []
+        build = trainer.build_equivalence_classes
+
+        def recorded_build(*args):
+            classes.append(build(*args))
+            return classes[-1]
+
+        monkeypatch.setattr(trainer, "build_equivalence_classes", recorded_build)
+        X = np.array([[0.0, 0.0], [-0.0, -0.0]] * 5)
+        y = np.array([1, 1, 1, 1, -1, -1, -1, -1, 1, -1])
+        ds = Dataset(X, y, ("f0", "f1"))
+        split = Split(train=tuple(range(8)), validation=(8,), test=(9,))
+        cfg = TrainConfig(t=2, master_seed=3, hyper=TrainHyper(max_epochs=1, batch_size=4))
+        run_stwd_nk(ds, split, cfg)
+        level1 = classes[0]
+        assert [c.size for c in level1] == [2, 2]
+        for c in level1:
+            assert len({X[i].tobytes() for i in c.members}) == 1
 
     def test_parameters_match_sequential_variant(self):
         # identical seeds: only the grouping differs from the standard run

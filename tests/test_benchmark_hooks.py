@@ -43,13 +43,14 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         for row, label in zip(ds.features.tolist(), ds.labels.tolist())))
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("max_epochs = 5\nbatch_size = 32\nt = 4\nl2 = 0.01\n")
-    shared = ["--data", str(data), "--label-col", "y", "--positive", "1",
-              "--seed", "2", "--config", str(cfg)]
-    if command == "eval":
-        model = _trisect(["-m", "trisect.cli", "train", *shared,
+    shared = ["--data", str(data), "--label-col", "y", "--positive", "1", "--config", str(cfg)]
+    seed = ["--seed", "2"]
+    if command == "eval":  # eval takes no --seed
+        model = _trisect(["-m", "trisect.cli", "train", *shared, *seed,
                           "--out", str(tmp_path / "model")], tmp_path)
         assert model.returncode == 0, model.stderr
-    args = [command, *extra, *shared]
+        seed = []
+    args = [command, *extra, *shared, *seed]
     spans = tmp_path / "spans.json"
 
     plain = _trisect(["-m", "trisect.cli", *args, "--out", str(tmp_path / "plain")], tmp_path)
@@ -70,8 +71,16 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         # exists only while the trainer calls k-means as trainer.kmeans_cluster
         kmeans = [s for s in traced_spans if s["name"] == "discretize.kmeans"]
         levels = json.loads((tmp_path / "traced" / "ledger.json").read_text())["levels"]
-        assert kmeans and kmeans[0]["points"] == levels[0]["m"] == 6
+        assert len(kmeans) == 1 and kmeans[0]["points"] == levels[0]["m"] == 6
         assert kmeans[0]["iters"] == 1
+        # network.epochs needs train_node's history at position 8, and the
+        # batch metrics one adam_step per cost_and_grads, both looked up by name
+        nodes = [s for s in traced_spans if s["name"] == "network.train_node"]
+        assert len(nodes) == len(levels)
+        assert all(1 <= s["epochs"] <= 5 for s in nodes)
+        steps = [s for s in traced_spans if s["name"] == "network.adam_step"]
+        assert steps and len(steps) == sum(s["name"] == "network.cost_and_grads"
+                                           for s in traced_spans)
         # the threeway.* metrics exist only while the level rule calls the
         # partition, risk and cost accrual through trainer's own names: one
         # partition and two risk spans (decision risk, cost accrual) a level

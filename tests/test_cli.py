@@ -507,6 +507,7 @@ def trained_toy_run(tmp_path_factory):
     ("train", ["--kind", "m2"]),
     ("eval", ["--kind", "m2"]),
     ("costs", ["--config"]),
+    ("eval", ["--seed", "5"]),
 ])
 def test_flag_of_another_command_is_exit_1(trained_toy_run, tmp_path, capsys, command, flag):
     run_dir, data, cfg = trained_toy_run
@@ -552,12 +553,12 @@ def _command_outputs(tmp_path):
     """
     data = _write_synth_csv(tmp_path / "synth.csv")
     cfg = _fast_config(tmp_path, l2=0.01, grid_max_nodes=3)
-    shared = ["--data", data, "--label-col", "label", "--positive", "yes", "--seed", "0",
-              "--config", cfg]
+    data_flags = ["--data", data, "--label-col", "label", "--positive", "yes", "--config", cfg]
+    shared = [*data_flags, "--seed", "0"]
     run_dir = str(tmp_path / "train")
     stdout = io.StringIO()
     commands = [["train", *shared, "--out", run_dir],
-                ["eval", run_dir, *shared],
+                ["eval", run_dir, *data_flags],
                 ["costs", run_dir, "--out", str(tmp_path / "costs")],
                 ["crossval", *shared, "--folds", "3", "--out", str(tmp_path / "crossval")]]
     commands += [["baseline", "--kind", kind, *shared, "--out", str(tmp_path / kind)]

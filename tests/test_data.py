@@ -156,6 +156,17 @@ def test_load_csv_parity_table(tmp_path, text, label_col, expected):
                             "label_mapping": mapping}
 
 
+@pytest.mark.parametrize("content", [b"a\xff,D\n1,x\n2,y\n", b"a,D\n1,x\n2\xff,y\n",
+                                     b"a,D\n1,x\n2,y\xff\n"],
+                         ids=["header", "feature-cell", "label-cell"])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, content):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(content)
+    with pytest.raises(DataError) as err:
+        load_csv(str(path), "D", "x")
+    assert str(err.value) == f"{path}: not valid UTF-8 (byte 0xff)"
+
+
 def _oracle(text: str, label_idx: int):
     """csv.reader and float(c.strip()): features, labels, rows read, rows dropped."""
     feats, labels, read, dropped = [], [], 0, 0

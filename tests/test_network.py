@@ -182,30 +182,29 @@ class TestRegularizedCost:
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         hyper = TrainHyper()
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        before = [p.copy() for p in params]
-        assert adam_step(AdamState(params), params, [np.zeros(2), np.zeros((1, 1))], hyper) is None
-        assert np.array_equal(params[0], before[0])
-        assert np.array_equal(params[1], before[1])
+        param = np.array([1.0, -2.0, 3.0])
+        before = param.copy()
+        assert adam_step(AdamState(param), param, np.zeros(3), hyper) is None
+        assert np.array_equal(param, before)
 
     def test_single_step_hand_computed(self):
         hyper = TrainHyper(learning_rate=0.1, rho1=0.9, rho2=0.999, tau=1e-8)
         param = np.array([0.0])
-        state = AdamState([param])
-        adam_step(state, [param], [np.array([1.0])], hyper)
+        state = AdamState(param)
+        adam_step(state, param, np.array([1.0]), hyper)
         assert state.h == 1
-        assert state.V[0][0] == pytest.approx(0.1, abs=1e-15)
-        assert state.S[0][0] == pytest.approx(0.001, abs=1e-15)
+        assert state.V[0] == pytest.approx(0.1, abs=1e-15)
+        assert state.S[0] == pytest.approx(0.001, abs=1e-15)
         expected_delta = -0.1 / (1.0 + 1e-8)
         assert param[0] == pytest.approx(expected_delta, abs=1e-12)
 
     def test_repeated_gradients_step_size_approaches_learning_rate(self):
         hyper = TrainHyper(learning_rate=0.05)
         param = np.array([0.0])
-        state = AdamState([param])
+        state = AdamState(param)
         for _ in range(500):
             previous = param.copy()
-            adam_step(state, [param], [np.array([1.0])], hyper)
+            adam_step(state, param, np.array([1.0]), hyper)
         assert abs(abs(param[0] - previous[0]) - hyper.learning_rate) < 1e-6
 
     def test_reshaping_invariance(self):
@@ -213,34 +212,15 @@ class TestAdam:
         flat = np.arange(4.0)
         square = flat.reshape(2, 2).copy()
         grad = np.array([0.5, -1.0, 2.0, 0.1])
-        adam_step(AdamState([flat]), [flat], [grad], hyper)
-        adam_step(AdamState([square]), [square], [grad.reshape(2, 2)], hyper)
+        adam_step(AdamState(flat), flat, grad, hyper)
+        adam_step(AdamState(square), square, grad.reshape(2, 2), hyper)
         assert np.array_equal(flat, square.reshape(-1))
 
     def test_shape_mismatch(self):
-        state = AdamState([np.zeros(2)])
+        state = AdamState(np.zeros(2))
         with pytest.raises(ValueError):
-            adam_step(state, [np.zeros(2)], [np.zeros(3)], TrainHyper())
+            adam_step(state, np.zeros(2), np.zeros(3), TrainHyper())
 
-    def test_views_update_one_node_in_place(self):
-        # the slices train_network hands Adam for node i: row i of W1,
-        # b1[i], column i of W2 and b2; every other entry stays bit-equal
-        stream = RngStream(6, "adam-views")
-        W1 = np.array([[stream.normal() for _ in range(4)] for _ in range(3)])
-        b1 = np.array([stream.normal() for _ in range(3)])
-        W2 = np.array([[stream.normal() for _ in range(3)] for _ in range(2)])
-        b2 = np.array([stream.normal() for _ in range(2)])
-        before = [a.copy() for a in (W1, b1, W2, b2)]
-        i = 1
-        params = [W1[i], b1[i:i + 1], W2[:, i], b2]
-        grads = [np.full(p.shape, 0.5) for p in params]
-        adam_step(AdamState(params), params, grads, TrainHyper())
-        moved = [np.zeros(a.shape, dtype=bool) for a in before]
-        moved[0][i] = moved[1][i] = True
-        moved[2][:, i] = moved[3][:] = True
-        for now, old, mask in zip((W1, b1, W2, b2), before, moved):
-            assert np.array_equal(now[~mask], old[~mask])
-            assert (now[mask] != old[mask]).all()
 
 _MAX_REDRAWS = 1000
 
@@ -337,14 +317,15 @@ class TestPinnedTraining:
 
 
 # sha256 of train_network's returned tensors and history over theta in
-# {0, 1.5, 2} and l2 in {0, 0.1}, per activation and trainable slice
+# {0, 1.5, 2} and l2 in {0, 0.1}, per activation and first trained node
+# of three (0: all nodes, 2: the last one)
 GRID_PINS = {
-    ("relu", "all"): "b4bafe60d4b5413b3ee75bd7ead793fd50c765ad762a35420c70fb41374c1638",
-    ("leaky-relu", "all"): "07a92fc8661c0e2c3f6a12e203fad438768114f7f94fdea8a3c9e5a3a003dcd0",
-    ("selu", "all"): "7471bbad5abde73571de41530c83eb4d25b5439f17133699cf4f102f805a42cc",
-    ("tanh", "all"): "b51276979721e2aa18cbdd63ce958d77306b07f5737309fa6ea85ed6d3b62f03",
-    ("sigmoid", "all"): "da2e00ccc9baaf0fcc4996c258b120351927d67c897b2665cbd9e2946e54b19c",
-    ("swish", "all"): "f9fe0b27dd88d6675d9c0cd528bafe26af6ce3604af377d770fedc7e15556135",
+    ("relu", 0): "b4bafe60d4b5413b3ee75bd7ead793fd50c765ad762a35420c70fb41374c1638",
+    ("leaky-relu", 0): "07a92fc8661c0e2c3f6a12e203fad438768114f7f94fdea8a3c9e5a3a003dcd0",
+    ("selu", 0): "7471bbad5abde73571de41530c83eb4d25b5439f17133699cf4f102f805a42cc",
+    ("tanh", 0): "b51276979721e2aa18cbdd63ce958d77306b07f5737309fa6ea85ed6d3b62f03",
+    ("sigmoid", 0): "da2e00ccc9baaf0fcc4996c258b120351927d67c897b2665cbd9e2946e54b19c",
+    ("swish", 0): "f9fe0b27dd88d6675d9c0cd528bafe26af6ce3604af377d770fedc7e15556135",
     ("relu", 2): "2e4714ba56135512fd0bb31ec135b1a9889845f900fd9c69e0537f0c170f9106",
     ("leaky-relu", 2): "e0be2d79de1fc59fa4fa006d1822d5758739be19a57b12872f1147fa681bdce8",
     ("selu", 2): "3eeec378f5490b231258a696da0073780407f29f35f07681184f918813f7692d",
@@ -354,9 +335,9 @@ GRID_PINS = {
 }
 
 
-@pytest.mark.parametrize("trainable", ["all", 2])
+@pytest.mark.parametrize("first", [0, 2], ids=["all", "2"])
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
-def test_pinned_training_grid(kind, trainable):
+def test_pinned_training_grid(kind, first):
     # 45 training rows in batches of 16: each epoch ends on a 13-row batch
     ds = synthetic_dataset(23, 60, 3)
     X, y = ds.features, ds.labels
@@ -364,15 +345,15 @@ def test_pinned_training_grid(kind, trainable):
     for theta in (0.0, 1.5, 2.0):
         for l2 in (0.0, 0.1):
             stream = RngStream(5, f"grid-{kind}")
-            tensors = network_of([init_node(3, "uniform", stream) for _ in range(3)]).tensors
+            net = network_of([init_node(3, "uniform", stream) for _ in range(3)], kind)
             hyper = TrainHyper(theta=theta, l2=l2, batch_size=16, max_epochs=6)
             history: list = []
-            out = train_network(X[:45], y[:45], *tensors, kind, hyper, X[45:], y[45:],
-                                stream, trainable=trainable, history=history)
-            for a in out:
+            out = train_network(net, X[:45], y[:45], hyper, X[45:], y[45:], stream,
+                                first=first, history=history)
+            for a in out.tensors:
                 h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
             h.update(repr(history).encode())
-    assert h.hexdigest() == GRID_PINS[(kind, trainable)]
+    assert h.hexdigest() == GRID_PINS[(kind, first)]
 
 
 def _pin_rows(seed, n, m):
@@ -461,6 +442,20 @@ class TestTrainNode:
         assert np.array_equal(net.W1[0], NODE_1.w1) and net.b1[0] == NODE_1.b1
         assert np.array_equal(net.W2[:, 0], NODE_1.w2)
         assert not np.array_equal(net.W1[1], fresh.w1)  # the fresh node moved
+
+    def test_first_trains_later_nodes_only(self):
+        # first=1 on 3 nodes: node 0 stays bit-equal; every entry of nodes 1
+        # and 2 and of b2 moves
+        X, y = self._data(seed=5)
+        stream = RngStream(6, "first-node")
+        net = network_of([init_node(4, "uniform", stream) for _ in range(3)])
+        out = train_network(net, X[:30], y[:30], TrainHyper(max_epochs=5), X[30:], y[30:],
+                            stream, first=1)
+        assert np.array_equal(out.W1[0], net.W1[0]) and out.b1[0] == net.b1[0]
+        assert np.array_equal(out.W2[:, 0], net.W2[:, 0])
+        for now, old in ((out.W1[1:], net.W1[1:]), (out.b1[1:], net.b1[1:]),
+                         (out.W2[:, 1:], net.W2[:, 1:]), (out.b2, net.b2)):
+            assert (now != old).all()
 
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValueError):
