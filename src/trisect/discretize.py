@@ -5,11 +5,11 @@ identical categorical features; each occupied cluster then forms one
 equivalence class whose conditional probability is the exact fraction of
 positive-labelled members.
 
-The Lloyd loop keeps Hamerly bounds (Hamerly, "Making k-means even faster",
-SDM 2010) on each row's distances and computes a full distance row only for
-rows the bounds cannot pin to their cluster. The bounds carry enough slack
-for the rounding of the squared distances, so every assignment, center and
-SSE is bit for bit that of recomputing every row on every iteration.
+Each assignment step screens every row with one BLAS product and keeps a
+row's pick only when an error bound proves that the one-shot distance
+expression picks the same center; the other rows go through that expression.
+So every assignment, center and SSE is bit for bit that of the one-shot
+expression, for any BLAS kernel and thread count.
 """
 
 from __future__ import annotations
@@ -60,35 +60,58 @@ class EquivalenceClass:
         return len(self.members)
 
 
-def _nearest_two(points: np.ndarray, centers: np.ndarray, rows_of: np.ndarray | None = None):
-    """Nearest center and the squared distances to the nearest two centers.
+def _exact_nearest(points: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Nearest center of each row ``points[rows]``, by the one-shot expression.
 
-    Covers the rows ``rows_of`` of ``points`` (all rows when None), a block at
-    a time so the temporary stays _BLOCK_ELEMS long. Each row's d2 and its
-    argmin (ties toward the lowest index) are those of the one-shot (n, k, m)
-    expression. The second distance is the row's smallest d2 once its nearest
-    entry is left out, and inf when there is one center.
+    This is the argmin, ties toward the lowest index, of the (n, k, m)
+    expression ``((p - c) ** 2).sum(axis=2)``, which defines every
+    assignment. It is taken a block at a time, so the temporary stays
+    _BLOCK_ELEMS long.
     """
-    n = points.shape[0] if rows_of is None else rows_of.shape[0]
-    rows = max(1, _BLOCK_ELEMS // centers.size)
-    nearest = np.empty(n, dtype=np.intp)
-    first = np.empty(n)
-    second = np.full(n, np.inf)
-    for s in range(0, n, rows):
-        p = points[s:s + rows] if rows_of is None else points[rows_of[s:s + rows]]
-        d2 = ((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        near = np.argmin(d2, axis=1)
-        at = np.arange(len(p))
-        nearest[s:s + rows] = near
-        first[s:s + rows] = d2[at, near]
-        if centers.shape[0] > 1:
-            d2[at, near] = np.inf
-            second[s:s + rows] = d2.min(axis=1)
-    return nearest, first, second
+    step = max(1, _BLOCK_ELEMS // centers.size)
+    nearest = np.empty(len(rows), dtype=np.intp)
+    for s in range(0, len(rows), step):
+        p = points[rows[s:s + step]]
+        nearest[s:s + step] = np.argmin(((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2),
+                                        axis=1)
+    return nearest
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return _nearest_two(points, centers)[0]
+    """Nearest center of every row, as ``_exact_nearest`` gives it.
+
+    Blocks of _BLOCK_ELEMS // k rows are screened with ``g = (-2 c) @ p.T
+    + |c|^2``, which is each d2 less the row's own |p|^2, laid out one
+    center per row so that the reductions run across the block. A row keeps
+    its screen argmin when its smallest other g exceeds it by more than
+    ``_distance_slack`` times ``(|p| + max|c|)^2``; every other row (ties,
+    rows far from the origin, and non-finite or extreme scales) takes the
+    exact expression. Overflow in the screen only sends rows to that path.
+    """
+    slack = _distance_slack(points.shape[1])
+    step = max(1, _BLOCK_ELEMS // centers.shape[0])
+    nearest = np.empty(points.shape[0], dtype=np.intp)
+    certified = np.empty(points.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms2 = np.einsum("ij,ij->i", centers, centers)[:, None]
+        scaled = -2.0 * centers  # a power-of-two scaling is exact
+        radius = np.sqrt(norms2.max())
+        for s in range(0, points.shape[0], step):
+            p = points[s:s + step]
+            g = scaled @ p.T
+            g += norms2
+            near = g.argmin(axis=0)
+            at = np.arange(len(p))
+            best = g[near, at]
+            g[near, at] = np.inf
+            scale = (np.sqrt(np.einsum("ij,ij->i", p, p)) + radius) ** 2
+            certified[s:s + step] = ((g.min(axis=0) - best > slack * scale)
+                                     & (scale > _TINY) & (scale < 1 / _TINY))
+            nearest[s:s + step] = near
+    redo = np.flatnonzero(~certified)
+    if len(redo):
+        nearest[redo] = _exact_nearest(points, centers, redo)
+    return nearest
 
 
 def within_sse(points: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> float:
@@ -137,22 +160,30 @@ def _assign_with_repair(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return assignments
 
 
-# Below about 1e-154 a squared distance is subnormal and rounds by an absolute
-# amount rather than a relative one, so a bound must clear _TINY to prove anything.
+# The screen certifies only rows whose scale (|p| + max|c|)^2 lies in
+# (_TINY, 1 / _TINY): below, squares go subnormal and round by an absolute
+# amount rather than a relative one; above, the screen's products may overflow.
 _TINY = 1e-150
 
 
 def _distance_slack(m: int) -> float:
-    """Relative slack that makes a bound of the square root of a computed d2.
+    """Relative slack of the screen in ``_nearest``, for m features.
 
-    The square root of an m-term d2 is within about (m / 2 + 2) roundings of
-    the true distance, and the slack is about four times that. So such a
-    distance scaled by (1 + slack) or (1 - slack) bounds the true one, and a
-    row passes the proof test of ``kmeans_cluster`` only when its own
-    center's d2 is strictly the smallest after rounding too: no tie and no
-    other argmin.
+    With u = eps / 2, gamma_j = j u / (1 - j u) and R = |p| + max|c|, any
+    m-term dot product is within gamma_m of the sum of its terms' absolute
+    values, in any summation order and with or without FMA, so for every
+    BLAS kernel and thread count each screen value g_j is within
+    gamma_(m+1) R^2 of its true value d_j - |p|^2. Each one-shot d2 is a
+    sum of m non-negative rounded squares of rounded differences, within
+    gamma_(m+2) d_j of d_j, and d_j <= R^2. So when the screen's gap from
+    its pick a to every other g exceeds 2 (gamma_(m+1) + gamma_(m+2)) R^2,
+    about (2m + 3) eps R^2, the one-shot d2 of a is strictly the smallest
+    after rounding: no tie and no other argmin. The slack is twice that
+    and more, which covers the rounding of the gap and of the computed
+    R^2, and, in the scale window of _TINY, the absolute rounding of
+    subnormal terms.
     """
-    return (m + 8) * np.finfo(np.float64).eps
+    return (4 * m + 16) * np.finfo(np.float64).eps
 
 
 def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.ndarray) -> None:
@@ -169,15 +200,6 @@ def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.nda
         centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
 
 
-def _all_bounds(points: np.ndarray, centers: np.ndarray, tol: float):
-    """Assign every row (repairing empty clusters) and rebuild its bounds."""
-    assignments, first, second = _nearest_two(points, centers)
-    if not np.bincount(assignments, minlength=centers.shape[0]).all():
-        assignments = _assign_with_repair(points, centers)
-        _, first, second = _nearest_two(points, centers)
-    return assignments, np.sqrt(first) * (1 + tol), np.sqrt(second) * (1 - tol)
-
-
 def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
                    max_iterations: int = MAX_LLOYD_ITERATIONS,
                    sse_trace: list | None = None) -> Clustering:
@@ -185,38 +207,15 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
 
     If ``sse_trace`` is a list, the within-cluster SSE after every
     assignment step is appended to it (a non-increasing sequence).
-
-    ``upper[i]`` bounds row i's distance to its own center from above and
-    ``lower[i]`` its distance to every other center from below. When a center
-    moves, the bounds move by the distance it moved, so a row whose upper
-    bound stays below its lower bound, or below half the gap from its center
-    to the nearest other center, keeps its cluster without a distance row.
     """
     points = np.asarray(points, dtype=np.float64)
-    tol = _distance_slack(points.shape[1])
     centers = kmeanspp_seed(points, k, stream)
-    assignments, upper, lower = _all_bounds(points, centers, tol)
+    assignments = _assign_with_repair(points, centers)
     if sse_trace is not None:
         sse_trace.append(within_sse(points, centers, assignments))
     for _ in range(max_iterations):
-        previous = centers.copy()
         _update_centers(points, assignments, centers)
-        moved = np.sqrt(((centers - previous) ** 2).sum(axis=1)) * (1 + tol)
-        # one-ulp steps keep the sums' rounding on the safe side of each bound
-        upper += moved[assignments]
-        np.nextafter(upper, np.inf, out=upper)
-        lower -= moved.max()
-        np.nextafter(lower, -np.inf, out=lower)
-        half_gap = np.sqrt(_nearest_two(centers, centers)[2]) * (0.5 * (1 - tol))
-        proved = upper * (1 + tol) + _TINY < np.maximum(lower, half_gap[assignments])
-        redo = np.flatnonzero(~proved)
-        new_assignments = assignments.copy()
-        near, first, second = _nearest_two(points, centers, redo)
-        new_assignments[redo] = near
-        upper[redo] = np.sqrt(first) * (1 + tol)
-        lower[redo] = np.sqrt(second) * (1 - tol)
-        if not np.bincount(new_assignments, minlength=k).all():
-            new_assignments, upper, lower = _all_bounds(points, centers, tol)
+        new_assignments = _assign_with_repair(points, centers)
         if sse_trace is not None:
             sse_trace.append(within_sse(points, centers, new_assignments))
         if np.array_equal(new_assignments, assignments):

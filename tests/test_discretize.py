@@ -1,7 +1,13 @@
 import hashlib
 import itertools
+import os
 from fractions import Fraction
+from pathlib import Path
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +22,8 @@ from trisect import (
 from trisect import discretize
 from trisect.discretize import (
     _BLOCK_ELEMS,
-    _distance_slack,
+    _exact_nearest,
     _nearest,
-    _nearest_two,
     within_sse,
 )
 
@@ -163,13 +168,10 @@ class TestBlockedAssignment:
             got = _nearest(points, centers)
             assert got.dtype == np.intp
             assert np.array_equal(got, self._one_shot(points, centers)), n
-            # the nearest two d2 of a subset of the rows, taken in any order
+            # the exact path on a subset of the rows, taken in any order
             rows_of = rng.permutation(n)[:max(1, 2 * n // 3)]
-            near, first, second = _nearest_two(points, centers, rows_of)
-            d2 = ((points[rows_of, None] - centers[None]) ** 2).sum(2)
-            assert np.array_equal(near, np.argmin(d2, 1))
-            assert np.array_equal(first, np.sort(d2, 1)[:, 0])
-            assert np.array_equal(second, np.sort(d2, 1)[:, 1])
+            got = _exact_nearest(points, centers, rows_of)
+            assert np.array_equal(got, self._one_shot(points[rows_of], centers))
 
     def test_duplicate_centers_tie_to_the_lowest_index(self):
         rng = np.random.default_rng(1)
@@ -187,7 +189,6 @@ class TestBlockedAssignment:
         points = np.random.default_rng(2).random((3 * rows + 5, 4))
         got = _nearest(points, np.full((1, 4), 0.5))
         assert np.array_equal(got, np.zeros(len(points), dtype=np.intp))
-        assert np.isinf(_nearest_two(points, np.full((1, 4), 0.5))[2]).all()
 
     def test_pinned_clustering_bytes(self):
         cl = kmeans_cluster(np.random.default_rng(0).random((6000, 8)), 32,
@@ -209,7 +210,7 @@ class TestBlockedAssignment:
 
 
 def _reference_lloyd(points, centers, max_iterations=discretize.MAX_LLOYD_ITERATIONS):
-    """The Lloyd loop without bounds: a full one-shot d2 on every iteration.
+    """The Lloyd loop with a full one-shot d2 on every iteration.
 
     Starts from ``centers`` (updated in place) and returns the assignments
     and the SSE trace.
@@ -265,29 +266,65 @@ def _fuzz_points(case):
 
 
 class _RowCounter:
-    """Records how many rows of the watched points each distance-row call
-    covers, and whether the call asked for all rows."""
+    """Counts, for the watched points, the ``_nearest`` calls and the rows
+    that each call sends to the exact expression."""
 
     def __init__(self, monkeypatch, points):
-        self._inner = discretize._nearest_two
-        monkeypatch.setattr(discretize, "_nearest_two", self)
+        nearest, exact = discretize._nearest, discretize._exact_nearest
+
+        def counted_nearest(points, centers):
+            if points is self.points:
+                self.calls += 1
+            return nearest(points, centers)
+
+        def counted_exact(points, centers, rows):
+            if points is self.points:
+                self.exact.append(rows.copy())
+            return exact(points, centers, rows)
+
+        monkeypatch.setattr(discretize, "_nearest", counted_nearest)
+        monkeypatch.setattr(discretize, "_exact_nearest", counted_exact)
         self.watch(points)
 
     def watch(self, points):
-        self.points, self.rows, self.all_rows = points, [], []
+        self.points, self.calls, self.exact = points, 0, []
 
-    def __call__(self, points, centers, rows_of=None):
-        if points is self.points:
-            self.rows.append(len(points) if rows_of is None else len(rows_of))
-            self.all_rows.append(rows_of is None)
-        return self._inner(points, centers, rows_of)
+    @property
+    def exact_rows(self):
+        return sum(len(rows) for rows in self.exact)
+
+
+def _exact_d2(point, center):
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(point, center))
+
+
+def _certificate_case(case, m, rng):
+    """30 points and 4 centers in m features, at one of the screen's scales."""
+    if case == "unit":
+        return rng.random((30, m)), rng.random((4, m))
+    if case == "offset":
+        return rng.random((30, m)) * 1e-3 + 1e7, rng.random((4, m)) * 1e-3 + 1e7
+    if case == "signed":
+        return (rng.random((30, m)) * 2 - 1) * 5e3, (rng.random((4, m)) * 2 - 1) * 5e3
+    if case == "subnormal":  # squared differences below 1e-308
+        return rng.random((30, m)) * 1e-160, rng.random((4, m)) * 1e-160
+    if case == "huge":  # |p|^2 overflows, the squared differences do not
+        return (1 + 1e-3 * rng.random((30, m))) * 1e155, (1 + 1e-3 * rng.random((4, m))) * 1e155
+    # near ties: points off the bisector of centers 0 and 1 by relative
+    # steps from 1e-17 to 1e-8, around where the screen stops certifying
+    centers = rng.random((4, m))
+    centers[2:] += 3.0
+    mid, axis = (centers[0] + centers[1]) / 2, centers[1] - centers[0]
+    steps = np.logspace(-17, -8, 15)
+    steps = np.concatenate([steps, -steps])[:, None]
+    return mid + steps * axis, centers
 
 
 class TestBoundedLloyd:
-    """The bounded loop gives the bytes of recomputing every row every time."""
+    """The screened loop gives the bytes of recomputing every row every time."""
 
     def test_equals_the_unbounded_loop(self, monkeypatch):
-        pruned = 0
+        certified = exact = 0
         counter = _RowCounter(monkeypatch, None)
         for case in range(250):
             points = _fuzz_points(case)
@@ -302,27 +339,21 @@ class TestBoundedLloyd:
             assert got.assignments.tobytes() == want.tobytes(), case
             assert got.centers.tobytes() == centers.tobytes(), case
             assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), case
-            pruned += sum(counter.rows[1:]) < len(points) * (len(counter.rows) - 1)
-        # the bounds skipped rows in nearly every case, so the fuzz tests them
-        assert pruned >= 200, pruned
+            certified += counter.exact_rows < counter.calls * len(points)
+            exact += counter.exact_rows > 0
+        # the screen certified rows in most cases, and the exact path ran in
+        # many (the 1e7 offsets and the grid ties), so the fuzz tests both
+        assert certified >= 200, certified
+        assert exact >= 20, exact
 
-    def test_repair_mid_loop_rebuilds_every_bound(self, monkeypatch):
-        # the first center update empties cluster 0; with the bounds it had
-        # before the repair, a later iteration keeps row 4 in the wrong cluster
+    def test_repair_mid_loop_equals_the_reference(self, monkeypatch):
+        # the first center update empties cluster 0, and the repair moves
+        # center 0 to the row farthest from its center
         points = np.array([[7.0, 7.0], [6.0, 1.0], [5.0, 6.0], [11.0, 10.0], [8.0, 10.0],
                            [0.0, 9.0], [8.0, 2.0], [4.0, 7.0], [10.0, 8.0]])
         seeds = np.array([[7.0, 4.0], [6.0, 5.0], [4.0, 1.0], [5.0, 4.0]])
         monkeypatch.setattr(discretize, "kmeanspp_seed", lambda p, k, s: seeds.copy())
         counter = _RowCounter(monkeypatch, points)
-        repair = discretize._assign_with_repair
-        calls_before_repair_returned = []
-
-        def spy(points, centers):
-            assignments = repair(points, centers)
-            calls_before_repair_returned.append(len(counter.rows))
-            return assignments
-
-        monkeypatch.setattr(discretize, "_assign_with_repair", spy)
         trace: list = []
         got = kmeans_cluster(points, 4, RngStream(0, "unused"), sse_trace=trace)
         centers = seeds.copy()
@@ -330,34 +361,60 @@ class TestBoundedLloyd:
         assert got.assignments.tolist() == want.tolist()
         assert got.centers.tobytes() == centers.tobytes()
         assert trace == want_trace and len(trace) == 4
-        # one repair, and the next distance-row call rebuilds every bound
-        [returned] = calls_before_repair_returned
-        assert counter.all_rows[returned]
-        assert not any(counter.all_rows[returned + 1:])
+        # one assignment per trace entry, plus exactly one repair
+        assert counter.calls == len(trace) + 1
 
-    @pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 1e7), (5e3, -5e3)])
-    def test_slack_turns_computed_distances_into_bounds(self, scale, offset):
-        # exact rational distances against the square root of the computed d2
-        rng = np.random.default_rng(int(scale) + 3)
+    @pytest.mark.parametrize("case", ["unit", "offset", "signed", "subnormal", "huge",
+                                      "near-tie"])
+    def test_certified_rows_have_a_unique_exact_argmin(self, monkeypatch, case):
+        # exact rational distances against the screen's picks
+        rng = np.random.default_rng(sum(map(ord, case)))
+        certified = 0
+        counter = _RowCounter(monkeypatch, None)
         for m in (1, 2, 3, 8, 17, 40):
-            points = rng.random((30, m)) * scale + offset
-            centers = rng.random((4, m)) * scale + offset
-            slack = _distance_slack(m)
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            for i, j in itertools.product(range(30), range(4)):
-                exact = sum((Fraction(a) - Fraction(b)) ** 2
-                            for a, b in zip(points[i], centers[j]))
-                assert Fraction(np.sqrt(d2[i, j]) * (1 + slack)) ** 2 >= exact
-                assert Fraction(np.sqrt(d2[i, j]) * (1 - slack)) ** 2 <= exact
+            points, centers = _certificate_case(case, m, rng)
+            counter.watch(points)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _nearest(points, centers)
+            exact = {int(i) for rows in counter.exact for i in rows}
+            for i in set(range(len(points))) - exact:
+                d2 = [_exact_d2(points[i], c) for c in centers]
+                assert d2.count(min(d2)) == 1 and d2.index(min(d2)) == got[i], (m, i)
+            certified += len(points) - len(exact)
+        # the screen certifies at moderate scales and leaves the rest to the
+        # exact expression: cancellation at 1e7, subnormal or overflowing scales
+        if case in ("unit", "signed", "near-tie"):
+            assert certified > 0
+        else:
+            assert certified == 0
 
     def test_most_rows_skip_the_distance_row(self, monkeypatch):
         points = np.random.default_rng(0).random((6000, 8))
         counter = _RowCounter(monkeypatch, points)
-        trace: list = []
-        kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"), sse_trace=trace)
-        first, *rest = counter.rows
-        assert first == len(points) and len(rest) == len(trace) - 1 > 10
-        assert np.mean(rest) < len(points) / 2, np.mean(rest) / len(points)
+        kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"))
+        assert counter.calls > 10
+        assert counter.exact_rows < 0.01 * counter.calls * len(points), counter.exact_rows
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        probe = textwrap.dedent("""\
+            import hashlib, numpy as np
+            from trisect import RngStream, kmeans_cluster
+            points = np.random.default_rng(0).random((20000, 8))
+            cl = kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"), max_iterations=5)
+            print(hashlib.sha256(cl.assignments.astype("<i8").tobytes()
+                                 + cl.centers.astype("<f8").tobytes()).hexdigest())
+            """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1] and len(digests[0]) == 64
 
 
 class TestEquivalenceClasses:
