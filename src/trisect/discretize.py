@@ -10,6 +10,12 @@ row's pick only when an error bound proves that the one-shot distance
 expression picks the same center; the other rows go through that expression.
 So every assignment, center and SSE is bit for bit that of the one-shot
 expression, for any BLAS kernel and thread count.
+
+The screen subtracts each row's smallest value from all of its values and
+certifies a row when exactly one center stays within the bound. That is the
+test "the second smallest exceeds the smallest by more than the bound": the
+subtraction rounds monotonically, so the smallest of the rounded differences
+to the other centers is the rounded difference of the second smallest.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import numpy as np
 from .numerics import RngStream
 
 MAX_LLOYD_ITERATIONS = 100
-# float64 elements in one (rows, k, m) block of point-center differences, about 1 MB
-_BLOCK_ELEMS = 1 << 17
+# float64 elements in one block of the screen, k values per row: 512 KB, so that the
+# block and its temporaries stay in a 2 MB L2 cache
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,8 @@ class Clustering:
     k: int
     centers: np.ndarray  # (k, m)
     assignments: np.ndarray  # (n,) cluster index per row
+    iterations: int  # Lloyd updates that ran
+    converged: bool  # the loop stopped because the assignments repeated
 
     def __post_init__(self):
         counts = np.bincount(self.assignments, minlength=self.k)
@@ -77,37 +86,55 @@ def _exact_nearest(points: np.ndarray, centers: np.ndarray, rows: np.ndarray) ->
     return nearest
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row."""
+    return np.sqrt(np.einsum("ij,ij->i", points, points))
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray,
+             point_norms: np.ndarray | None = None) -> np.ndarray:
     """Nearest center of every row, as ``_exact_nearest`` gives it.
 
     Blocks of _BLOCK_ELEMS // k rows are screened with ``g = (-2 c) @ p.T
     + |c|^2``, which is each d2 less the row's own |p|^2, laid out one
-    center per row so that the reductions run across the block. A row keeps
-    its screen argmin when its smallest other g exceeds it by more than
-    ``_distance_slack`` times ``(|p| + max|c|)^2``; every other row (ties,
-    rows far from the origin, and non-finite or extreme scales) takes the
-    exact expression. Overflow in the screen only sends rows to that path.
+    center per row so that the reductions run across the block. Each row's
+    g less its smallest g marks the centers within ``_distance_slack``
+    times ``(|p| + max|c|)^2`` of that smallest as close. A row keeps its
+    close center when it has exactly one; every other row (ties, rows
+    far from the origin, and non-finite or extreme scales) takes the exact
+    expression. Overflow in the screen only sends rows to that path.
+
+    This count test certifies the rows that the gap test "smallest other g
+    less the smallest exceeds the slack" certifies, with the same pick a:
+    rounding is monotone, so the smallest of fl(g_c - g_a) over c != a is
+    fl(min_other - g_a). A tie leaves two or more close centers, and a NaN
+    or infinite smallest g leaves none.
+
+    ``point_norms`` are the rows' norms, ``_row_norms(points)``; a caller
+    that screens the same points many times computes them once.
     """
+    k = centers.shape[0]
     slack = _distance_slack(points.shape[1])
-    step = max(1, _BLOCK_ELEMS // centers.shape[0])
+    step = max(1, _BLOCK_ELEMS // k)
+    if point_norms is None:
+        point_norms = _row_norms(points)
     nearest = np.empty(points.shape[0], dtype=np.intp)
     certified = np.empty(points.shape[0], dtype=bool)
+    # one product counts each row's close centers and sums their indices,
+    # exactly: float64 holds every integer up to 2^53, so no count wraps
+    tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)])
     with np.errstate(over="ignore", invalid="ignore"):
         norms2 = np.einsum("ij,ij->i", centers, centers)[:, None]
         scaled = -2.0 * centers  # a power-of-two scaling is exact
         radius = np.sqrt(norms2.max())
         for s in range(0, points.shape[0], step):
-            p = points[s:s + step]
-            g = scaled @ p.T
+            g = scaled @ points[s:s + step].T
             g += norms2
-            near = g.argmin(axis=0)
-            at = np.arange(len(p))
-            best = g[near, at]
-            g[near, at] = np.inf
-            scale = (np.sqrt(np.einsum("ij,ij->i", p, p)) + radius) ** 2
-            certified[s:s + step] = ((g.min(axis=0) - best > slack * scale)
-                                     & (scale > _TINY) & (scale < 1 / _TINY))
-            nearest[s:s + step] = near
+            g -= g.min(axis=0)
+            scale = (point_norms[s:s + step] + radius) ** 2
+            count, pick = tally @ (g <= slack * scale)
+            certified[s:s + step] = (count == 1) & (scale > _TINY) & (scale < 1 / _TINY)
+            nearest[s:s + step] = pick
     redo = np.flatnonzero(~certified)
     if len(redo):
         nearest[redo] = _exact_nearest(points, centers, redo)
@@ -124,38 +151,42 @@ def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
 
     The first center is a uniformly chosen row; each subsequent center is
     drawn with probability proportional to its squared distance from the
-    nearest already-chosen center.
+    nearest already-chosen center. A zero total before center c is drawn
+    means that every row equals one of the c centers already chosen, or
+    lies so close to one that its squared distance underflows, so the k
+    centers cannot all be distinct.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    n_distinct = np.unique(points, axis=0).shape[0]
-    if not 1 <= k <= n_distinct:
-        raise ValueError(f"k must be in [1, {n_distinct} (distinct points)], got {k}")
+    if k < 1 or n == 0:
+        raise ValueError(f"k must be at least 1 and the points non-empty, got k = {k} "
+                         f"for {n} points")
 
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[stream.randrange(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    chosen = [stream.randrange(n)]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     for c in range(1, k):
         total = float(d2.sum())
+        if total == 0.0:
+            raise ValueError(f"k must be in [1, {c} (distinct points)], got {k}")
         u = stream.uniform(0.0, total)
         idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
-        idx = min(idx, n - 1)
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
-    return centers
+        chosen.append(min(idx, n - 1))
+        d2 = np.minimum(d2, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
+    return points[chosen]
 
 
-def _assign_with_repair(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _assign_with_repair(points: np.ndarray, centers: np.ndarray,
+                        point_norms: np.ndarray) -> np.ndarray:
     """Nearest-center assignment; empty clusters grab the farthest point."""
     k = centers.shape[0]
-    assignments = _nearest(points, centers)
+    assignments = _nearest(points, centers, point_norms)
     counts = np.bincount(assignments, minlength=k)
     for c in range(k):
         if not counts[c]:
             dist = ((points - centers[assignments]) ** 2).sum(axis=1)
             far = int(np.argmax(dist))
             centers[c] = points[far]
-            assignments = _nearest(points, centers)
+            assignments = _nearest(points, centers, point_norms)
             counts = np.bincount(assignments, minlength=k)
     return assignments
 
@@ -192,9 +223,12 @@ def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.nda
     The sorted copy of the points is freed on return, so it never shares
     the peak with the distance rows that follow.
     """
-    # each cluster's rows, in ascending row order, as one contiguous slice
-    order = np.argsort(assignments, kind="stable")
-    grouped = points[order]
+    # each cluster's rows, in ascending row order, as one contiguous slice;
+    # numpy sorts 16-bit keys stably by radix, and stability makes the
+    # permutation the same for any key type
+    keys = assignments.astype(np.uint16) if len(centers) <= 1 << 16 else assignments
+    order = np.argsort(keys, kind="stable")
+    grouped = np.take(points, order, axis=0)
     bounds = np.searchsorted(assignments[order], np.arange(len(centers) + 1))
     for c in range(len(centers)):
         centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
@@ -209,19 +243,21 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
     assignment step is appended to it (a non-increasing sequence).
     """
     points = np.asarray(points, dtype=np.float64)
+    norms = _row_norms(points)
     centers = kmeanspp_seed(points, k, stream)
-    assignments = _assign_with_repair(points, centers)
+    assignments = _assign_with_repair(points, centers, norms)
     if sse_trace is not None:
         sse_trace.append(within_sse(points, centers, assignments))
-    for _ in range(max_iterations):
+    iterations, converged = 0, False
+    while iterations < max_iterations and not converged:
+        iterations += 1
         _update_centers(points, assignments, centers)
-        new_assignments = _assign_with_repair(points, centers)
+        new_assignments = _assign_with_repair(points, centers, norms)
         if sse_trace is not None:
             sse_trace.append(within_sse(points, centers, new_assignments))
-        if np.array_equal(new_assignments, assignments):
-            break
+        converged = np.array_equal(new_assignments, assignments)
         assignments = new_assignments
-    return Clustering(k, centers, assignments)
+    return Clustering(k, centers, assignments, iterations, converged)
 
 
 def build_equivalence_classes(members, keys, labels) -> list[EquivalenceClass]:

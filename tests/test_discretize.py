@@ -76,6 +76,20 @@ class TestSeeding:
         with pytest.raises(ValueError):
             kmeanspp_seed(pts, 3, RngStream(0, "seed"))
 
+    def test_the_rejection_names_the_distinct_points_found(self):
+        pts = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.5]])
+        with pytest.raises(ValueError, match=r"k must be in \[1, 3 \(distinct points\)\], got 4"):
+            kmeanspp_seed(pts, 4, RngStream(0, "seed"))
+        for points, k in ((pts, 0), (np.empty((0, 2)), 1)):
+            with pytest.raises(ValueError, match="at least 1 and the points non-empty"):
+                kmeanspp_seed(points, k, RngStream(0, "seed"))
+
+    def test_distinct_rows_whose_squared_distance_underflows_are_too_few(self):
+        # (1e-200)^2 is 0 in float64, so the roulette has nothing to draw from
+        pts = np.array([[0.0], [1e-200]])
+        with pytest.raises(ValueError, match=r"\[1, 1 \(distinct points\)\], got 2"):
+            kmeanspp_seed(pts, 2, RngStream(0, "seed"))
+
 
 class TestLloyd:
     def test_toy_misclassified_partition(self):
@@ -93,6 +107,28 @@ class TestLloyd:
             assert part in allowed
             seen.add(part)
         assert frozenset({frozenset({0}), frozenset({1, 2})}) in seen
+
+    def test_toy_input_converges(self):
+        trace: list = []
+        cl = kmeans_cluster(TOY_FEATURES[[0, 3, 4]], 2, RngStream(0, "kmeans-level-1"),
+                            sse_trace=trace)
+        assert cl.converged
+        assert 1 <= cl.iterations == len(trace) - 1
+
+    def test_iteration_cap_is_recorded(self):
+        pts = np.random.default_rng(5).random((300, 2))
+        full = kmeans_cluster(pts, 6, RngStream(5, "k"))
+        assert full.converged and full.iterations > 2
+        capped = kmeans_cluster(pts, 6, RngStream(5, "k"), max_iterations=1)
+        assert capped.iterations == 1 and not capped.converged
+        # assignments that repeat on the last allowed update still converge
+        last = kmeans_cluster(pts, 6, RngStream(5, "k"), max_iterations=full.iterations)
+        assert last.iterations == full.iterations and last.converged
+        assert last.assignments.tobytes() == full.assignments.tobytes()
+        short = kmeans_cluster(pts, 6, RngStream(5, "k"), max_iterations=full.iterations - 1)
+        assert short.iterations == full.iterations - 1 and not short.converged
+        none = kmeans_cluster(pts, 6, RngStream(5, "k"), max_iterations=0)
+        assert none.iterations == 0 and not none.converged
 
     def test_degenerate_single_cluster(self):
         pts = np.ones((4, 3)) * 0.7
@@ -209,6 +245,40 @@ class TestBlockedAssignment:
         assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
+class TestCenterUpdate:
+    """The center update's sort key is 16-bit up to k = 2^16 and the
+    assignments beyond; either way each center is the mask mean."""
+
+    # the key type does not depend on m, nor the mean on the key type, so
+    # three cases cover both sides of the cutoff and both mean paths
+    @pytest.mark.parametrize("k, m", [(1 << 16, 1), (1 << 16, 3), ((1 << 16) + 1, 1)])
+    def test_each_center_is_its_rows_mean_bitwise(self, k, m):
+        rng = np.random.default_rng(k + m)
+        # every cluster occupied, most by one row; cluster 7 by 300 rows,
+        # where a (rows, 1) mean sums pairwise and not in row order, and a
+        # per-feature running sum (np.bincount's) would differ
+        assignments = rng.permutation(np.concatenate([np.arange(k), np.full(299, 7),
+                                                      rng.integers(0, k, 500)]))
+        points = rng.standard_normal((len(assignments), m)) * 10.0 ** rng.integers(
+            -8, 9, (len(assignments), 1))
+        # in row order, every term after the first 1.0 rounds away
+        rows = np.flatnonzero(assignments == 7)
+        points[rows] = rng.random((len(rows), m)) * 1e-16
+        points[rows[0]] = 1.0
+        centers = np.empty((k, m))
+        discretize._update_centers(points, assignments, centers)
+        # the rows of ``assignments == c``, in ascending order, for every c
+        groups: dict = {}
+        for row, c in enumerate(assignments.tolist()):
+            groups.setdefault(c, []).append(row)
+        want = np.array([points[groups[c]].mean(axis=0) for c in range(k)])
+        assert centers.tobytes() == want.tobytes()
+        big = points[assignments == 7]
+        assert centers[7].tobytes() == big.mean(axis=0).tobytes()
+        if m == 1:  # the data tells pairwise from in-order summation apart
+            assert big.sum(axis=0)[0] != big.cumsum(axis=0)[-1, 0]
+
+
 def _reference_lloyd(points, centers, max_iterations=discretize.MAX_LLOYD_ITERATIONS):
     """The Lloyd loop with a full one-shot d2 on every iteration.
 
@@ -272,10 +342,10 @@ class _RowCounter:
     def __init__(self, monkeypatch, points):
         nearest, exact = discretize._nearest, discretize._exact_nearest
 
-        def counted_nearest(points, centers):
+        def counted_nearest(points, centers, point_norms=None):
             if points is self.points:
                 self.calls += 1
-            return nearest(points, centers)
+            return nearest(points, centers, point_norms)
 
         def counted_exact(points, centers, rows):
             if points is self.points:
@@ -339,6 +409,7 @@ class TestBoundedLloyd:
             assert got.assignments.tobytes() == want.tobytes(), case
             assert got.centers.tobytes() == centers.tobytes(), case
             assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), case
+            assert got.iterations == len(trace) - 1, case
             certified += counter.exact_rows < counter.calls * len(points)
             exact += counter.exact_rows > 0
         # the screen certified rows in most cases, and the exact path ran in
@@ -414,7 +485,10 @@ class TestBoundedLloyd:
                                   text=True, timeout=120)
             assert done.returncode == 0, done.stderr
             digests.append(done.stdout.strip())
-        assert digests[0] == digests[1] and len(digests[0]) == 64
+        assert digests[0] == digests[1]
+        # the one-shot expression's bytes on this input: a k-means change that
+        # claims byte identity keeps this digest
+        assert digests[0] == "f84fd234758099a8ebf6dfb9edec2d6dc8b77f6892b0572db2d9ea95dc9adbe6"
 
 
 class TestEquivalenceClasses:
