@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -318,6 +317,9 @@ def cmd_crossval(args) -> int:
     if jobs == 1:
         records = [_crossval_fold(p) for p in payloads]
     else:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_crossval_fold, payloads))
     records.sort(key=lambda r: r["fold"])

@@ -175,13 +175,14 @@ def predict_batch(net: LayeredNetwork, X):
     return labels, p
 
 
-def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float):
-    """(per-instance focal loss, its derivative w.r.t. ``q``) at the clamped ``q``.
+def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float,
+                 derivative: bool = False) -> np.ndarray:
+    """Per-instance focal loss at the clamped ``q``, or its derivative w.r.t. ``q``.
 
     Both classes share one formula in u, the probability of the row's own
     class (q, or ``1.0 - q`` for a negative row), and v = 1 - u. Each row
     sees the operands of its own class's formula in the same order, and one
-    ``log`` and one theta-power serve the loss and its derivative.
+    ``log`` and one theta-power serve either result.
     """
     pos = y == 1
     r = 1.0 - q
@@ -189,10 +190,10 @@ def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float):
     v = np.where(pos, r, q)
     log_u = np.log(u)
     pow_v = v ** theta
-    loss = np.where(pos, -delta, -(1.0 - delta)) * pow_v * log_u
-    grad = np.where(pos, delta, -(1.0 - delta)) * (theta * v ** (theta - 1.0) * log_u
-                                                   - pow_v / u)
-    return loss, grad
+    if derivative:
+        return np.where(pos, delta, -(1.0 - delta)) * (theta * v ** (theta - 1.0) * log_u
+                                                       - pow_v / u)
+    return np.where(pos, -delta, -(1.0 - delta)) * pow_v * log_u
 
 
 def focal_loss(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
@@ -201,7 +202,7 @@ def focal_loss(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.n
     ``q`` must already be clamped to [PROB_CLAMP, 1 - PROB_CLAMP], as
     :func:`cost` and :func:`cost_and_grads` do, so both logs stay finite.
     """
-    return _focal_terms(q, y, delta, theta)[0]
+    return _focal_terms(q, y, delta, theta)
 
 
 def regularized_cost(losses, W1, b1, W2, b2, l2: float) -> float:
@@ -236,34 +237,52 @@ def adam_step(state: AdamState, param, grad, hyper: TrainHyper) -> None:
     param -= hyper.learning_rate * (v / corr1) / (np.sqrt(s / corr2) + hyper.tau)
 
 
-def _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
-    """(Z, A, clamped q, d(focal loss)/dq, regularized cost) of one forward pass."""
+def _forward(X, W1, b1, W2, b2, activation):
+    """(Z, A, clamped positive-class probability q) of one forward pass."""
     Z, A, _, p = forward_arrays(X, W1, b1, W2, b2, activation)
-    q = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    losses, dq = _focal_terms(q, y, delta, theta)
-    return Z, A, q, dq, regularized_cost(losses, W1, b1, W2, b2, l2)
+    return Z, A, np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2) -> float:
     """Mean focal loss of the rows plus the L2 penalty over all four tensors."""
-    return _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)[4]
+    q = _forward(X, W1, b1, W2, b2, activation)[2]
+    return regularized_cost(_focal_terms(q, y, delta, theta), W1, b1, W2, b2, l2)
 
 
-def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2):
-    """Regularized cost and its gradients w.r.t. all four tensors."""
+def _two_column_mean(dS: np.ndarray) -> np.ndarray:
+    """``dS.mean(axis=0)`` of an (n, 2) array whose second column negates its first.
+
+    numpy adds the rows of a C-ordered (n, 2) array in order, starting from
+    +0.0, so one in-order sum of the first column gives both entries: the
+    negated column's sum is its exact negation, and starting both from +0.0
+    gives numpy's +0.0 wherever the sum is a zero of either sign.
+    """
+    total = np.cumsum(dS[:, 0])[-1]
+    n = len(dS)
+    return np.array([(0.0 + total) / n, (0.0 - total) / n])
+
+
+def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2, first=0):
+    """Gradients of :func:`cost` w.r.t. nodes ``first`` onward and the output bias.
+
+    Returns (dW1[first:], db1[first:], dW2[:, first:], db2), the slices
+    ``train_network`` trains; the cost itself is not computed.
+    """
     n = X.shape[0]
-    Z, A, q, dq, c = _forward_cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2)
+    Z, A, q = _forward(X, W1, b1, W2, b2, activation)
     dS = np.empty((n, 2))
-    dS[:, 0] = dq * q * (1.0 - q)
+    dS[:, 0] = _focal_terms(q, y, delta, theta, derivative=True) * q * (1.0 - q)
     np.negative(dS[:, 0], out=dS[:, 1])
 
-    dW2 = dS.T @ A / n + l2 * W2
-    db2 = dS.mean(axis=0) + l2 * b2
+    dW2 = (dS.T @ A)[:, first:] / n + l2 * W2[:, first:]
+    db2 = _two_column_mean(dS) + l2 * b2
     dA = dS @ W2  # (n, t)
     dZ = dA * activate_derivative(activation, Z)
-    dW1 = dZ.T @ X / n + l2 * W1
-    db1 = dZ.mean(axis=0) + l2 * b1
-    return c, (dW1, db1, dW2, db2)
+    dW1 = (dZ.T @ X)[first:] / n + l2 * W1[first:]
+    # an in-order sum would not do here: for t = 1 dZ is one contiguous
+    # column, which numpy's mean adds pairwise
+    db1 = dZ.mean(axis=0)[first:] + l2 * b1[first:]
+    return dW1, db1, dW2, db2
 
 
 def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
@@ -305,12 +324,12 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
     order = list(range(X.shape[0]))
     for epoch in range(1, hyper.max_epochs + 1):
         stream.shuffle(order)
-        rows = np.array(order)
+        rows = np.fromiter(order, np.int64, len(order))
         for start in range(0, len(rows), hyper.batch_size):
             batch = rows[start:start + hyper.batch_size]
-            _, (dW1, db1, dW2, db2) = cost_and_grads(X[batch], y[batch], W1, b1, W2, b2, *loss)
-            grad = np.concatenate((dW1[first:], db1[first:], dW2[:, first:], db2), axis=None)
-            adam_step(state, flat, grad, hyper)
+            grads = cost_and_grads(np.take(X, batch, axis=0), y[batch], W1, b1, W2, b2, *loss,
+                                   first=first)
+            adam_step(state, flat, np.concatenate(grads, axis=None), hyper)
             for p, part in zip(params, unpacked):
                 p[...] = part
         val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)

@@ -35,7 +35,7 @@ from trisect import (
 )
 from trisect.cli import main as cli_main
 from trisect.discretize import kmeans_cluster, within_sse
-from trisect.network import AdamState, TrainHyper as Hyper, adam_step, cost_and_grads
+from trisect.network import AdamState, TrainHyper as Hyper, adam_step, cost, cost_and_grads
 from trisect.metrics import roc_auc, weighted_f1
 from trisect.numerics import ACTIVATION_KINDS
 from trisect.threeway import (
@@ -390,16 +390,16 @@ def test_c09_gradient_check():
         stream = RngStream(515, f"acc-grad-{kind}")
         for _ in range(100):
             X, y, W1, b1, W2, b2 = _random_setup(stream, kind)
-            _, grads = cost_and_grads(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
+            grads = cost_and_grads(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
             tensors = [W1, b1, W2, b2]
             h = 1e-6
             for ti, tensor in enumerate(tensors):
                 for idx in np.ndindex(tensor.shape):
                     orig = tensor[idx]
                     tensor[idx] = orig + h
-                    up, _ = cost_and_grads(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
+                    up = cost(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
                     tensor[idx] = orig - h
-                    dn, _ = cost_and_grads(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
+                    dn = cost(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
                     tensor[idx] = orig
                     fd = (up - dn) / (2 * h)
                     rel = abs(grads[ti][idx] - fd) / max(1.0, abs(grads[ti][idx]), abs(fd))
