@@ -38,13 +38,11 @@ from .threeway import (
     sample_cost_matrix,
     thresholds_from,
 )
-from .trainer import RunLedger, TrainConfig, run
+from .trainer import LEVEL_LOOP_KINDS, RunLedger, TrainConfig, level_schedule, run
 from .baselines import (
     BASELINE_KINDS,
     empirical_nodes,
     grid_search,
-    run_stwd_nk,
-    run_twd_fixed,
     train_fixed_topology,
 )
 

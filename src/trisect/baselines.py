@@ -1,8 +1,8 @@
 """Comparison models sharing the same network core.
 
-Static topologies sized by empirical formulas, a grid search over node
-counts, the fixed-threshold variant of the level loop, and the
-discretizer-free variant that groups identical raw rows.
+Static topologies sized by empirical formulas and a grid search over node
+counts. The fixed-threshold (``twd-fixed``) and discretizer-free
+(``stwd-nk``) baselines are kinds of the level loop, ``trainer.run``.
 """
 
 from __future__ import annotations
@@ -12,11 +12,17 @@ import math
 from .data import Dataset, Split
 from .network import LayeredNetwork, TrainHyper, init_node, predict_batch, train_network
 from .numerics import RngStream, derive_stream
-from .threeway import ThresholdSchedule, first_level_matrix
-from .trainer import TrainConfig, _run_core
 from .metrics import accuracy
 
 BASELINE_KINDS = ("m1", "m2", "m3", "grid-search", "twd-fixed", "stwd-nk")
+
+
+def check_settings(kind: str, max_nodes: int = 1, a: float = 4.0) -> None:
+    """The data-free checks of a ``kind`` fit: grid-search's max_nodes >= 1, m1's a in (1, 10)."""
+    if kind == "grid-search" and max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    if kind == "m1" and not 1.0 < a < 10.0:
+        raise ValueError(f"m1 requires a in (1, 10), got {a}")
 
 
 def empirical_nodes(kind: str, m: int, n: int = 2, a: float = 4.0) -> int:
@@ -28,9 +34,8 @@ def empirical_nodes(kind: str, m: int, n: int = 2, a: float = 4.0) -> int:
         raise ValueError(f"empirical formula kind must be m1/m2/m3, got {kind!r}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    check_settings(kind, a=a)
     if kind == "m1":
-        if not 1.0 < a < 10.0:
-            raise ValueError(f"m1 requires a in (1, 10), got {a}")
         value = math.sqrt(m + n) + a
     elif kind == "m2":
         value = math.log2(m)
@@ -57,8 +62,7 @@ def train_fixed_topology(ds: Dataset, split: Split, nodes: int, hyper: TrainHype
 def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
                 activation: str, init_dist: str, master_seed: int):
     """Best validation-accuracy topology over 1..max_nodes (ties: fewest)."""
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be >= 1")
+    check_settings("grid-search", max_nodes=max_nodes)
     va = list(split.validation) or list(split.train)
     best = None
     for nodes in range(1, max_nodes + 1):
@@ -70,26 +74,3 @@ def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
             best = (acc, nodes, net)
     return best[1], best[2]
 
-
-def twd_fixed_schedule(master_seed: int) -> ThresholdSchedule:
-    """The fixed-threshold run's default schedule: two levels of level 1's matrix."""
-    return ThresholdSchedule.from_matrices([first_level_matrix(master_seed)] * 2)
-
-
-def run_twd_fixed(ds: Dataset, split: Split, cfg: TrainConfig,
-                  schedule: ThresholdSchedule | None = None):
-    """Level loop with one fixed threshold pair, and its gamma, at every level.
-
-    The schedule's level-1 pair applies while some equivalence class still
-    holds more than one misclassified instance; otherwise (and always at the
-    level cap) its gamma settles the remainder.
-    """
-    if schedule is None:
-        schedule = twd_fixed_schedule(cfg.master_seed)
-    return _run_core(ds, split, cfg, schedule, fixed=True)
-
-
-def run_stwd_nk(ds: Dataset, split: Split, cfg: TrainConfig,
-                schedule: ThresholdSchedule | None = None):
-    """Sequential run without the discretizer: classes are identical rows."""
-    return _run_core(ds, split, cfg, schedule, identity=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -23,8 +24,9 @@ from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
 from .network import TrainHyper, model_to_json, model_from_json, predict_batch
 from .numerics import derive_stream
-from .threeway import build_schedule, schedule_to_json
-from .trainer import TrainConfig, run
+# build_schedule is not called here, but perfbench/tracer.py wraps it by this name
+from .threeway import build_schedule, schedule_to_json  # noqa: F401
+from .trainer import LEVEL_LOOP_KINDS, TrainConfig, level_schedule, run
 
 
 def _parse_norm(s):
@@ -35,14 +37,18 @@ def _parse_norm(s):
     return aliases[s]
 
 
+def _parse_finite(s):
+    if not math.isfinite(value := float(s)):
+        raise ValueError(f"{s!r} is not a finite number")
+    return value
+
+
 def _parse_costs(s):
-    if s == "auto":
-        return None
-    return tuple(float(v) for v in s.split(","))
+    return None if s == "auto" else tuple(_parse_finite(v) for v in s.split(","))
 
 
 def _parse_delta(s):
-    return None if s == "auto" else float(s)
+    return None if s == "auto" else _parse_finite(s)
 
 
 # config key -> value parser. A key named after a TrainHyper or TrainConfig field
@@ -51,13 +57,13 @@ def _parse_delta(s):
 CONFIG_KEYS = {
     "data": str, "label_col": str, "positive": str, "normalize": _parse_norm, "out": str,
     "seed": int, "t": int, "activation": str, "init_dist": str,
-    "delta": _parse_delta, "theta": float, "l2": float, "lr": float,
-    "rho1": float, "rho2": float, "tau": float,
+    "delta": _parse_delta, "theta": _parse_finite, "l2": _parse_finite, "lr": _parse_finite,
+    "rho1": _parse_finite, "rho2": _parse_finite, "tau": _parse_finite,
     "batch_size": int, "max_epochs": int, "patience": int,
-    "epsilon": float, "clusters": int,
+    "epsilon": _parse_finite, "clusters": int,
     "unit_test_costs": _parse_costs, "unit_delay_costs": _parse_costs,
-    "cost_lo": float, "cost_hi": float,
-    "folds": int, "jobs": int, "kind": str, "grid_max_nodes": int, "m1_a": float,
+    "cost_lo": _parse_finite, "cost_hi": _parse_finite,
+    "folds": int, "jobs": int, "kind": str, "grid_max_nodes": int, "m1_a": _parse_finite,
 }
 FIELD_KEYS = {"learning_rate": "lr", "master_seed": "seed"}
 # config key -> the dataclass field it sets
@@ -71,6 +77,7 @@ DEFAULTS = {**dict.fromkeys(CONFIG_KEYS),
             **{key: f.default for key, f in {**HYPER_FIELDS, **RUN_FIELDS}.items()},
             "cost_lo": _COST_LO, "cost_hi": _COST_HI,
             "normalize": "min-max", "folds": 10, "jobs": 1, "grid_max_nodes": 10, "m1_a": 4.0}
+SEQUENTIAL = "stwd-sfnn"  # the paper's model, which train and each crossval fold fit
 
 
 def parse_config_file(path: str) -> dict:
@@ -119,10 +126,14 @@ def _build_config(settings: dict) -> TrainConfig:
                        **{f.name: settings[key] for key, f in RUN_FIELDS.items()})
 
 
-def _read_dataset(settings) -> Dataset:
-    for key in ("data", "label_col", "positive"):
+def _require(settings, *keys) -> None:
+    for key in keys:
         if settings.get(key) in (None, ""):
             raise ConfigError(f"missing required setting {key!r}")
+
+
+def _read_dataset(settings) -> Dataset:
+    _require(settings, "data", "label_col", "positive")
     return load_csv(settings["data"], settings["label_col"], settings["positive"])
 
 
@@ -239,16 +250,42 @@ def _write_bundle(settings, ds, split, net, ledger, schedule, extra_metrics=None
         _write_costs_csv(os.path.join(out, "costs.csv"), ledger_doc["levels"])
 
 
-def cmd_train(args) -> int:
-    settings = resolve_settings(args)
+def _fit(kind, ds, split, cfg, schedule, settings):
+    """(network, ledger or None, extra metrics) of a ``kind`` model fitted on
+    ``split``; a level-loop kind runs on ``schedule``, a baseline's metrics name it."""
+    ledger, extra_metrics = None, {}
+    if kind in LEVEL_LOOP_KINDS:
+        net, ledger = run(ds, split, cfg, schedule, kind)
+    elif kind == "grid-search":
+        extra_metrics["best_nodes"], net = baselines.grid_search(
+            ds, split, settings["grid_max_nodes"], cfg.hyper, cfg.activation, cfg.init_dist,
+            cfg.master_seed)
+    else:  # m1, m2, m3
+        nodes = baselines.empirical_nodes(kind, ds.n_features, 2, settings["m1_a"])
+        stream = derive_stream(cfg.master_seed, "fixed-topology")
+        net = baselines.train_fixed_topology(ds, split, nodes, cfg.hyper, cfg.activation,
+                                             cfg.init_dist, stream)
+    if kind in baselines.BASELINE_KINDS:
+        extra_metrics.update(kind=kind, nodes=net.n_nodes)
+    return net, ledger, extra_metrics
+
+
+def _fit_command(settings, kind) -> int:
+    """Fit a ``kind`` model on the data's 8:1:1 split and write its bundle; every
+    setting is checked, and the kind's schedule built, before the data is read."""
     cfg = _build_config(settings)
-    schedule = build_schedule(cfg.t, cfg.master_seed)
+    baselines.check_settings(kind, settings["grid_max_nodes"], settings["m1_a"])
+    schedule = level_schedule(kind, cfg) if kind in LEVEL_LOOP_KINDS else None
     ds = _load_dataset(settings)
     _check_output_dir(settings["out"])
     split = split_811(ds, derive_stream(cfg.master_seed, "split"))
-    net, ledger = run(ds, split, cfg, schedule)
-    _write_bundle(settings, ds, split, net, ledger, schedule)
+    net, ledger, extra_metrics = _fit(kind, ds, split, cfg, schedule, settings)
+    _write_bundle(settings, ds, split, net, ledger, schedule, extra_metrics)
     return 0
+
+
+def cmd_train(args) -> int:
+    return _fit_command(resolve_settings(args), SEQUENTIAL)
 
 
 def cmd_eval(args) -> int:
@@ -272,7 +309,7 @@ def _crossval_fold(payload):
     fold_seed = derive_stream(seed, f"fold-{fold}").next_u64()
     cfg = _build_config({**settings, "seed": fold_seed})
     split = fold_split(ds, plan, fold, derive_stream(seed, f"crossval-val-{fold}"))
-    net, ledger = run(ds, split, cfg, schedule)
+    net = _fit(SEQUENTIAL, ds, split, cfg, schedule, settings)[0]
     report = _scored_report(*_evaluate(net, ds, split.test))[0]
     tr_truth, tr_labels, _ = _evaluate(net, ds, split.train)
     counts = np.bincount((np.asarray(tr_truth) == 1).astype(int), minlength=2)
@@ -308,8 +345,7 @@ def cmd_crossval(args) -> int:
     jobs = settings["jobs"]
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    _build_config(settings)  # each fold builds its own; this checks the settings first
-    schedule = build_schedule(settings["t"], settings["seed"])
+    schedule = level_schedule(SEQUENTIAL, _build_config(settings))  # folds build their own config
     ds = _load_dataset(settings)
     out = _check_output_dir(settings["out"])
     plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
@@ -320,9 +356,8 @@ def cmd_crossval(args) -> int:
         # imported here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_crossval_fold, payloads))
-    records.sort(key=lambda r: r["fold"])
+        with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
+            records = list(pool.map(_crossval_fold, payloads))  # in fold order
 
     aggregate = {}
     for key in SUMMARY_COLUMNS:
@@ -350,38 +385,12 @@ def cmd_crossval(args) -> int:
 
 def cmd_baseline(args) -> int:
     settings = resolve_settings(args)
+    _require(settings, "kind")
     kind = settings["kind"]
     if kind not in baselines.BASELINE_KINDS:
         raise ConfigError(f"unknown baseline kind {kind!r} "
                           f"(choose from {', '.join(baselines.BASELINE_KINDS)})")
-    cfg = _build_config(settings)
-    seed = cfg.master_seed
-    schedule = None
-    if kind == "twd-fixed":
-        schedule = baselines.twd_fixed_schedule(seed)
-    elif kind == "stwd-nk":
-        schedule = build_schedule(cfg.t, seed)
-    ds = _load_dataset(settings)
-    split = split_811(ds, derive_stream(seed, "split"))
-    _check_output_dir(settings["out"])
-    ledger, extra_metrics = None, {}
-
-    if kind in ("m1", "m2", "m3"):
-        nodes = baselines.empirical_nodes(kind, ds.n_features, 2, settings["m1_a"])
-        stream = derive_stream(seed, "fixed-topology")
-        net = baselines.train_fixed_topology(ds, split, nodes, cfg.hyper, cfg.activation,
-                                             cfg.init_dist, stream)
-    elif kind == "grid-search":
-        best_nodes, net = baselines.grid_search(ds, split, settings["grid_max_nodes"],
-                                                cfg.hyper, cfg.activation, cfg.init_dist, seed)
-        extra_metrics["best_nodes"] = best_nodes
-    elif kind == "twd-fixed":
-        net, ledger = baselines.run_twd_fixed(ds, split, cfg, schedule)
-    else:  # stwd-nk
-        net, ledger = baselines.run_stwd_nk(ds, split, cfg, schedule)
-    _write_bundle(settings, ds, split, net, ledger, schedule,
-                  {"kind": kind, "nodes": net.n_nodes, **extra_metrics})
-    return 0
+    return _fit_command(settings, kind)
 
 
 def cmd_costs(args) -> int:

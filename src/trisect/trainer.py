@@ -41,11 +41,15 @@ from .threeway import (
     build_schedule,
     decision_risk_three_way,
     decision_risk_two_way,
+    first_level_matrix,
     partition_three_way,
     partition_two_way,
 )
 
 DEFAULT_COST_RANGE = (1.0, 50.0)
+# what ``run`` fits: the sequential model (STWD-SFNN), its fixed-threshold
+# variant (TWD-SFNN) and its variant without the discretizer
+LEVEL_LOOP_KINDS = ("stwd-sfnn", "twd-fixed", "stwd-nk")
 
 
 @dataclass(frozen=True)
@@ -198,20 +202,32 @@ def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
     return kmeans_cluster(points, k, stream).assignments
 
 
-def _run_core(ds: Dataset, split: Split, cfg: TrainConfig,
-              schedule: ThresholdSchedule | None, fixed: bool = False, identity: bool = False):
-    """The level loop. Level i applies schedule level i, which must span
-    ``cfg.t`` levels (None samples the run's own); a ``fixed`` run applies
-    schedule level 1 while some equivalence class still holds two or more
-    misclassified instances, and the schedule's last level otherwise and
-    always at the level cap. Misclassified instances form equivalence
-    classes by k-means category, or by identical feature rows if ``identity``.
+def level_schedule(kind: str, cfg: TrainConfig) -> ThresholdSchedule:
+    """The schedule a ``kind`` run samples from the config's seed: ``cfg.t``
+    levels, or for ``twd-fixed`` two levels of level 1's matrix."""
+    if kind == "twd-fixed":
+        return ThresholdSchedule.from_matrices([first_level_matrix(cfg.master_seed)] * 2)
+    return build_schedule(cfg.t, cfg.master_seed)
+
+
+def run(ds: Dataset, split: Split, cfg: TrainConfig,
+        schedule: ThresholdSchedule | None = None, kind: str = "stwd-sfnn"):
+    """The level loop of a ``kind`` run on ``schedule`` (None: the kind's
+    ``level_schedule``); returns the grown network and its ledger.
+
+    Level i applies schedule level i, which must span ``cfg.t`` levels; a
+    ``twd-fixed`` run applies level 1 while some equivalence class still holds
+    two or more misclassified instances, and the schedule's last level
+    otherwise and always at the level cap. Misclassified instances form
+    classes by k-means category, or for ``stwd-nk`` by identical feature rows.
     """
-    if not fixed:
-        if schedule is None:
-            schedule = build_schedule(cfg.t, cfg.master_seed)
-        elif schedule.t != cfg.t:
-            raise ConfigError(f"schedule spans {schedule.t} levels, config says {cfg.t}")
+    if kind not in LEVEL_LOOP_KINDS:
+        raise ValueError(f"unknown level-loop kind {kind!r}, not one of {LEVEL_LOOP_KINDS}")
+    fixed, identity = kind == "twd-fixed", kind == "stwd-nk"
+    if schedule is None:
+        schedule = level_schedule(kind, cfg)
+    elif not fixed and schedule.t != cfg.t:
+        raise ConfigError(f"schedule spans {schedule.t} levels, config says {cfg.t}")
     X, y = ds.features, ds.labels
     train_idx = np.array(split.train, dtype=np.int64)
     if train_idx.size == 0:
@@ -281,9 +297,3 @@ def _run_core(ds: Dataset, split: Split, cfg: TrainConfig,
     ledger = RunLedger(tuple(records), tuple(sorted(pos_idx)), tuple(sorted(neg_idx)),
                        (), unit_test, unit_delay, cfg.master_seed)
     return net, ledger
-
-
-def run(ds: Dataset, split: Split, cfg: TrainConfig, schedule: ThresholdSchedule | None = None):
-    """Full sequential run on ``schedule`` (None samples one from the config's
-    seed); returns the grown network and its ledger."""
-    return _run_core(ds, split, cfg, schedule)

@@ -28,7 +28,6 @@ from trisect import (
     empirical_nodes,
     gamma_from,
     run,
-    run_twd_fixed,
     split_811,
     thresholds_from,
     trainer,
@@ -489,8 +488,8 @@ def test_c13_degenerate_schedule_equivalence():
         degenerate = ThresholdSchedule.from_matrices([matrix] * 6)
         _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
                          degenerate)
-        _, led_fix = run_twd_fixed(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
-                                   ThresholdSchedule.from_matrices([matrix] * 2))
+        _, led_fix = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
+                         ThresholdSchedule.from_matrices([matrix] * 2), kind="twd-fixed")
         assert json.dumps(led_seq.to_dict(), sort_keys=True) == \
             json.dumps(led_fix.to_dict(), sort_keys=True), f"seed {seed}"
         saw_multi_level |= len(led_seq.levels) > 1

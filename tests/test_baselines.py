@@ -13,8 +13,6 @@ from trisect import (
     empirical_nodes,
     grid_search,
     run,
-    run_stwd_nk,
-    run_twd_fixed,
     split_811,
     train_fixed_topology,
 )
@@ -150,8 +148,8 @@ class TestTwdFixed:
     def test_coarsest_thresholds_keep_deferring(self, replayed):
         # level-1 corridor holds p = 0.5, so the two instances stay deferred
         # at level 2 and a third node is needed
-        net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(),
-                                    ThresholdSchedule.from_matrices([MATRIX_1] * 2))
+        net, ledger = run(_toy_ds(), TOY_SPLIT, self._cfg(),
+                          ThresholdSchedule.from_matrices([MATRIX_1] * 2), kind="twd-fixed")
         assert net.n_nodes == 3
         assert [r.rule for r in ledger.levels] == ["three-way", "three-way", "two-way"]
         assert ledger.levels[1].bl == 2
@@ -159,7 +157,7 @@ class TestTwdFixed:
     def test_finest_thresholds_stop_early(self, replayed):
         # recorded level-2 pair held fixed settles everything at level 1
         recorded = ThresholdSchedule(((0.5389, 0.5016),), 0.5204, (MATRIX_2, MATRIX_2))
-        net, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, self._cfg(), recorded)
+        net, ledger = run(_toy_ds(), TOY_SPLIT, self._cfg(), recorded, kind="twd-fixed")
         assert net.n_nodes == 1
         assert ledger.pos == (1, 2, 5)
         assert ledger.neg == (0, 3, 4)
@@ -177,9 +175,8 @@ class TestTwdFixed:
             degenerate = ThresholdSchedule.from_matrices([matrix] * 6)
             _, led_seq = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
                              degenerate)
-            _, led_fix = run_twd_fixed(ds, split,
-                                       TrainConfig(t=6, master_seed=seed, hyper=hyper),
-                                       ThresholdSchedule.from_matrices([matrix] * 2))
+            _, led_fix = run(ds, split, TrainConfig(t=6, master_seed=seed, hyper=hyper),
+                             ThresholdSchedule.from_matrices([matrix] * 2), kind="twd-fixed")
             assert (json.dumps(led_seq.to_dict(), sort_keys=True)
                     == json.dumps(led_fix.to_dict(), sort_keys=True))
             saw_multi_level |= len(led_seq.levels) > 1
@@ -189,9 +186,9 @@ class TestTwdFixed:
         for seed in (0, 5, 11):
             cfg = self._cfg(master_seed=seed)
             level_one = build_schedule(cfg.t, seed).matrices[0]
-            _, ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg)
+            _, ledger = run(_toy_ds(), TOY_SPLIT, cfg, kind="twd-fixed")
             explicit = ThresholdSchedule.from_matrices([level_one] * 2)
-            _, explicit_ledger = run_twd_fixed(_toy_ds(), TOY_SPLIT, cfg, explicit)
+            _, explicit_ledger = run(_toy_ds(), TOY_SPLIT, cfg, explicit, kind="twd-fixed")
             assert ledger.to_dict() == explicit_ledger.to_dict()
 
 
@@ -202,7 +199,7 @@ class TestStwdNk:
         ds = synthetic_dataset(11, 60, 4)
         split = split_811(ds, derive_stream(11, "split"))
         cfg = TrainConfig(master_seed=11, hyper=TrainHyper(max_epochs=5, batch_size=32))
-        net, ledger = run_stwd_nk(ds, split, cfg)
+        net, ledger = run(ds, split, cfg, kind="stwd-nk")
         assert net.n_nodes == 1
         first = ledger.levels[0]
         if first.m:
@@ -218,7 +215,7 @@ class TestStwdNk:
         sched = ThresholdSchedule(((0.95, 0.05),), 0.5,
                                   (MATRIX_1, MATRIX_1))
         cfg = TrainConfig(t=2, master_seed=2, hyper=TrainHyper(max_epochs=2, batch_size=4))
-        net, ledger = run_stwd_nk(ds, split, cfg, sched)
+        net, ledger = run(ds, split, cfg, sched, kind="stwd-nk")
         first = ledger.levels[0]
         if first.m:
             # any non-settled class must carry a strictly fractional p
@@ -241,7 +238,7 @@ class TestStwdNk:
         ds = Dataset(X, y, ("f0", "f1"))
         split = Split(train=tuple(range(8)), validation=(8,), test=(9,))
         cfg = TrainConfig(t=2, master_seed=3, hyper=TrainHyper(max_epochs=1, batch_size=4))
-        run_stwd_nk(ds, split, cfg)
+        run(ds, split, cfg, kind="stwd-nk")
         level1 = classes[0]
         assert [c.size for c in level1] == [2, 2]
         for c in level1:
@@ -254,5 +251,5 @@ class TestStwdNk:
         hyper = TrainHyper(max_epochs=3, batch_size=16)
         cfg = TrainConfig(master_seed=13, hyper=hyper)
         net_a, _ = run(ds, split, cfg)
-        net_b, _ = run_stwd_nk(ds, split, cfg)
+        net_b, _ = run(ds, split, cfg, kind="stwd-nk")
         assert np.array_equal(net_a.W1[0], net_b.W1[0]) and net_a.b1[0] == net_b.b1[0]

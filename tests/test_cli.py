@@ -133,14 +133,30 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: not valid UTF-8\n"
 
-    @pytest.mark.parametrize("command", [["train"], ["crossval"],
-                                         ["baseline", "--kind", "stwd-nk"]])
-    @pytest.mark.parametrize("setting, code, message", [
-        ("lr = 0", 1, "error: learning rate must be positive"),
-        ("t = 40", 3, "error: level 20 of a t = 40 schedule, "),  # seed 0's corridor collapses
+    # every command that fits a level loop is checked against every (config
+    # line, exit code, start of the error line) row, under the ids pytest gives
+    # a product of two parametrizations; a baseline kind that fits no level
+    # loop is checked against its own keys
+    @pytest.mark.parametrize("setting, code, message, command", [
+        pytest.param(setting, code, message, command,
+                     id=f"{setting}-{code}-{message}-command{i}")
+        for setting, code, message in [
+            ("lr = 0", 1, "error: learning rate must be positive"),
+            ("t = 40", 3, "error: level 20 of a t = 40 schedule, "),  # seed 0's corridor collapses
+            ("theta = nan", 1, "error: config key 'theta': 'nan' is not a finite number"),
+            ("l2 = inf", 1, "error: config key 'l2': 'inf' is not a finite number"),
+            ("lr = inf", 1, "error: config key 'lr': 'inf' is not a finite number"),
+        ]
+        for i, command in enumerate([["train"], ["crossval"], ["baseline", "--kind", "stwd-nk"]])
+    ] + [
+        pytest.param(setting, 1, message, ["baseline", "--kind", kind], id=f"{setting}-{kind}")
+        for setting, message, kind in [
+            ("grid_max_nodes = 0", "error: max_nodes must be >= 1", "grid-search"),
+            ("m1_a = 20", "error: m1 requires a in (1, 10), got 20.0", "m1"),
+        ]
     ])
     def test_settings_are_checked_before_the_data_is_read(self, tmp_path, monkeypatch, capsys,
-                                                          command, setting, code, message):
+                                                          setting, code, message, command):
         import trisect.cli as cli
 
         def never(*args):
@@ -379,6 +395,38 @@ class TestCrossval:
             blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
         assert blobs[0] == blobs[1]
 
+    def test_pool_is_capped_at_the_fold_count(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        class SerialPool:
+            """Records its worker count and maps in this process."""
+            workers = []
+
+            def __init__(self, max_workers):
+                self.workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
+        cfg = _fast_config(tmp_path)
+        blobs = []
+        for name, jobs in (("serial", "1"), ("pooled", "8")):
+            out = str(tmp_path / name)
+            assert main(["crossval", "--data", data, "--label-col", "label",
+                         "--positive", "yes", "--seed", "4", "--folds", "3",
+                         "--jobs", jobs, "--out", out, "--config", cfg]) == 0
+            blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
+        assert SerialPool.workers == [3]
+        assert blobs[0] == blobs[1]
+
     def test_negative_jobs_is_exit_1(self, tmp_path, capsys):
         data = _write_synth_csv(tmp_path / "synth.csv")
         code = main(["crossval", "--data", data, "--label-col", "label", "--positive", "yes",
@@ -427,6 +475,12 @@ class TestBaseline:
             assert os.path.isfile(os.path.join(out, "ledger.json"))
             metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
             assert metrics["kind"] == kind
+
+    def test_missing_kind_is_exit_1(self, toy_csv, tmp_path, capsys):
+        code = main(["baseline", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing required setting 'kind'\n"
 
     def test_bogus_kind_is_exit_1(self, toy_csv, tmp_path):
         code = main(["baseline", "--kind", "bogus", "--data", toy_csv,

@@ -12,7 +12,6 @@ from trisect import (
     predict_batch,
     run,
 )
-from trisect.baselines import run_stwd_nk
 from trisect.network import LayeredNetwork, classify_split
 from trisect.trainer import resolve_unit_costs
 
@@ -60,11 +59,15 @@ class TestWorkedExample:
         assert np.abs(W2 - expected_W2).max() <= 1e-4
         assert np.abs(b2 - np.array([0.0768, 0.0821])).max() <= 1e-4
 
-    @pytest.mark.parametrize("runner", [run, run_stwd_nk])
-    def test_schedule_must_span_the_level_cap(self, toy_dataset, toy_config, runner):
+    @pytest.mark.parametrize("kind", ["stwd-sfnn", "stwd-nk"])
+    def test_schedule_must_span_the_level_cap(self, toy_dataset, toy_config, kind):
         two_levels = ThresholdSchedule.from_matrices([MATRIX_1, MATRIX_2])
         with pytest.raises(ConfigError, match="schedule spans 2 levels, config says 3"):
-            runner(toy_dataset, TOY_SPLIT, toy_config, two_levels)
+            run(toy_dataset, TOY_SPLIT, toy_config, two_levels, kind=kind)
+
+    def test_unknown_kind_is_rejected(self, toy_dataset, toy_config, toy_schedule):
+        with pytest.raises(ValueError, match="unknown level-loop kind 'm2'"):
+            run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule, kind="m2")
 
 
 class TestAssemble:
