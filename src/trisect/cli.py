@@ -78,6 +78,8 @@ DEFAULTS = {**dict.fromkeys(CONFIG_KEYS),
             "cost_lo": _COST_LO, "cost_hi": _COST_HI,
             "normalize": "min-max", "folds": 10, "jobs": 1, "grid_max_nodes": 10, "m1_a": 4.0}
 SEQUENTIAL = "stwd-sfnn"  # the paper's model, which train and each crossval fold fit
+# roc.csv is written this many lines at a time, so its text is never held whole
+ROC_CHUNK_LINES = 4096
 
 
 def parse_config_file(path: str) -> dict:
@@ -202,11 +204,16 @@ def _scored_report(truth, labels, scores):
 
 
 def _write_roc_csv(path: str, curve) -> None:
-    lines = ["threshold,fpr,tpr"]
-    if curve is not None:  # header only for a single-class evaluation set
-        for thr, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
-            lines.append(f"{thr!r},{fpr!r},{tpr!r}")
-    _write_lines(path, lines)
+    """``roc.csv``: a header, then one line per point of ``curve``, written
+    ``ROC_CHUNK_LINES`` lines at a time; a None curve is the header alone."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("threshold,fpr,tpr\n")
+        if curve is None:  # a single-class evaluation set
+            return
+        for start in range(0, len(curve.thresholds), ROC_CHUNK_LINES):
+            chunk = slice(start, start + ROC_CHUNK_LINES)
+            fh.write("".join(f"{thr!r},{fpr!r},{tpr!r}\n" for thr, fpr, tpr in
+                             zip(curve.thresholds[chunk], curve.fpr[chunk], curve.tpr[chunk])))
 
 
 def _cost_lines(levels, columns) -> list[str]:
@@ -297,8 +304,13 @@ def cmd_eval(args) -> int:
         raise DataError(f"{settings['data']} has {ds.n_features} feature columns, "
                         f"the model expects {net.n_features}")
     _check_output_dir(settings["out"])
-    X = apply_normalization(norm_mode, norm_stats, ds.features)
-    _write_report(settings["out"], ds.labels, *predict_batch(net, X))
+    # one feature matrix at a time: the raw one is dropped before the forward
+    # pass, the normalized one before the report
+    truth, X = ds.labels, apply_normalization(norm_mode, norm_stats, ds.features)
+    del ds
+    labels, scores = predict_batch(net, X)
+    del X
+    _write_report(settings["out"], truth, labels, scores)
     return 0
 
 

@@ -251,21 +251,43 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
 
 
 def apply_normalization(mode: str, stats, X: np.ndarray) -> np.ndarray:
-    """Replay a fitted normalization on new rows."""
+    """Replay a fitted normalization on new rows, as a new array.
+
+    Column j becomes ``(x - a) / scale`` for its stats (a, b), with scale
+    ``b - a`` (min-max) or ``b`` (z-score); a column whose scale is 0 becomes
+    zeros. The whole matrix goes through one subtraction into the output and
+    one in-place division, so no second full-size array is made, and each
+    entry takes the same two operations as a column at a time would.
+    """
+    if mode not in NORMALIZE_MODES:
+        raise ValueError(f"unknown normalization mode: {mode!r}")
     if mode == "none":
         return np.array(X, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty_like(X)
-    for j, (a, b) in enumerate(stats):
-        col = X[:, j]
-        if mode == "min-max":
-            span = b - a
-            out[:, j] = 0.0 if span == 0 else (col - a) / span
-        elif mode == "z-score":
-            out[:, j] = 0.0 if b == 0 else (col - a) / b
-        else:
-            raise ValueError(f"unknown normalization mode: {mode!r}")
+    offset, b = np.array(stats, dtype=np.float64).reshape(len(stats), 2).T
+    if len(offset) != X.shape[1]:
+        raise ValueError(f"normalization stats cover {len(offset)} features, "
+                         f"the rows have {X.shape[1]}")
+    scale = b - offset if mode == "min-max" else b
+    out = np.subtract(X, offset)
+    np.divide(out, scale, out=out, where=scale != 0)
+    out[:, scale == 0] = 0.0
     return out
+
+
+def _column_extremes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's (min, max), bitwise as ``X[:, j].min()`` and ``.max()``.
+
+    Two axis-0 reductions give every nonzero extreme exactly. A zero extreme
+    is taken again from its column alone: 0.0 and -0.0 compare equal, so which
+    sign a reduction returns depends on the order it compares them in, and the
+    axis-0 and per-column orders differ.
+    """
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    for extremes, reduce in ((lo, np.min), (hi, np.max)):
+        for j in np.flatnonzero(extremes == 0):
+            extremes[j] = reduce(X[:, j])
+    return lo, hi
 
 
 def normalize(ds: Dataset, mode: str) -> Dataset:
@@ -279,11 +301,10 @@ def normalize(ds: Dataset, mode: str) -> Dataset:
     if mode == "none":
         stats = tuple((0.0, 1.0) for _ in range(ds.n_features))
     elif mode == "min-max":
-        stats = tuple(
-            (float(ds.features[:, j].min()), float(ds.features[:, j].max()))
-            for j in range(ds.n_features)
-        )
+        stats = tuple(zip(*(e.tolist() for e in _column_extremes(ds.features))))
     else:
+        # per column: a strided column's mean is summed pairwise, while
+        # mean(axis=0) adds the rows in order, so the two differ in the last bits
         stats = tuple(
             (float(ds.features[:, j].mean()), float(ds.features[:, j].std()))
             for j in range(ds.n_features)

@@ -85,10 +85,11 @@ class RocCurve:
             raise ValueError("ROC curve must start at (0, 0)")
         if not (self.fpr[-1] == 1.0 and self.tpr[-1] == 1.0):
             raise ValueError("ROC curve must end at (1, 1)")
-        if any(b < a for a, b in zip(self.fpr, self.fpr[1:])):
-            raise ValueError("FPR must be non-decreasing")
-        if any(b < a for a, b in zip(self.tpr, self.tpr[1:])):
-            raise ValueError("TPR must be non-decreasing")
+        for name, rates in (("FPR", self.fpr), ("TPR", self.tpr)):
+            rates = np.asarray(rates, dtype=np.float64)
+            # neighbours compared, not subtracted: a difference could overflow
+            if (rates[1:] < rates[:-1]).any():
+                raise ValueError(f"{name} must be non-decreasing")
 
 
 def roc_auc(truth, scores) -> tuple[RocCurve, float]:
@@ -117,13 +118,13 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
     first = np.concatenate(([0], last[:-1] + 1))
     tp = np.cumsum(ranked_truth == 1)[last]
     fp = np.cumsum(ranked_truth == -1)[last]
-    thresholds = [float("inf")] + ranked[first].tolist()
-    fpr = [0.0] + (fp / n_neg).tolist()
-    tpr = [0.0] + (tp / n_pos).tolist()
-    curve = RocCurve(tuple(thresholds), tuple(fpr), tuple(tpr))
-    auc = 0.0
-    for k in range(1, len(fpr)):
-        auc += (fpr[k] - fpr[k - 1]) * (tpr[k] + tpr[k - 1]) / 2.0
+    fpr = np.concatenate(([0.0], fp / n_neg))
+    tpr = np.concatenate(([0.0], tp / n_pos))
+    curve = RocCurve((float("inf"), *ranked[first].tolist()), tuple(fpr.tolist()),
+                     tuple(tpr.tolist()))
+    # every trapezoid is +0.0 or positive, so an in-order sum from the first
+    # one equals the left-to-right sum from 0.0 bit for bit
+    auc = np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
     return curve, float(auc)
 
 

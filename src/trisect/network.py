@@ -10,6 +10,7 @@ fresh node's parameters and the shared output bias move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class TrainHyper:
     patience: int = 5
 
     def __post_init__(self):
+        for name in ("theta", "l2", "learning_rate", "tau"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.theta < 0:
@@ -396,11 +400,15 @@ def model_to_json(net: LayeredNetwork, norm_mode: str, norm_stats,
 
 
 def model_from_json(doc: dict):
-    """Rebuild (net, norm_mode, norm_stats, schedule_doc, seeds)."""
+    """Rebuild (net, norm_mode, norm_stats, schedule_doc, seeds); the stats
+    must cover W1's width, one (a, b) pair per feature."""
     net = LayeredNetwork(np.array([[float(v) for v in row] for row in doc["W1"]]),
                          np.array([float(v) for v in doc["b1"]]),
                          np.array([[float(v) for v in row] for row in doc["W2"]]),
                          np.array([float(v) for v in doc["b2"]]), doc["activation"])
     norm = doc["normalization"]
     stats = tuple((float(a), float(b)) for a, b in norm["stats"])
+    if len(stats) != net.n_features:
+        raise ValueError(f"normalization stats cover {len(stats)} features, "
+                         f"W1 has {net.n_features}")
     return net, norm["mode"], stats, doc.get("threshold_schedule"), doc.get("seeds", {})

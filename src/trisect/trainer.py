@@ -17,6 +17,7 @@ partition shrinking subsets of one fixed granulation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -74,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"unknown activation: {self.activation!r}")
         if self.init_dist not in INIT_DISTRIBUTIONS:
             raise ConfigError(f"unknown init distribution: {self.init_dist!r}")
+        if not math.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if not self.epsilon >= 1.0:
             raise ConfigError("penalty factor epsilon must be >= 1")
         if self.clusters < 1:
@@ -81,12 +84,17 @@ class TrainConfig:
         if self.master_seed < 0:
             raise ConfigError("master seed must be non-negative")
         lo, hi = self.cost_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"cost_range must be finite, got {self.cost_range}")
         if not 0 < lo < hi:
             raise ConfigError("cost range must satisfy 0 < lo < hi")
-        for vec in (self.unit_test_costs, self.unit_delay_costs):
+        for name in ("unit_test_costs", "unit_delay_costs"):
+            vec = getattr(self, name)
             if vec is not None:
                 if len(vec) < self.t:
                     raise ConfigError(f"unit cost vector must cover {self.t} levels")
+                if not all(math.isfinite(u) for u in vec):
+                    raise ConfigError(f"{name} must be finite, got {vec}")
                 if any(u <= 0 for u in vec):
                     raise ConfigError("unit costs must be positive")
 

@@ -4,13 +4,16 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from trisect.cli import main
+from trisect.cli import ROC_CHUNK_LINES, _write_roc_csv, main
 from trisect.errors import ConfigError, DataError, SamplingError
 from trisect.metrics import roc_auc
 from trisect.trainer import run
@@ -331,7 +334,11 @@ class TestEval:
         (lambda text: json.dumps({**json.loads(text), "W1": None}),
          "model.json: key 'W1' is missing or not a list"),
         (lambda text: text[:len(text) // 2], "model.json: Unterminated string"),
-    ], ids=["without-W1", "truncated"])
+        (lambda text: _with_stats(text, lambda stats: stats[:-1]),
+         "model.json: normalization stats cover 2 features, W1 has 3"),
+        (lambda text: _with_stats(text, lambda stats: stats + stats[:1]),
+         "model.json: normalization stats cover 4 features, W1 has 3"),
+    ], ids=["without-W1", "truncated", "too-few-stats", "too-many-stats"])
     def test_damaged_model_is_exit_2(self, tmp_path, capsys, damage, message):
         out = self._train(tmp_path)
         path = os.path.join(out, "model.json")
@@ -344,6 +351,57 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    def test_memory_is_bounded_by_the_feature_matrix(self, tmp_path):
+        # the raw and the normalized 20000x16 matrices together are 2x; the
+        # rows, their labels and the roc.csv text must fit in the third
+        rng = np.random.default_rng(19)
+        X = rng.random((20000, 16))
+        margin = X @ rng.standard_normal(16)
+        labels = np.where(margin > np.median(margin), "yes", "no")
+        header = ",".join(f"f{j}" for j in range(16)) + ",label"
+        lines = [",".join(f"{v:.6f}" for v in row) + f",{y}" for row, y in zip(X, labels)]
+        (tmp_path / "train.csv").write_text("\n".join([header] + lines[:300]) + "\n")
+        (tmp_path / "eval.csv").write_text("\n".join([header] + lines) + "\n")
+        del lines
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", str(tmp_path / "train.csv"), "--label-col", "label",
+                     "--positive", "yes", "--out", out, "--config", _fast_config(tmp_path)]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["eval", out, "--data", str(tmp_path / "eval.csv"), "--label-col",
+                         "label", "--positive", "yes", "--out", str(tmp_path / "ev")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 3 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
+
+
+def _with_stats(text, edit):
+    """A model.json text whose normalization stats are ``edit(stats)``."""
+    doc = json.loads(text)
+    doc["normalization"]["stats"] = edit(doc["normalization"]["stats"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("points", [None, 1, ROC_CHUNK_LINES - 1, ROC_CHUNK_LINES,
+                                    ROC_CHUNK_LINES + 1, 3 * ROC_CHUNK_LINES - 5])
+def test_roc_csv_has_the_whole_file_bytes(tmp_path, points):
+    """roc.csv, written a chunk at a time, is the header and the curve's
+    lines joined whole, for a missing curve and at the chunk edges."""
+    lines = ["threshold,fpr,tpr"]
+    curve = None
+    if points is not None:
+        rng = np.random.default_rng(points)
+        thresholds = [math.inf] + sorted(rng.random(points // 2).tolist(), reverse=True)
+        thresholds += [-0.0] * (points - len(thresholds))
+        fpr, tpr = (tuple(sorted(rng.random(points).tolist())) for _ in range(2))
+        curve = types.SimpleNamespace(thresholds=tuple(thresholds), fpr=fpr, tpr=tpr)
+        lines += [f"{t!r},{f!r},{r!r}" for t, f, r in zip(thresholds, fpr, tpr)]
+    path = tmp_path / "roc.csv"
+    _write_roc_csv(str(path), curve)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestCrossval:

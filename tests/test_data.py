@@ -261,6 +261,72 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(self._ds([1.0, 2.0]), "robust")
 
+    def test_replay_needs_one_stat_pair_per_column(self):
+        for stats in (((0.0, 1.0),), ((0.0, 1.0),) * 3):
+            with pytest.raises(ValueError, match=f"cover {len(stats)} features, the rows have 2"):
+                apply_normalization("min-max", stats, np.ones((4, 2)))
+
+
+def _column_reference(mode, X):
+    """Stats and normalized matrix, fitted and replayed one column at a time."""
+    out = np.empty_like(X)
+    stats = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        if mode == "min-max":
+            a, b = float(col.min()), float(col.max())
+            scale = b - a
+        else:
+            a, b = float(col.mean()), float(col.std())
+            scale = b
+        stats.append((a, b))
+        out[:, j] = 0.0 if scale == 0 else (col - a) / scale
+    return tuple(stats), out
+
+
+def _signed_bytes(values):
+    """The values' bytes, so that 0.0 and -0.0 compare unequal."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["min-max", "z-score"])
+def test_normalization_equals_the_per_column_reference(mode):
+    """The fitted stats, the normalized matrix and a replay on new rows are
+    bitwise those of the column-at-a-time form, also for constant columns,
+    0.0 against -0.0 at a column's extreme and magnitudes 1e-200 to 1e200."""
+    rng = np.random.default_rng(19)
+    zero_ties = (np.array([0.0, -0.0, 1.0]), np.array([0.0, -0.0, -1.0]),
+                 np.array([0.0, -0.0]))
+    for case in range(300):
+        n, m = int(rng.integers(2, 120)), int(rng.integers(1, 24))
+        kind = case % 4
+        if kind == 0:  # signed zeros tie at a column's min or max
+            X = rng.choice(zero_ties[case % 3], size=(n, m))
+        elif kind == 1:  # one magnitude per column, 1e-200 to 1e200
+            X = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-200, 201, (1, m))
+        elif kind == 2:  # constant columns and -0.0 cells
+            X = rng.standard_normal((n, m))
+            X[:, rng.integers(0, m, 1 + m // 3)] = rng.choice([0.0, -0.0, 7.5])
+            X[rng.random((n, m)) < 0.1] = -0.0
+        else:
+            X = rng.integers(-2, 3, (n, m)) * rng.choice([1.0, -1.0], (n, m))
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = (1, -1)
+        with np.errstate(over="ignore", under="ignore"):  # the 1e±200 columns' std
+            ds = normalize(Dataset(X.copy(), y, tuple(f"f{j}" for j in range(m))), mode)
+            ref_stats, ref_X = _column_reference(mode, X)
+        assert _signed_bytes(ds.norm_stats) == _signed_bytes(ref_stats), case
+        assert ds.features.tobytes() == ref_X.tobytes(), case
+
+        new = rng.standard_normal((int(rng.integers(1, 30)), m)) * 10.0 ** rng.integers(-3, 4)
+        new[0, 0] = -0.0
+        replayed = apply_normalization(mode, ds.norm_stats, new)
+        expected = np.empty_like(new)
+        for j, (a, b) in enumerate(ds.norm_stats):
+            scale = b - a if mode == "min-max" else b
+            expected[:, j] = 0.0 if scale == 0 else (new[:, j] - a) / scale
+        assert replayed.tobytes() == expected.tobytes(), case
+
 
 class TestSplit811:
     def test_sizes_d10(self, toy_dataset):

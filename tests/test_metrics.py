@@ -3,7 +3,7 @@ import pytest
 
 from trisect import RngStream, accuracy, roc_auc, weighted_f1
 from trisect.cli import _scored_report
-from trisect.metrics import confusion_counts, metrics_report, per_class_report
+from trisect.metrics import RocCurve, confusion_counts, metrics_report, per_class_report
 
 
 def _oracle_weighted_f1(truth, predicted):
@@ -182,6 +182,33 @@ class TestRocAuc:
             curve, _ = roc_auc(truth, scores)
             got = (curve.thresholds, curve.fpr, curve.tpr)
             assert repr(got) == repr(tuple(map(tuple, loop_roc(truth, scores))))
+
+    def test_auc_equals_the_trapezoid_loop_exactly(self):
+        stream = RngStream(19, "auc-loop")
+        for case in range(500):
+            n = 2 + stream.randrange(60)
+            truth = np.array([1 if stream.uniform() < 0.5 else -1 for _ in range(n)])
+            truth[0], truth[1] = 1, -1
+            if case % 3 == 0:  # ties, including 0.0 against -0.0
+                scores = np.array([(0.0, -0.0, 0.25, 1.0)[stream.randrange(4)] for _ in range(n)])
+            elif case % 3 == 1:  # every group a single member
+                scores = np.array([stream.uniform() for _ in range(n)])
+            else:
+                scores = np.array([round(stream.uniform(), 1) for _ in range(n)])
+            curve, auc = roc_auc(truth, scores)
+            expected = 0.0
+            for k in range(1, len(curve.fpr)):
+                expected += ((curve.fpr[k] - curve.fpr[k - 1])
+                             * (curve.tpr[k] + curve.tpr[k - 1]) / 2.0)
+            assert auc == expected, case
+
+    @pytest.mark.parametrize("fpr, tpr", [((0.0, 0.5, 0.25, 1.0), (0.0, 0.5, 0.75, 1.0)),
+                                          ((0.0, 0.5, 0.75, 1.0), (0.0, 0.6, 0.5, 1.0))])
+    def test_curve_rates_must_not_decrease(self, fpr, tpr):
+        name = "FPR" if fpr[2] < fpr[1] else "TPR"
+        with pytest.raises(ValueError, match=f"{name} must be non-decreasing"):
+            RocCurve((float("inf"), 0.9, 0.5, 0.1), fpr, tpr)
+        RocCurve((float("inf"), 0.9, 0.5, 0.1), tuple(sorted(fpr)), tuple(sorted(tpr)))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

@@ -180,6 +180,16 @@ class TestRegularizedCost:
         assert cost == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theta", math.nan), ("theta", math.inf), ("l2", math.nan), ("l2", math.inf),
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("tau", math.inf),
+    ("tau", -math.inf),
+])
+def test_hyperparameters_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainHyper(**{field: value})
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         hyper = TrainHyper()

@@ -192,6 +192,15 @@ class TestLiveRuns:
             TrainConfig(t=2, unit_test_costs=(1.0, 0.0))
         with pytest.raises(ConfigError):
             TrainConfig(t=2, unit_delay_costs=(-1.0, 1.0))
+        inf, nan = float("inf"), float("nan")
+        for field, bad in [("epsilon", {"epsilon": inf}), ("epsilon", {"epsilon": nan}),
+                           ("cost_range", {"cost_range": (1.0, inf)}),
+                           ("cost_range", {"cost_range": (nan, 2.0)}),
+                           ("unit_test_costs", {"t": 2, "unit_test_costs": (1.0, nan)}),
+                           ("unit_test_costs", {"t": 2, "unit_test_costs": (inf, 2.0)}),
+                           ("unit_delay_costs", {"t": 2, "unit_delay_costs": (nan, 1.0)})]:
+            with pytest.raises(ConfigError, match=f"{field} must be finite"):
+                TrainConfig(**bad)
 
     def test_empty_train_split_rejected(self, toy_dataset, toy_config):
         empty = Split(train=(), validation=(6, 7), test=(8, 9))
