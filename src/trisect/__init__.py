@@ -9,7 +9,7 @@ from .discretize import (
     kmeanspp_seed,
 )
 from .errors import ConfigError, DataError, SamplingError
-from .metrics import ConfusionMatrix, RocCurve, accuracy, roc_auc, weighted_f1
+from .metrics import RocCurve, accuracy, metrics_report, roc_auc
 from .network import (
     AdamState,
     LayeredNetwork,

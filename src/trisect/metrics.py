@@ -9,14 +9,6 @@ import numpy as np
 CLASSES = (1, -1)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """One-vs-rest counts per class; TP+FP+FN+TN equals n for each view."""
-
-    counts: dict  # class -> {"tp", "fp", "fn", "tn"}
-    total: int
-
-
 def _check_pair(truth, predicted):
     truth = np.asarray(truth)
     predicted = np.asarray(predicted)
@@ -27,49 +19,9 @@ def _check_pair(truth, predicted):
     return truth, predicted
 
 
-def confusion_counts(truth, predicted) -> ConfusionMatrix:
-    truth, predicted = _check_pair(truth, predicted)
-    counts = {}
-    for c in CLASSES:
-        tp = int(((truth == c) & (predicted == c)).sum())
-        fp = int(((truth != c) & (predicted == c)).sum())
-        fn = int(((truth == c) & (predicted != c)).sum())
-        tn = truth.size - tp - fp - fn
-        counts[c] = {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
-    return ConfusionMatrix(counts, truth.size)
-
-
 def accuracy(truth, predicted) -> float:
     truth, predicted = _check_pair(truth, predicted)
     return float((truth == predicted).mean())
-
-
-def _precision_recall_f1(c: dict) -> tuple[float, float, float]:
-    # zero-denominator convention: the affected quantity is 0
-    precision = c["tp"] / (c["tp"] + c["fp"]) if c["tp"] + c["fp"] else 0.0
-    recall = c["tp"] / (c["tp"] + c["fn"]) if c["tp"] + c["fn"] else 0.0
-    f1 = (2.0 * precision * recall / (precision + recall)) if precision + recall else 0.0
-    return precision, recall, f1
-
-
-def weighted_f1(truth, predicted) -> float:
-    """Support-weighted mean of the two per-class F1 scores."""
-    return metrics_report(truth, predicted)["weighted_f1"]
-
-
-def per_class_report(truth, predicted) -> dict:
-    truth, predicted = _check_pair(truth, predicted)
-    cm = confusion_counts(truth, predicted)
-    report = {}
-    for c in CLASSES:
-        precision, recall, f1 = _precision_recall_f1(cm.counts[c])
-        report[str(c)] = {
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "support": int((truth == c).sum()),
-        }
-    return report
 
 
 @dataclass(frozen=True)
@@ -129,10 +81,25 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
 
 
 def metrics_report(truth, predicted) -> dict:
-    """Aggregate report used by the JSON outputs; the per-class report is built once."""
-    per_class = per_class_report(truth, predicted)
+    """Accuracy, support-weighted F1 and each class's precision, recall, F1 and support.
+
+    A class is scored one-vs-rest from its tp, fp and fn counts; a quantity
+    whose denominator is 0 is 0.
+    """
+    truth, predicted = _check_pair(truth, predicted)
+    per_class = {}
+    for c in CLASSES:
+        is_c, said_c = truth == c, predicted == c
+        tp = int((is_c & said_c).sum())
+        fp = int(said_c.sum()) - tp
+        fn = int(is_c.sum()) - tp
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = (2.0 * precision * recall / (precision + recall)) if precision + recall else 0.0
+        per_class[str(c)] = {"precision": precision, "recall": recall, "f1": f1,
+                             "support": tp + fn}
     return {
         "accuracy": accuracy(truth, predicted),
-        "weighted_f1": sum(c["support"] * c["f1"] for c in per_class.values()) / np.size(truth),
+        "weighted_f1": sum(c["support"] * c["f1"] for c in per_class.values()) / truth.size,
         "per_class": per_class,
     }

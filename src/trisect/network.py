@@ -11,10 +11,12 @@ fresh node's parameters and the shared output bias move.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import NORMALIZE_MODES
 from .numerics import RngStream, _f2s, activate, activate_derivative, ACTIVATION_KINDS
 
 PROB_CLAMP = 1e-12
@@ -66,6 +68,11 @@ class TrainHyper:
             raise ValueError("rho1 and rho2 must lie in (0, 1)")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        for name in ("batch_size", "max_epochs", "patience"):
+            try:
+                operator.index(value := getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
             raise ValueError("batch_size >= 1, max_epochs >= 0, patience >= 1 required")
 
@@ -281,7 +288,7 @@ def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2, first=0):
     dW2 = (dS.T @ A)[:, first:] / n + l2 * W2[:, first:]
     db2 = _two_column_mean(dS) + l2 * b2
     dA = dS @ W2  # (n, t)
-    dZ = dA * activate_derivative(activation, Z)
+    dZ = dA * activate_derivative(activation, Z, A)
     dW1 = (dZ.T @ X)[first:] / n + l2 * W1[first:]
     # an in-order sum would not do here: for t = 1 dZ is one contiguous
     # column, which numpy's mean adds pairwise
@@ -400,15 +407,19 @@ def model_to_json(net: LayeredNetwork, norm_mode: str, norm_stats,
 
 
 def model_from_json(doc: dict):
-    """Rebuild (net, norm_mode, norm_stats, schedule_doc, seeds); the stats
-    must cover W1's width, one (a, b) pair per feature."""
+    """Rebuild (net, norm_mode, norm_stats, schedule_doc, seeds); the mode must be
+    one of NORMALIZE_MODES and the stats finite, one (a, b) pair per feature."""
     net = LayeredNetwork(np.array([[float(v) for v in row] for row in doc["W1"]]),
                          np.array([float(v) for v in doc["b1"]]),
                          np.array([[float(v) for v in row] for row in doc["W2"]]),
                          np.array([float(v) for v in doc["b2"]]), doc["activation"])
     norm = doc["normalization"]
+    if norm["mode"] not in NORMALIZE_MODES:
+        raise ValueError(f"unknown normalization mode: {norm['mode']!r}")
     stats = tuple((float(a), float(b)) for a, b in norm["stats"])
     if len(stats) != net.n_features:
         raise ValueError(f"normalization stats cover {len(stats)} features, "
                          f"W1 has {net.n_features}")
+    if not np.isfinite(stats).all():
+        raise ValueError("normalization stats must be finite")
     return net, norm["mode"], stats, doc.get("threshold_schedule"), doc.get("seeds", {})

@@ -54,9 +54,6 @@ _FNV_PRIME = 0x100000001B3
 # outputs per numpy block of a shuffle: bounds its temporary memory
 _SHUFFLE_BLOCK = 4096
 
-#: Supported activation function names.
-ACTIVATION_KINDS = ("relu", "leaky-relu", "selu", "tanh", "sigmoid", "swish")
-
 LEAKY_SLOPE = 0.01
 SELU_SCALE = 1.050700987
 SELU_ALPHA = 1.673263242
@@ -189,11 +186,6 @@ def _f2s(x: float) -> str:
     return repr(float(x))
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ACTIVATION_KINDS:
-        raise ValueError(f"unknown activation kind: {kind!r}")
-
-
 def _sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
@@ -204,45 +196,44 @@ def _sigmoid(x):
     return out
 
 
+def _swish_derivative(z, a):
+    s = _sigmoid(z)
+    return s + z * s * (1.0 - s)
+
+
+# kind -> (f(z), f'(z) from z and a = f(z)); at the z = 0 kink of the ReLU
+# family the derivative takes the z > 0 branch value
+_ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0),
+             lambda z, a: np.where(z >= 0, 1.0, 0.0)),
+    "leaky-relu": (lambda z: np.where(z > 0, z, LEAKY_SLOPE * z),
+                   lambda z, a: np.where(z >= 0, 1.0, LEAKY_SLOPE)),
+    "selu": (lambda z: SELU_SCALE * np.where(z > 0, z, SELU_ALPHA * np.expm1(z)),
+             lambda z, a: SELU_SCALE * np.where(z >= 0, 1.0, SELU_ALPHA * np.exp(z))),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
+    "swish": (lambda z: z * _sigmoid(z), _swish_derivative),
+}
+
+#: Supported activation function names.
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
+
+
+def _apply(kind: str, which: int, x, *rest):
+    if kind not in ACTIVATION_KINDS:
+        raise ValueError(f"unknown activation kind: {kind!r}")
+    out = _ACTIVATIONS[kind][which](np.asarray(x, dtype=np.float64), *rest)
+    return float(out) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
+
+
 def activate(kind: str, x):
     """Apply an activation elementwise. Accepts scalars or arrays."""
-    _check_kind(kind)
-    arr = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        out = np.maximum(arr, 0.0)
-    elif kind == "leaky-relu":
-        out = np.where(arr > 0, arr, LEAKY_SLOPE * arr)
-    elif kind == "selu":
-        out = SELU_SCALE * np.where(arr > 0, arr, SELU_ALPHA * np.expm1(arr))
-    elif kind == "tanh":
-        out = np.tanh(arr)
-    elif kind == "sigmoid":
-        out = _sigmoid(arr)
-    else:  # swish
-        out = arr * _sigmoid(arr)
-    return float(out) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
+    return _apply(kind, 0, x)
 
 
-def activate_derivative(kind: str, x):
-    """Elementwise derivative of :func:`activate`.
+def activate_derivative(kind: str, z, a):
+    """Elementwise derivative of :func:`activate` at ``z``, given ``a = activate(kind, z)``.
 
-    At the x = 0 kink of the ReLU family the x > 0 branch value is used.
+    tanh and sigmoid read only ``a``; the other kinds read ``z``.
     """
-    _check_kind(kind)
-    arr = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        out = np.where(arr >= 0, 1.0, 0.0)
-    elif kind == "leaky-relu":
-        out = np.where(arr >= 0, 1.0, LEAKY_SLOPE)
-    elif kind == "selu":
-        out = SELU_SCALE * np.where(arr >= 0, 1.0, SELU_ALPHA * np.exp(arr))
-    elif kind == "tanh":
-        t = np.tanh(arr)
-        out = 1.0 - t * t
-    elif kind == "sigmoid":
-        s = _sigmoid(arr)
-        out = s * (1.0 - s)
-    else:  # swish
-        s = _sigmoid(arr)
-        out = s + arr * s * (1.0 - s)
-    return float(out) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else out
+    return _apply(kind, 1, z, a)

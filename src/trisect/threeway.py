@@ -173,12 +173,10 @@ def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
     """
     if t < 2:
         raise ValueError("schedule needs t >= 2 levels")
-    first = first_level_matrix(master_seed)
-    matrices = [first]
-    pairs = [thresholds_from(first)]
+    matrices = [first_level_matrix(master_seed)]
     for level in range(2, t + 1):
         s = derive_stream(master_seed, f"cost-matrix-level-{level}")
-        prev_alpha, prev_beta = pairs[-1]
+        prev_alpha, prev_beta = thresholds_from(matrices[-1])
         where = (f"level {level} of a t = {t} schedule, defer corridor (beta, alpha) = "
                  f"({prev_beta!r}, {prev_alpha!r})")
         if not math.nextafter(prev_beta, 1.0) < prev_alpha:
@@ -194,18 +192,14 @@ def build_schedule(t: int, master_seed: int) -> ThresholdSchedule:
             alpha, beta = thresholds_from(mx)
             if not (prev_beta <= beta < alpha <= prev_alpha):
                 continue
-            if level == t:
-                gamma = gamma_from(mx)
-                if not prev_beta < gamma < prev_alpha:
-                    continue
-                matrices.append(mx)
-                return ThresholdSchedule(tuple(pairs), gamma, tuple(matrices))
+            if level == t and not prev_beta < gamma_from(mx) < prev_alpha:
+                continue
             matrices.append(mx)
-            pairs.append((alpha, beta))
             break
         else:
             raise SamplingError(f"{where}: no sequential matrix within "
                                 f"{LEVEL_ATTEMPT_BUDGET} attempts")
+    return ThresholdSchedule.from_matrices(matrices)
 
 
 @dataclass(frozen=True)
@@ -226,14 +220,7 @@ class Regions:
         return tuple(sorted(i for c in group for i in c.members))
 
 
-def partition_three_way(classes, alpha: float, beta: float) -> Regions:
-    """Accept at p >= alpha, reject at p <= beta, defer in between.
-
-    Boundary ties follow the rule text exactly: p == alpha accepts and
-    p == beta rejects.
-    """
-    if not 0.0 < beta < alpha < 1.0:
-        raise ValueError(f"need 0 < beta < alpha < 1, got beta={beta}, alpha={alpha}")
+def _partition(classes, alpha: float, beta: float) -> Regions:
     pos, bnd, neg = [], [], []
     for cls in classes:
         if cls.p >= alpha:
@@ -245,14 +232,22 @@ def partition_three_way(classes, alpha: float, beta: float) -> Regions:
     return Regions(tuple(pos), tuple(bnd), tuple(neg))
 
 
+def partition_three_way(classes, alpha: float, beta: float) -> Regions:
+    """Accept at p >= alpha, reject at p <= beta, defer in between.
+
+    Boundary ties follow the rule text exactly: p == alpha accepts and
+    p == beta rejects.
+    """
+    if not 0.0 < beta < alpha < 1.0:
+        raise ValueError(f"need 0 < beta < alpha < 1, got beta={beta}, alpha={alpha}")
+    return _partition(classes, alpha, beta)
+
+
 def partition_two_way(classes, gamma: float) -> Regions:
-    """Forced accept/reject split at gamma (p == gamma accepts)."""
+    """The three-way rule at alpha = beta = gamma: p >= gamma accepts, none is deferred."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"need 0 < gamma < 1, got {gamma}")
-    pos, neg = [], []
-    for cls in classes:
-        (pos if cls.p >= gamma else neg).append(cls)
-    return Regions(tuple(pos), (), tuple(neg))
+    return _partition(classes, gamma, gamma)
 
 
 def _region_risk(classes, loss_pos: float, loss_neg: float) -> float:
@@ -269,11 +264,10 @@ def decision_risk_three_way(regions: Regions, matrix: CostMatrix, epsilon: float
 
 
 def decision_risk_two_way(regions: Regions, matrix: CostMatrix) -> float:
-    """Per-instance decision risk of a forced two-way partition."""
+    """Per-instance decision risk of a forced two-way partition (no defer term)."""
     if regions.bnd:
         raise ValueError("two-way risk requires an empty defer region")
-    return (_region_risk(regions.pos, matrix.lpp, matrix.lpn)
-            + _region_risk(regions.neg, matrix.lnp, matrix.lnn))
+    return decision_risk_three_way(regions, matrix, 1.0)
 
 
 def accrue_process_costs(totals: tuple[float, float], m: int, unit_test: float,

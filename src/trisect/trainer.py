@@ -18,6 +18,7 @@ partition shrinking subsets of one fixed granulation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -69,6 +70,11 @@ class TrainConfig:
     cost_range: tuple = DEFAULT_COST_RANGE
 
     def __post_init__(self):
+        for name in ("t", "clusters", "master_seed"):
+            try:
+                operator.index(value := getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.t < 2:
             raise ConfigError("level cap t must be at least 2")
         if self.activation not in ACTIVATION_KINDS:

@@ -35,7 +35,7 @@ from trisect import (
 from trisect.cli import main as cli_main
 from trisect.discretize import kmeans_cluster, within_sse
 from trisect.network import AdamState, TrainHyper as Hyper, adam_step, cost, cost_and_grads
-from trisect.metrics import roc_auc, weighted_f1
+from trisect.metrics import metrics_report, roc_auc
 from trisect.numerics import ACTIVATION_KINDS
 from trisect.threeway import (
     ThresholdSchedule,
@@ -434,7 +434,8 @@ def test_c11_metric_oracles():
         n = 1 + stream.randrange(20)
         truth = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
         predicted = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
-        assert weighted_f1(truth, predicted) == _oracle_weighted_f1(truth, predicted)
+        assert metrics_report(truth, predicted)["weighted_f1"] == \
+            _oracle_weighted_f1(truth, predicted)
 
     worst = 0.0
     for _ in range(500):

@@ -338,7 +338,16 @@ class TestEval:
          "model.json: normalization stats cover 2 features, W1 has 3"),
         (lambda text: _with_stats(text, lambda stats: stats + stats[:1]),
          "model.json: normalization stats cover 4 features, W1 has 3"),
-    ], ids=["without-W1", "truncated", "too-few-stats", "too-many-stats"])
+        (lambda text: _with_normalization(text, "mode", lambda mode: "robust"),
+         "model.json: unknown normalization mode: 'robust'"),
+        (lambda text: _with_normalization(text, "mode", lambda mode: None),
+         "model.json: unknown normalization mode: None"),
+        (lambda text: _with_stats(text, lambda stats: [["nan", b] for a, b in stats]),
+         "model.json: normalization stats must be finite"),
+        (lambda text: _with_stats(text, lambda stats: stats[:-1] + [[stats[-1][0], "inf"]]),
+         "model.json: normalization stats must be finite"),
+    ], ids=["without-W1", "truncated", "too-few-stats", "too-many-stats", "unknown-mode",
+            "null-mode", "nan-stat", "inf-stat"])
     def test_damaged_model_is_exit_2(self, tmp_path, capsys, damage, message):
         out = self._train(tmp_path)
         path = os.path.join(out, "model.json")
@@ -378,11 +387,16 @@ class TestEval:
         assert peak <= 3 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
 
 
+def _with_normalization(text, key, edit):
+    """A model.json text whose normalization ``key`` is ``edit`` of its value."""
+    doc = json.loads(text)
+    doc["normalization"][key] = edit(doc["normalization"][key])
+    return json.dumps(doc)
+
+
 def _with_stats(text, edit):
     """A model.json text whose normalization stats are ``edit(stats)``."""
-    doc = json.loads(text)
-    doc["normalization"]["stats"] = edit(doc["normalization"]["stats"])
-    return json.dumps(doc)
+    return _with_normalization(text, "stats", edit)
 
 
 @pytest.mark.parametrize("points", [None, 1, ROC_CHUNK_LINES - 1, ROC_CHUNK_LINES,
@@ -636,10 +650,12 @@ def test_flag_of_another_command_is_exit_1(trained_toy_run, tmp_path, capsys, co
     assert not out.exists()
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def _readme_table(header):
     """The backticked words of each cell of each row of the README table under ``header``."""
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
-              encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     rows = itertools.takewhile(lambda line: line.startswith("|"),
                                lines[lines.index(header) + 2:])  # past the |---| row
@@ -655,6 +671,18 @@ def test_readme_lists_every_config_key_and_every_command_flag():
     flags = {row[0][0]: row[1] for row in _readme_table("| command | arguments |")}
     assert flags == {name: ["run_dir"] * needs_dir + ["--" + key.replace("_", "-") for key in keys]
                      for name, (_, needs_dir, keys) in cli.COMMANDS.items()}
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    with open(README, encoding="utf-8") as fh:
+        block = re.search(r"^## Library use\n+```python\n(.*?)^```", fh.read(), re.M | re.S)[1]
+    rng = np.random.default_rng(60)
+    X = rng.random((60, 3))
+    rows = [f"{a:.6f},{b:.6f},{c:.6f},{int(a + b > c)}" for a, b, c in X]
+    (tmp_path / "d.csv").write_text("\n".join(["x1,x2,x3,D", *rows]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 1  # the example's one print
 
 
 def _command_outputs(tmp_path):

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from trisect import RngStream, accuracy, roc_auc, weighted_f1
+from trisect import RngStream, accuracy, metrics_report, roc_auc
 from trisect.cli import _scored_report
-from trisect.metrics import RocCurve, confusion_counts, metrics_report, per_class_report
+from trisect.metrics import RocCurve
 
 
-def _oracle_weighted_f1(truth, predicted):
+def _oracle_per_class(truth, predicted):
     """Brute-force recount, independent of the library implementation."""
-    n = len(truth)
-    total = 0.0
+    report = {}
     for c in (1, -1):
         tp = sum(1 for t, p in zip(truth, predicted) if t == c and p == c)
         fp = sum(1 for t, p in zip(truth, predicted) if t != c and p == c)
@@ -18,8 +17,15 @@ def _oracle_weighted_f1(truth, predicted):
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         support = sum(1 for t in truth if t == c)
-        total += support * f1
-    return total / n
+        report[str(c)] = {"precision": precision, "recall": recall, "f1": f1, "support": support}
+    return report
+
+
+def _oracle_weighted_f1(truth, predicted):
+    total = 0.0
+    for c in _oracle_per_class(truth, predicted).values():
+        total += c["support"] * c["f1"]
+    return total / len(truth)
 
 
 def _oracle_auc(truth, scores):
@@ -39,12 +45,12 @@ def _oracle_auc(truth, scores):
 class TestWeightedF1:
     def test_perfect_classifier(self):
         truth = np.array([1, -1, 1, -1])
-        assert weighted_f1(truth, truth) == 1.0
+        assert metrics_report(truth, truth)["weighted_f1"] == 1.0
 
     def test_hand_computed_case(self):
         truth = np.array([1, 1, -1, -1])
         predicted = np.array([1, -1, -1, -1])
-        assert weighted_f1(truth, predicted) == pytest.approx(11 / 15)
+        assert metrics_report(truth, predicted)["weighted_f1"] == pytest.approx(11 / 15)
 
     def test_matches_counting_oracle_exactly(self):
         stream = RngStream(55, "wf1")
@@ -52,7 +58,6 @@ class TestWeightedF1:
             n = 1 + stream.randrange(20)
             truth = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
             predicted = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
-            assert weighted_f1(truth, predicted) == _oracle_weighted_f1(truth, predicted)
             assert metrics_report(truth, predicted)["weighted_f1"] == \
                 _oracle_weighted_f1(truth, predicted)
 
@@ -62,15 +67,15 @@ class TestWeightedF1:
             n = 2 + stream.randrange(15)
             truth = np.array([1 if stream.uniform() < 0.5 else -1 for _ in range(n)])
             predicted = np.array([1 if stream.uniform() < 0.5 else -1 for _ in range(n)])
-            assert weighted_f1(truth, predicted) == pytest.approx(
-                weighted_f1(-truth, -predicted))
-            assert 0.0 <= weighted_f1(truth, predicted) <= 1.0
+            assert metrics_report(truth, predicted)["weighted_f1"] == pytest.approx(
+                metrics_report(-truth, -predicted)["weighted_f1"])
+            assert 0.0 <= metrics_report(truth, predicted)["weighted_f1"] <= 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            weighted_f1([1, -1], [1])
+            metrics_report([1, -1], [1])
         with pytest.raises(ValueError):
-            weighted_f1([], [])
+            metrics_report([], [])
 
 
 class TestAccuracy:
@@ -87,19 +92,18 @@ class TestAccuracy:
 
 
 class TestConfusion:
-    def test_counts_total(self):
+    def test_report_matches_counting_oracle_exactly(self):
         stream = RngStream(57, "cm")
         for _ in range(50):
             n = 1 + stream.randrange(30)
             truth = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
             predicted = [1 if stream.uniform() < 0.5 else -1 for _ in range(n)]
-            cm = confusion_counts(truth, predicted)
-            for c in (1, -1):
-                view = cm.counts[c]
-                assert view["tp"] + view["fp"] + view["fn"] + view["tn"] == n
+            report = metrics_report(truth, predicted)["per_class"]
+            assert sum(report[str(c)]["support"] for c in (1, -1)) == n
+            assert report == _oracle_per_class(truth, predicted)
 
     def test_report_fields(self):
-        report = per_class_report([1, 1, -1], [1, -1, -1])
+        report = metrics_report([1, 1, -1], [1, -1, -1])["per_class"]
         assert set(report) == {"1", "-1"}
         assert report["1"]["support"] == 2
         assert set(report["1"]) == {"precision", "recall", "f1", "support"}

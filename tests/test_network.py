@@ -190,6 +190,15 @@ def test_hyperparameters_must_be_finite(field, value):
         TrainHyper(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", math.inf), ("batch_size", 2.0), ("max_epochs", 2.5), ("patience", 1.5),
+])
+def test_integer_hyperparameters_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainHyper(**{field: value})
+    TrainHyper(**{field: np.int64(3)})
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         hyper = TrainHyper()

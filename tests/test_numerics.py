@@ -3,7 +3,7 @@ import pytest
 
 from trisect import ACTIVATION_KINDS, RngStream, activate, activate_derivative, derive_stream
 from trisect.data import Dataset, fold_split, make_folds, split_811
-from trisect.numerics import _SHUFFLE_BLOCK
+from trisect.numerics import _SHUFFLE_BLOCK, _sigmoid
 
 _M64 = 2**64
 
@@ -179,19 +179,31 @@ class TestActivations:
         assert activate("leaky-relu", -2.0) == pytest.approx(-0.02)
 
     def test_derivative_fixed_points(self):
-        assert activate_derivative("relu", 2.0) == 1.0
-        assert activate_derivative("relu", -2.0) == 0.0
-        assert activate_derivative("tanh", 0.0) == pytest.approx(1.0)
-        assert activate_derivative("sigmoid", 0.0) == pytest.approx(0.25)
+        assert activate_derivative("relu", 2.0, 2.0) == 1.0
+        assert activate_derivative("relu", -2.0, 0.0) == 0.0
+        assert activate_derivative("tanh", 0.0, 0.0) == pytest.approx(1.0)
+        assert activate_derivative("sigmoid", 0.0, 0.5) == pytest.approx(0.25)
         # kink convention: the positive branch value at exactly zero
-        assert activate_derivative("relu", 0.0) == 1.0
-        assert activate_derivative("leaky-relu", 0.0) == 1.0
+        assert activate_derivative("relu", 0.0, 0.0) == 1.0
+        assert activate_derivative("leaky-relu", 0.0, 0.0) == 1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             activate("softplus", 1.0)
         with pytest.raises(ValueError):
-            activate_derivative("softplus", 1.0)
+            activate_derivative("softplus", 1.0, 1.0)
+
+    @pytest.mark.parametrize("kind, from_z", [
+        ("tanh", lambda z: 1.0 - np.tanh(z) * np.tanh(z)),
+        ("sigmoid", lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
+    ])
+    def test_derivative_from_a_equals_the_from_z_expression_bitwise(self, kind, from_z):
+        rng = np.random.default_rng(20)
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 700.0, -700.0])
+        z = np.concatenate([edges, rng.choice(edges, 500), rng.normal(0.0, 8.0, 500)])
+        rng.shuffle(z)
+        got = activate_derivative(kind, z, activate(kind, z))
+        assert got.tobytes() == from_z(z).tobytes()
 
     def test_array_and_scalar_agree(self):
         xs = np.linspace(-3, 3, 11)
@@ -210,6 +222,6 @@ class TestActivations:
             if kinked and abs(x) < 1e-4:
                 continue
             fd = (activate(kind, x + h) - activate(kind, x - h)) / (2 * h)
-            d = activate_derivative(kind, x)
+            d = activate_derivative(kind, x, activate(kind, x))
             assert abs(d - fd) <= 1e-6 * max(1.0, abs(d)), (kind, x)
             checked += 1

@@ -7,10 +7,10 @@ from trisect import (
     CostMatrix,
     accuracy,
     gamma_from,
+    metrics_report,
     partition_three_way,
     partition_two_way,
     thresholds_from,
-    weighted_f1,
 )
 from trisect.discretize import EquivalenceClass
 from trisect.metrics import roc_auc
@@ -58,7 +58,7 @@ def class_lists(draw):
 @given(pairs)
 def test_metric_ranges_and_relabel_invariance(pair):
     truth, predicted = np.array(pair[0]), np.array(pair[1])
-    for fn in (accuracy, weighted_f1):
+    for fn in (accuracy, lambda t, p: metrics_report(t, p)["weighted_f1"]):
         value = fn(truth, predicted)
         assert 0.0 <= value <= 1.0
         assert abs(fn(-truth, -predicted) - value) < 1e-12

@@ -159,6 +159,15 @@ class TestSchedule:
         assert h.hexdigest() == \
             "363fcf29b83a2e21c4195f4eb7e289588384500827596f30594150bddffc0880"
 
+    def test_short_schedules_are_pinned(self):
+        h = hashlib.sha256()
+        for t in (2, 3, 5, 10):
+            for seed in range(50):
+                h.update(json.dumps(schedule_to_json(build_schedule(t, seed)),
+                                    sort_keys=True).encode())
+        assert h.hexdigest() == \
+            "122c0f50ddd6c1f108f562ecb9b471b5e71d3c55ef95712fd1fb9e81d636b3ca"
+
     @pytest.mark.parametrize("seed, level", [(0, 20), (1, 16)])
     def test_collapsed_corridor_is_a_sampling_error(self, seed, level):
         # the corridor narrows geometrically until no float lies inside it
@@ -279,6 +288,40 @@ class TestRisks:
         regions = partition_three_way([_cls(1, 2)], 0.9, 0.1)
         with pytest.raises(ValueError):
             decision_risk_two_way(regions, MATRIX_1)
+
+
+class TestTwoWayIsThreeWayAtGamma:
+    """The two-way split and risk equal a loop and a sum of their own bit for bit."""
+
+    @staticmethod
+    def _reference_split(classes, gamma):
+        pos, neg = [], []
+        for cls in classes:
+            (pos if cls.p >= gamma else neg).append(cls)
+        return tuple(pos), tuple(neg)
+
+    @staticmethod
+    def _reference_risk(pos, neg, mx):
+        return (sum(c.size * (mx.lpp * c.p + mx.lpn * (1.0 - c.p)) for c in pos)
+                + sum(c.size * (mx.lnp * c.p + mx.lnn * (1.0 - c.p)) for c in neg))
+
+    def test_split_and_risk_match_the_references(self):
+        stream = RngStream(24, "two-way-reference")
+        for case in range(400):
+            n = case % 5  # from the empty list and single classes up
+            classes = [_cls(stream.randrange(4), 3, start=3 * i) for i in range(n)]
+            if case % 2:  # some class sits exactly at gamma
+                tie = _cls(1 + stream.randrange(5), 6, start=3 * n)
+                classes.insert(stream.randrange(n + 1), tie)
+                gamma = tie.p
+            else:
+                gamma = stream.uniform(0.05, 0.95)
+            mx = sample_cost_matrix(stream)
+            regions = partition_two_way(classes, gamma)
+            pos, neg = self._reference_split(classes, gamma)
+            assert (regions.pos, regions.bnd, regions.neg) == (pos, (), neg)
+            got = decision_risk_two_way(regions, mx)
+            assert float(got).hex() == float(self._reference_risk(pos, neg, mx)).hex(), case
 
 
 class TestProcessCosts:

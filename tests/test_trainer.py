@@ -201,6 +201,11 @@ class TestLiveRuns:
                            ("unit_delay_costs", {"t": 2, "unit_delay_costs": (nan, 1.0)})]:
             with pytest.raises(ConfigError, match=f"{field} must be finite"):
                 TrainConfig(**bad)
+        for field, bad in [("t", 2.5), ("t", 3.0), ("clusters", 2.5), ("clusters", inf),
+                           ("master_seed", 1.5)]:
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                TrainConfig(**{field: bad})
+        TrainConfig(t=np.int64(3), clusters=np.int32(2))
 
     def test_empty_train_split_rejected(self, toy_dataset, toy_config):
         empty = Split(train=(), validation=(6, 7), test=(8, 9))
