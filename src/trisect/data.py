@@ -176,7 +176,8 @@ def require_file(path: str, what: str, error: type) -> None:
 
 
 def load_csv(path: str, label_column, positive_label) -> Dataset:
-    """Load a UTF-8, header-first CSV into a Dataset.
+    """Load a UTF-8, header-first CSV into a Dataset; a leading byte-order
+    mark is dropped.
 
     ``label_column`` is a header name or 0-based column index; every other
     column must be numeric. The raw ``positive_label`` value maps to +1 and
@@ -189,7 +190,8 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     """
     require_file(path, "dataset file", DataError)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, also after seek(0)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -5,17 +5,56 @@ identical categorical features; each occupied cluster then forms one
 equivalence class whose conditional probability is the exact fraction of
 positive-labelled members.
 
-Each assignment step screens every row with one BLAS product and keeps a
-row's pick only when an error bound proves that the one-shot distance
-expression picks the same center; the other rows go through that expression.
-So every assignment, center and SSE is bit for bit that of the one-shot
-expression, for any BLAS kernel and thread count.
+Each assignment step screens every row and keeps a row's pick only when an
+error bound proves that the one-shot distance expression picks the same
+center; the other rows go through that expression. So every assignment,
+center and SSE is bit for bit that of the one-shot expression, for any BLAS
+kernel and thread count.
 
-The screen subtracts each row's smallest value from all of its values and
-certifies a row when exactly one center stays within the bound. That is the
-test "the second smallest exceeds the smallest by more than the bound": the
-subtraction rounds monotonically, so the smallest of the rounded differences
-to the other centers is the rounded difference of the second smallest.
+The screen is one blocked routine, ``_screen``, run in two precisions. The
+first stage screens every row in float32; the rows it leaves go to the same
+routine in float64; the rows that stage leaves take the one-shot expression.
+A stage multiplies the centers' operand ``[-2c, |c|^2]`` by the rows ``[x, 1]``,
+so each product value ``g = |c|^2 - 2 c.x`` is the squared distance
+``d = |x - c|^2`` less the row's own ``|x|^2``. A center is close when its g is
+at most the row's smallest g plus ``s R^2``, with ``R = |x| + max|c|`` and the
+slack ``s = (4m + 16) eps = (8m + 32) u`` of the stage's dtype (u = eps / 2).
+A row is certified when exactly one center is close.
+
+Why a certified pick is the one-shot argmin, with no tie to break. Let
+gamma_j = j u / (1 - j u); every d and every |g| is at most R^2.
+
+- The operands. float32 rounds x, -2c and |c|^2 (computed in float64), each
+  to within u of itself, so the exact product of the rounded operands is
+  within (2u + u^2) 2|c||x| + 2u |c|^2 <= 3u R^2 of g. In float64, x and -2c
+  are exact and |c|^2 is within gamma_m |c|^2.
+- The product. An (m+1)-term dot product, summed in any order, with or
+  without FMA, is within gamma_(m+1) of the sum of its terms' absolute
+  values (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+  section 3.1), here at most (1 + 3u) R^2. So for every BLAS kernel and
+  thread count each computed g is within e R^2 of its true value, with e
+  about (m + 4) u in float32 and (2m + 1) u in float64.
+- The threshold. The row's one close center a holds its smallest g, since
+  a center whose g equals it would be close too. The threshold sum
+  fl(g_a + fl(s R^2)) rounds by at most u (1 + e + s) R^2, and the computed
+  R^2 is within a relative (m + 6) u of float64 of R^2. So each other g_j exceeds g_a by
+  more than about (s - (1 + 2s + e) u) R^2, and its true value exceeds a's by
+  that less 2 e R^2.
+- The one-shot expression. Each float64 one-shot d is a sum of m rounded
+  squares of rounded differences, within gamma_(m+2) d of d. So it picks a
+  strictly when the true d_j - d_a exceeds 2 gamma_(m+2) R^2 (float64's u).
+
+A certified row therefore needs s above about 2e + u + 2 gamma_(m+2): about
+(2m + 9) u in float32 and (6m + 7) u in float64. s = (8m + 32) u exceeds
+both, and its spare of at least (2m + 25) u covers the second-order terms
+and the absolute rounding of subnormal values. A stage certifies only rows
+whose scale R^2 lies in its window (tiny, 1 / tiny), ``_TINY``: (1e-30, 1e30)
+for float32 and (1e-150, 1e150) for float64. There every operand, product
+and sum of the stage is finite, and a value that is subnormal or underflows
+rounds by at most 2^-150 (float32) or 2^-1075 (float64), at most
+(m + 2) 1e-15 R^2 over a row's g in float32 and far less in float64. A row
+outside the window, or one whose values overflow or are not finite, is not
+certified, so overflow and NaN only move rows on to the next stage.
 """
 
 from __future__ import annotations
@@ -27,9 +66,13 @@ import numpy as np
 from .numerics import RngStream
 
 MAX_LLOYD_ITERATIONS = 100
-# float64 elements in one block of the screen, k values per row: 512 KB, so that the
-# block and its temporaries stay in a 2 MB L2 cache
+# elements in one block of the screen, k values per row, and of the exact path's
+# temporary: a block's float64 close marks take 512 KB, so that the block and its
+# temporaries stay in a 2 MB L2 cache
 _BLOCK_ELEMS = 1 << 16
+# each stage of the screen certifies only rows whose scale (|x| + max|c|)^2
+# lies in (tiny, 1 / tiny) of its dtype; see the module docstring
+_TINY = {np.dtype(np.float32): 1e-30, np.dtype(np.float64): 1e-150}
 
 
 @dataclass(frozen=True)
@@ -91,51 +134,79 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", points, points))
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray,
-             point_norms: np.ndarray | None = None) -> np.ndarray:
-    """Nearest center of every row, as ``_exact_nearest`` gives it.
+def _augmented(points: np.ndarray, dtype) -> np.ndarray:
+    """The rows ``[x, 1]`` of ``points`` in ``dtype``, one per column: a screen
+    stage's right operand, whose blocks BLAS reads as contiguous rows."""
+    rows = np.empty((points.shape[1] + 1, points.shape[0]), dtype=dtype)
+    with np.errstate(over="ignore"):  # a row beyond float32's range fails the window
+        rows[:-1] = points.T
+    rows[-1] = 1.0
+    return rows
 
-    Blocks of _BLOCK_ELEMS // k rows are screened with ``g = (-2 c) @ p.T
-    + |c|^2``, which is each d2 less the row's own |p|^2, laid out one
-    center per row so that the reductions run across the block. Each row's
-    g less its smallest g marks the centers within ``_distance_slack``
-    times ``(|p| + max|c|)^2`` of that smallest as close. A row keeps its
-    close center when it has exactly one; every other row (ties, rows
-    far from the origin, and non-finite or extreme scales) takes the exact
-    expression. Overflow in the screen only sends rows to that path.
 
-    This count test certifies the rows that the gap test "smallest other g
-    less the smallest exceeds the slack" certifies, with the same pick a:
-    rounding is monotone, so the smallest of fl(g_c - g_a) over c != a is
-    fl(min_other - g_a). A tie leaves two or more close centers, and a NaN
-    or infinite smallest g leaves none.
+def _screen(rows: np.ndarray, norms: np.ndarray,
+            centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stage of the screen, in the dtype of ``rows`` (``_augmented``).
 
-    ``point_norms`` are the rows' norms, ``_row_norms(points)``; a caller
-    that screens the same points many times computes them once.
+    ``norms`` are the rows' norms |x|, in float64. Blocks of _BLOCK_ELEMS // k
+    rows are screened with ``g = [-2c, |c|^2] @ [x, 1]``, laid out one center
+    per row so that the reductions run across the block. Returns each row's
+    pick and whether it is certified; the pick of a row that is not certified
+    means nothing.
     """
-    k = centers.shape[0]
-    slack = _distance_slack(points.shape[1])
+    k, m = centers.shape
+    n = rows.shape[1]
+    tiny = _TINY[rows.dtype]
     step = max(1, _BLOCK_ELEMS // k)
-    if point_norms is None:
-        point_norms = _row_norms(points)
-    nearest = np.empty(points.shape[0], dtype=np.intp)
-    certified = np.empty(points.shape[0], dtype=bool)
+    nearest = np.empty(n, dtype=np.intp)
+    certified = np.empty(n, dtype=bool)
     # one product counts each row's close centers and sums their indices,
     # exactly: float64 holds every integer up to 2^53, so no count wraps
     tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)])
+    close = np.empty((k, min(step, n)))
     with np.errstate(over="ignore", invalid="ignore"):
-        norms2 = np.einsum("ij,ij->i", centers, centers)[:, None]
-        scaled = -2.0 * centers  # a power-of-two scaling is exact
-        radius = np.sqrt(norms2.max())
-        for s in range(0, points.shape[0], step):
-            g = scaled @ points[s:s + step].T
-            g += norms2
-            g -= g.min(axis=0)
-            scale = (point_norms[s:s + step] + radius) ** 2
-            count, pick = tally @ (g <= slack * scale)
-            certified[s:s + step] = (count == 1) & (scale > _TINY) & (scale < 1 / _TINY)
+        norms2 = np.einsum("ij,ij->i", centers, centers)
+        operand = np.empty((k, m + 1), dtype=rows.dtype)
+        operand[:, :-1] = -2.0 * centers  # a power-of-two scaling is exact
+        operand[:, -1] = norms2
+        scale = (norms + np.sqrt(norms2.max())) ** 2
+        window = (scale > tiny) & (scale < 1 / tiny)
+        limit = ((4 * m + 16) * np.finfo(rows.dtype).eps * scale).astype(rows.dtype)
+        for s in range(0, n, step):
+            g = operand @ rows[:, s:s + step]
+            bound = g.min(axis=0)
+            bound += limit[s:s + step]
+            marks = close[:, :g.shape[1]]
+            np.less_equal(g, bound, out=marks)
+            count, pick = tally @ marks
+            certified[s:s + step] = (count == 1) & window[s:s + step]
             nearest[s:s + step] = pick
+    return nearest, certified
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray | None = None,
+             screen_rows: np.ndarray | None = None) -> np.ndarray:
+    """Nearest center of every row, as ``_exact_nearest`` gives it.
+
+    The float32 stage of the screen takes every row, the float64 stage the
+    rows it leaves, and ``_exact_nearest`` the rows that stage leaves: ties,
+    rows far from the origin, and rows at extreme or non-finite scales.
+
+    ``point_norms`` are the rows' norms, ``_row_norms(points)``, and
+    ``screen_rows`` their float32 rows, ``_augmented(points, np.float32)``; a
+    caller that screens the same points many times makes them once.
+    """
+    if point_norms is None:
+        point_norms = _row_norms(points)
+    if screen_rows is None:
+        screen_rows = _augmented(points, np.float32)
+    nearest, certified = _screen(screen_rows, point_norms, centers)
     redo = np.flatnonzero(~certified)
+    if len(redo):
+        picks, certified = _screen(_augmented(points[redo], np.float64), point_norms[redo],
+                                   centers)
+        nearest[redo] = picks
+        redo = redo[~certified]
     if len(redo):
         nearest[redo] = _exact_nearest(points, centers, redo)
     return nearest
@@ -163,7 +234,10 @@ def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
                          f"for {n} points")
 
     chosen = [stream.randrange(n)]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    # one (n, m) difference buffer, squared in place, serves every draw
+    diff = np.subtract(points, points[chosen[0]])
+    d2 = np.square(diff, out=diff).sum(axis=1)
+    near = np.empty(n)
     for c in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
@@ -171,50 +245,25 @@ def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
         u = stream.uniform(0.0, total)
         idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
         chosen.append(min(idx, n - 1))
-        d2 = np.minimum(d2, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
+        np.subtract(points, points[chosen[-1]], out=diff)
+        np.minimum(d2, np.square(diff, out=diff).sum(axis=1, out=near), out=d2)
     return points[chosen]
 
 
-def _assign_with_repair(points: np.ndarray, centers: np.ndarray,
-                        point_norms: np.ndarray) -> np.ndarray:
+def _assign_with_repair(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray,
+                        screen_rows: np.ndarray) -> np.ndarray:
     """Nearest-center assignment; empty clusters grab the farthest point."""
     k = centers.shape[0]
-    assignments = _nearest(points, centers, point_norms)
+    assignments = _nearest(points, centers, point_norms, screen_rows)
     counts = np.bincount(assignments, minlength=k)
     for c in range(k):
         if not counts[c]:
             dist = ((points - centers[assignments]) ** 2).sum(axis=1)
             far = int(np.argmax(dist))
             centers[c] = points[far]
-            assignments = _nearest(points, centers, point_norms)
+            assignments = _nearest(points, centers, point_norms, screen_rows)
             counts = np.bincount(assignments, minlength=k)
     return assignments
-
-
-# The screen certifies only rows whose scale (|p| + max|c|)^2 lies in
-# (_TINY, 1 / _TINY): below, squares go subnormal and round by an absolute
-# amount rather than a relative one; above, the screen's products may overflow.
-_TINY = 1e-150
-
-
-def _distance_slack(m: int) -> float:
-    """Relative slack of the screen in ``_nearest``, for m features.
-
-    With u = eps / 2, gamma_j = j u / (1 - j u) and R = |p| + max|c|, any
-    m-term dot product is within gamma_m of the sum of its terms' absolute
-    values, in any summation order and with or without FMA, so for every
-    BLAS kernel and thread count each screen value g_j is within
-    gamma_(m+1) R^2 of its true value d_j - |p|^2. Each one-shot d2 is a
-    sum of m non-negative rounded squares of rounded differences, within
-    gamma_(m+2) d_j of d_j, and d_j <= R^2. So when the screen's gap from
-    its pick a to every other g exceeds 2 (gamma_(m+1) + gamma_(m+2)) R^2,
-    about (2m + 3) eps R^2, the one-shot d2 of a is strictly the smallest
-    after rounding: no tie and no other argmin. The slack is twice that
-    and more, which covers the rounding of the gap and of the computed
-    R^2, and, in the scale window of _TINY, the absolute rounding of
-    subnormal terms.
-    """
-    return (4 * m + 16) * np.finfo(np.float64).eps
 
 
 def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.ndarray) -> None:
@@ -230,8 +279,10 @@ def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.nda
     order = np.argsort(keys, kind="stable")
     grouped = np.take(points, order, axis=0)
     bounds = np.searchsorted(assignments[order], np.arange(len(centers) + 1))
+    # the reduction and the divisor of .mean(axis=0), one division for all
     for c in range(len(centers)):
-        centers[c] = grouped[bounds[c]:bounds[c + 1]].mean(axis=0)
+        np.add.reduce(grouped[bounds[c]:bounds[c + 1]], axis=0, out=centers[c])
+    centers /= np.diff(bounds)[:, None]
 
 
 def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
@@ -243,16 +294,16 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
     assignment step is appended to it (a non-increasing sequence).
     """
     points = np.asarray(points, dtype=np.float64)
-    norms = _row_norms(points)
+    norms, screen_rows = _row_norms(points), _augmented(points, np.float32)
     centers = kmeanspp_seed(points, k, stream)
-    assignments = _assign_with_repair(points, centers, norms)
+    assignments = _assign_with_repair(points, centers, norms, screen_rows)
     if sse_trace is not None:
         sse_trace.append(within_sse(points, centers, assignments))
     iterations, converged = 0, False
     while iterations < max_iterations and not converged:
         iterations += 1
         _update_centers(points, assignments, centers)
-        new_assignments = _assign_with_repair(points, centers, norms)
+        new_assignments = _assign_with_repair(points, centers, norms, screen_rows)
         if sse_trace is not None:
             sse_trace.append(within_sse(points, centers, new_assignments))
         converged = np.array_equal(new_assignments, assignments)

@@ -72,7 +72,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("t", "clusters", "master_seed"):
             try:
-                operator.index(value := getattr(self, name))
+                # stored as a Python int, which the RNG streams and JSON take
+                object.__setattr__(self, name, operator.index(value := getattr(self, name)))
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.t < 2:
@@ -204,6 +205,17 @@ def resolve_unit_costs(cfg: TrainConfig):
     return tuple(values), tuple(values)
 
 
+def _distinct_rows(points: np.ndarray, limit: int) -> int:
+    """``min(limit, len(np.unique(points, axis=0)))`` for finite rows, without
+    sorting them: the count stops once ``limit`` distinct rows are seen."""
+    seen: set[bytes] = set()
+    for s in range(0, len(points), 64):
+        seen.update(map(np.ndarray.tobytes, points[s:s + 64] + 0.0))  # -0.0 + 0.0 is 0.0
+        if len(seen) >= limit:
+            return limit
+    return len(seen)
+
+
 def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
     """Category of each row of ``points``: its k-means cluster among at most
     ``cfg.clusters`` clusters, or, if ``identity``, an id per distinct raw row
@@ -211,7 +223,7 @@ def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
     if identity:
         ids: dict[bytes, int] = {}
         return [ids.setdefault(row.tobytes(), len(ids)) for row in points]
-    k = min(cfg.clusters, len(np.unique(points, axis=0)))
+    k = _distinct_rows(points, cfg.clusters)
     stream = derive_stream(cfg.master_seed, "kmeans-level-1")
     return kmeans_cluster(points, k, stream).assignments
 

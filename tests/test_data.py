@@ -134,6 +134,17 @@ LOAD_CASES = [
      "D", "row 2 cannot be read: field larger than field limit (131072)"),
     ("oversized-header-cell", "a" * 200_000 + ",D\n1,x\n2,y\n", "D",
      "header cannot be read: field larger than field limit (131072)"),
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark, which
+    # belongs to no header name; a row with an empty cell sends the file to
+    # the row scan, which reads it again from the start
+    ("bom-label-first", "\ufeffD,a,b\nx,1,2\ny,3,4\n", "D",
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
+    ("bom-feature-first", "\ufeffa,b,D\n1,2,x\n3,4,y\n", "D",
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
+    ("bom-label-first-row-scan", "\ufeffD,a,b\nx,1,2\ny,,5\ny,3,4\n", "D",
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 3, 1, {"x": 1, "y": -1})),
+    ("bom-feature-first-row-scan", "\ufeffa,b,D\n1,2,x\n,5,y\n3,4,y\n", "D",
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 3, 1, {"x": 1, "y": -1})),
 ]
 
 

@@ -13,7 +13,7 @@ from trisect import (
     run,
 )
 from trisect.network import LayeredNetwork, classify_split
-from trisect.trainer import resolve_unit_costs
+from trisect.trainer import _distinct_rows, resolve_unit_costs
 
 from conftest import (
     MATRIX_1,
@@ -207,7 +207,41 @@ class TestLiveRuns:
                 TrainConfig(**{field: bad})
         TrainConfig(t=np.int64(3), clusters=np.int32(2))
 
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        cfg = TrainConfig(t=np.int32(4), clusters=np.int64(3), master_seed=np.int64(3))
+        assert [type(v) for v in (cfg.t, cfg.clusters, cfg.master_seed)] == [int] * 3
+        # a numpy seed reaches the RNG streams and the ledger as the int seed
+        ds = synthetic_dataset(3, 60, 4)
+        split = split_for(ds, 3)
+        hyper = TrainHyper(max_epochs=20, batch_size=16)
+        ledgers = [json.dumps(run(ds, split, TrainConfig(master_seed=seed, hyper=hyper))[1]
+                              .to_dict(), sort_keys=True)
+                   for seed in (np.int64(3), 3)]
+        assert ledgers[0] == ledgers[1]
+
     def test_empty_train_split_rejected(self, toy_dataset, toy_config):
         empty = Split(train=(), validation=(6, 7), test=(8, 9))
         with pytest.raises(ValueError):
             run(toy_dataset, empty, toy_config)
+
+
+class TestDistinctRows:
+    """The k cap counts distinct rows as ``np.unique(points, axis=0)`` does."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(0)
+        pool = rng.random((5, 3))
+        yield pool[rng.integers(0, 5, 200)]  # 5 distinct rows, many duplicates
+        yield rng.random((300, 2))  # every row distinct, past several blocks
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 1.0]])
+        yield signed  # -0.0 and 0.0 are one value: 3 distinct rows
+        yield np.concatenate([signed[rng.integers(0, 5, 150)], rng.random((10, 2))])
+        yield np.zeros((70, 4))
+        yield rng.integers(0, 2, (130, 3)).astype(np.float64)  # 8 distinct rows
+
+    def test_equals_the_capped_unique_count(self):
+        for points in self._cases():
+            distinct = len(np.unique(points, axis=0))
+            for limit in (1, 2, 3, 5, 8, 9, 64, 300, 400):
+                assert _distinct_rows(points, limit) == min(limit, distinct), (distinct, limit)
