@@ -53,9 +53,7 @@ def train_fixed_topology(ds: Dataset, split: Split, nodes: int, hyper: TrainHype
     drawn = LayeredNetwork.empty(ds.n_features, activation)
     for _ in range(nodes):
         drawn = drawn.with_node(init_node(ds.n_features, init_dist, stream))
-    X, y = ds.features, ds.labels
-    tr = list(split.train)
-    va = list(split.validation)
+    X, y, tr, va = ds.features, ds.labels, split.train, split.validation
     return train_network(drawn, X[tr], y[tr], hyper, X[va], y[va], stream, history=history)
 
 
@@ -63,7 +61,7 @@ def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
                 activation: str, init_dist: str, master_seed: int):
     """Best validation-accuracy topology over 1..max_nodes (ties: fewest)."""
     check_settings("grid-search", max_nodes=max_nodes)
-    va = list(split.validation) or list(split.train)
+    va = split.validation if split.validation.size else split.train
     best = None
     for nodes in range(1, max_nodes + 1):
         stream = derive_stream(master_seed, f"grid-{nodes}")

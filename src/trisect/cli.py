@@ -227,9 +227,9 @@ def _write_costs_csv(path: str, levels) -> None:
 
 
 def _evaluate(net, ds: Dataset, indices):
-    """Truth, predicted labels and positive-class scores of the indexed rows."""
-    idx = list(indices)
-    return (ds.labels[idx], *predict_batch(net, ds.features[idx]))
+    """Truth, predicted labels and positive-class scores of the rows ``indices``
+    (an int64 array, as a Split holds)."""
+    return (ds.labels[indices], *predict_batch(net, ds.features[indices]))
 
 
 def _write_report(out: str, truth, labels, scores, extra_metrics=None) -> None:

@@ -11,8 +11,7 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,41 +62,63 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Split:
-    """Disjoint train/validation/test row indices covering the dataset."""
+def _index_array(values) -> np.ndarray:
+    """``values`` as a new read-only int64 array."""
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
-    train: tuple[int, ...]
-    validation: tuple[int, ...]
-    test: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """Disjoint train/validation/test row indices covering the dataset.
+
+    Each part is stored as a read-only int64 array in the order given;
+    ``split_811`` and ``fold_split`` give each part in ascending order.
+    """
+
+    train: np.ndarray
+    validation: np.ndarray
+    test: np.ndarray
 
     def __post_init__(self):
-        parts = (set(self.train), set(self.validation), set(self.test))
-        total = len(self.train) + len(self.validation) + len(self.test)
-        if len(parts[0] | parts[1] | parts[2]) != total:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _index_array(getattr(self, f.name)))
+        rows = np.concatenate([self.train, self.validation, self.test])
+        if rows.size and rows.min() < 0:
+            raise ValueError("split indices must be non-negative")
+        if rows.size and np.bincount(rows).max() > 1:
             raise ValueError("split index sets overlap")
 
+    def __eq__(self, other):
+        if not isinstance(other, Split):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """Balanced k-fold assignment; fold ids are 1-based."""
+    """Balanced k-fold assignment; fold ids are 1-based.
+
+    ``assignments[i]`` is row i's fold, stored as a read-only int64 array.
+    """
 
     k: int
-    assignments: tuple[int, ...]
+    assignments: np.ndarray
 
     def __post_init__(self):
-        sizes = [self.assignments.count(f) for f in range(1, self.k + 1)]
-        if sum(sizes) != len(self.assignments):
+        folds = _index_array(self.assignments)
+        object.__setattr__(self, "assignments", folds)
+        if folds.size and not 1 <= folds.min() <= folds.max() <= self.k:
             raise ValueError("fold assignments must lie in 1..k")
-        if sizes and max(sizes) - min(sizes) > 1:
+        sizes = np.bincount(folds, minlength=self.k + 1)[1:]
+        if folds.size and sizes.max() - sizes.min() > 1:
             raise ValueError("fold sizes must differ by at most one")
 
-    @cached_property
-    def _folds(self) -> np.ndarray:
-        return np.fromiter(self.assignments, dtype=np.int64, count=len(self.assignments))
-
-    def fold_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._folds == fold).tolist())
+    def fold_indices(self, fold: int) -> np.ndarray:
+        """The rows of ``fold``, ascending."""
+        return np.flatnonzero(self.assignments == fold)
 
 
 def _parse_table(fh, n_columns: int, label_idx: int):
@@ -324,13 +345,11 @@ def split_811(ds: Dataset, stream: RngStream) -> Split:
     d = ds.n_rows
     if d < 10:
         raise ValueError(f"8:1:1 split needs at least 10 rows, got {d}")
-    perm = stream.permutation(d)
+    perm = np.array(stream.permutation(d), dtype=np.int64)
     n_train = _round_half_up(0.8 * d)
     n_val = _round_half_up(0.1 * d)
-    train = tuple(sorted(perm[:n_train]))
-    val = tuple(sorted(perm[n_train:n_train + n_val]))
-    test = tuple(sorted(perm[n_train + n_val:]))
-    return Split(train, val, test)
+    return Split(np.sort(perm[:n_train]), np.sort(perm[n_train:n_train + n_val]),
+                 np.sort(perm[n_train + n_val:]))
 
 
 def make_folds(ds: Dataset, k: int, stream: RngStream) -> FoldPlan:
@@ -338,11 +357,9 @@ def make_folds(ds: Dataset, k: int, stream: RngStream) -> FoldPlan:
     d = ds.n_rows
     if not 2 <= k <= d:
         raise ValueError(f"k must be in [2, {d}], got {k}")
-    perm = stream.permutation(d)
-    assignments = [0] * d
-    for pos, row in enumerate(perm):
-        assignments[row] = (pos % k) + 1
-    return FoldPlan(k, tuple(assignments))
+    assignments = np.empty(d, dtype=np.int64)
+    assignments[stream.permutation(d)] = np.arange(d) % k + 1  # row perm[i] is in fold i % k + 1
+    return FoldPlan(k, assignments)
 
 
 def fold_split(ds: Dataset, plan: FoldPlan, fold: int, stream: RngStream) -> Split:
@@ -353,10 +370,8 @@ def fold_split(ds: Dataset, plan: FoldPlan, fold: int, stream: RngStream) -> Spl
     """
     if not 1 <= fold <= plan.k:
         raise ValueError(f"fold must be in 1..{plan.k}")
-    test = plan.fold_indices(fold)
-    rest = np.flatnonzero(plan._folds != fold).tolist()
+    rest = np.flatnonzero(plan.assignments != fold).tolist()
     stream.shuffle(rest)
     n_val = _round_half_up(len(rest) / 9)
-    val = tuple(sorted(rest[:n_val]))
-    train = tuple(sorted(rest[n_val:]))
-    return Split(train, val, test)
+    rest = np.array(rest, dtype=np.int64)
+    return Split(np.sort(rest[n_val:]), np.sort(rest[:n_val]), plan.fold_indices(fold))

@@ -67,8 +67,8 @@ from .numerics import RngStream
 
 MAX_LLOYD_ITERATIONS = 100
 # elements in one block of the screen, k values per row, and of the exact path's
-# temporary: a block's float64 close marks take 512 KB, so that the block and its
-# temporaries stay in a 2 MB L2 cache
+# temporary: a block's close marks take 256 KB in the float32 stage and 512 KB in
+# the float64 one, so that the block and its temporaries stay in a 2 MB L2 cache
 _BLOCK_ELEMS = 1 << 16
 # each stage of the screen certifies only rows whose scale (|x| + max|c|)^2
 # lies in (tiny, 1 / tiny) of its dtype; see the module docstring
@@ -160,10 +160,13 @@ def _screen(rows: np.ndarray, norms: np.ndarray,
     step = max(1, _BLOCK_ELEMS // k)
     nearest = np.empty(n, dtype=np.intp)
     certified = np.empty(n, dtype=bool)
-    # one product counts each row's close centers and sums their indices,
-    # exactly: float64 holds every integer up to 2^53, so no count wraps
-    tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)])
-    close = np.empty((k, min(step, n)))
+    # one product counts each row's close centers and sums their indices. A
+    # count and a lone pick are integers below k, exact in any summation order
+    # in float32 while k < 2^24, so the float32 stage marks and tallies in
+    # float32; the sum of two or more picks may round, but certifies nothing
+    marks_dtype = rows.dtype if k < 1 << 24 else np.dtype(np.float64)
+    tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)]).astype(marks_dtype)
+    close = np.empty((k, min(step, n)), dtype=marks_dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         norms2 = np.einsum("ij,ij->i", centers, centers)
         operand = np.empty((k, m + 1), dtype=rows.dtype)

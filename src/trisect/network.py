@@ -376,15 +376,16 @@ def train_node(X_active, y_active, frozen: LayeredNetwork, fresh: NodeParams,
 
 
 def classify_split(net: LayeredNetwork, X, y, indices):
-    """Partition rows into correct positives, misclassified, correct negatives."""
+    """Partition rows into correct positives, misclassified, correct negatives.
+
+    ``indices[r]`` names row r of ``X``; each part is the int64 array of its
+    rows' indices, in the order of ``indices``.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     labels, _ = predict_batch(net, X)
     y = np.asarray(y)
     correct = labels == y
-    pn = tuple(indices[correct & (y == 1)].tolist())
-    nn = tuple(indices[correct & (y == -1)].tolist())
-    mn = tuple(indices[~correct].tolist())
-    return pn, mn, nn
+    return indices[correct & (y == 1)], indices[~correct], indices[correct & (y == -1)]
 
 
 def model_to_json(net: LayeredNetwork, norm_mode: str, norm_stats,

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Split
+from .data import Dataset, Split, _index_array
 from .discretize import build_equivalence_classes, kmeans_cluster
 from .errors import ConfigError
 from .network import (
@@ -38,6 +38,7 @@ from .network import (
 from .numerics import ACTIVATION_KINDS, derive_stream
 from .threeway import (
     CostMatrix,
+    Regions,
     ThresholdSchedule,
     accrue_process_costs,
     build_schedule,
@@ -134,17 +135,21 @@ class LevelRecord:
     cost_delay: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunLedger:
     """Per-level records plus the final three-region outcome."""
 
     levels: tuple[LevelRecord, ...]
-    pos: tuple[int, ...]
-    neg: tuple[int, ...]
-    bnd: tuple[int, ...]
+    pos: np.ndarray  # accepted rows, ascending; stored as a read-only int64 array
+    neg: np.ndarray  # rejected rows, likewise
+    bnd: tuple[int, ...]  # deferred rows: none once a run ends
     unit_test_costs: tuple[float, ...]
     unit_delay_costs: tuple[float, ...]
     master_seed: int
+
+    def __post_init__(self):
+        for name in ("pos", "neg"):
+            object.__setattr__(self, name, _index_array(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {
@@ -153,8 +158,8 @@ class RunLedger:
             "unit_delay_costs": list(self.unit_delay_costs),
             "levels": [asdict(r) for r in self.levels],
             "final": {
-                "pos": list(self.pos),
-                "neg": list(self.neg),
+                "pos": self.pos.tolist(),
+                "neg": self.neg.tolist(),
                 "bnd": list(self.bnd),
             },
         }
@@ -228,6 +233,11 @@ def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
     return kmeans_cluster(points, k, stream).assignments
 
 
+def _region_rows(regions: Regions, which: str) -> np.ndarray:
+    """The instances of one region of ``regions``, ascending, as int64 row indices."""
+    return np.array(regions.indices(which), dtype=np.int64)
+
+
 def level_schedule(kind: str, cfg: TrainConfig) -> ThresholdSchedule:
     """The schedule a ``kind`` run samples from the config's seed: ``cfg.t``
     levels, or for ``twd-fixed`` two levels of level 1's matrix."""
@@ -255,43 +265,40 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig,
     elif not fixed and schedule.t != cfg.t:
         raise ConfigError(f"schedule spans {schedule.t} levels, config says {cfg.t}")
     X, y = ds.features, ds.labels
-    train_idx = np.array(split.train, dtype=np.int64)
-    if train_idx.size == 0:
+    if split.train.size == 0:
         raise ValueError("training split is empty")
-    val_idx = np.array(split.validation, dtype=np.int64)
-    X_val, y_val = X[val_idx], y[val_idx]
+    X_val, y_val = X[split.validation], y[split.validation]
 
     unit_test, unit_delay = resolve_unit_costs(cfg)
     process = (0.0, 0.0)
     net = LayeredNetwork.empty(ds.n_features, cfg.activation)
     category = np.empty(len(X), dtype=np.int64)
-    pos_idx: set[int] = set()
-    neg_idx: set[int] = set()
+    # the settled rows, as masks over the dataset's rows
+    accepted = np.zeros(len(X), dtype=bool)
+    rejected = np.zeros(len(X), dtype=bool)
     records: list[LevelRecord] = []
-    active = tuple(train_idx.tolist())
+    active = split.train
 
     for level in range(1, cfg.t + 1):
         stream = derive_stream(cfg.master_seed, f"init-node-{level}")
-        rows = np.array(active, dtype=np.int64)
-        X_active, y_active = X[rows], y[rows]
+        X_active, y_active = X[active], y[active]
         fresh = init_node(ds.n_features, cfg.init_dist, stream)
         net = train_node(X_active, y_active, net, fresh, cfg.hyper, X_val, y_val, stream)
 
-        pn, mn, nn = classify_split(net, X_active, y_active, rows)
+        pn, mn, nn = classify_split(net, X_active, y_active, active)
         del X_active, y_active  # not held through the level's k-means, its memory peak
-        pos_idx.update(pn)
-        neg_idx.update(nn)
+        accepted[pn] = True
+        rejected[nn] = True
 
-        if not mn:
+        if not mn.size:
             records.append(LevelRecord(level, len(active), 0, len(pn), 0, len(nn),
                                        0, 0, 0, "none", None, None, None, 0.0, *process))
-            active = ()
+            active = mn  # empty: every active row is settled
             break
 
-        misclassified = np.array(mn, dtype=np.int64)
         if level == 1:  # later levels' misclassified rows are level 1's deferred ones
-            category[misclassified] = _granulate(X[misclassified], cfg, identity)
-        classes = build_equivalence_classes(mn, category[misclassified].tolist(), ds.labels)
+            category[mn] = _granulate(X[mn], cfg, identity)
+        classes = build_equivalence_classes(mn.tolist(), category[mn].tolist(), ds.labels)
 
         if not fixed:
             j = level
@@ -304,22 +311,23 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig,
 
         process = accrue_process_costs(process, len(mn), unit_test[level - 1],
                                        unit_delay[level - 1])
-        pos_idx.update(regions.indices("pos"))
-        neg_idx.update(regions.indices("neg"))
+        accepted[_region_rows(regions, "pos")] = True
+        rejected[_region_rows(regions, "neg")] = True
         up, ub, un = regions.instance_counts()
         records.append(LevelRecord(level, len(active), len(mn), len(pn), len(mn), len(nn),
                                    up, ub, un, rule.name, rule.alpha, rule.beta, rule.gamma,
                                    risk, *process))
-        active = regions.indices("bnd")
-        if not active:
+        active = _region_rows(regions, "bnd")
+        if not active.size:
             break
 
-    if active:
+    if active.size:
         raise RuntimeError("run ended with a non-empty deferred set")  # unreachable
-    settled = pos_idx | neg_idx
-    if settled != set(train_idx.tolist()) or pos_idx & neg_idx:
+    in_train = np.zeros(len(X), dtype=bool)
+    in_train[split.train] = True
+    if (accepted & rejected).any() or not np.array_equal(accepted | rejected, in_train):
         raise RuntimeError("final regions do not partition the training set")
 
-    ledger = RunLedger(tuple(records), tuple(sorted(pos_idx)), tuple(sorted(neg_idx)),
-                       (), unit_test, unit_delay, cfg.master_seed)
+    ledger = RunLedger(tuple(records), np.flatnonzero(accepted), np.flatnonzero(rejected), (),
+                       unit_test, unit_delay, cfg.master_seed)
     return net, ledger

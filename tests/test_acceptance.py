@@ -210,8 +210,8 @@ def test_c04_worked_example_end_to_end(toy_dataset, toy_config, toy_schedule):
                           ledger.levels[0].nn) == (3, 3, 0),
         "level-1 regions": (ledger.levels[0].bl, ledger.levels[0].nl) == (2, 1),
         "level-2 regions": (ledger.levels[1].bl, ledger.levels[1].nl) == (0, 2),
-        "final POS": ledger.pos == (1, 2, 5),
-        "final NEG": ledger.neg == (0, 3, 4),
+        "final POS": ledger.pos.tolist() == [1, 2, 5],
+        "final NEG": ledger.neg.tolist() == [0, 3, 4],
         "final BND empty": ledger.bnd == (),
         "two hidden nodes": net.n_nodes == 2,
         "runtime < 1 s": elapsed < 1.0,

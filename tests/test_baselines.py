@@ -159,8 +159,8 @@ class TestTwdFixed:
         recorded = ThresholdSchedule(((0.5389, 0.5016),), 0.5204, (MATRIX_2, MATRIX_2))
         net, ledger = run(_toy_ds(), TOY_SPLIT, self._cfg(), recorded, kind="twd-fixed")
         assert net.n_nodes == 1
-        assert ledger.pos == (1, 2, 5)
-        assert ledger.neg == (0, 3, 4)
+        assert ledger.pos.tolist() == [1, 2, 5]
+        assert ledger.neg.tolist() == [0, 3, 4]
 
     def test_degenerate_schedule_equivalence(self):
         # one shared matrix: the sequential run and the fixed-threshold run

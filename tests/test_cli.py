@@ -238,6 +238,24 @@ class TestTrain:
             b = open(os.path.join(outs[1], name), "rb").read()
             assert a == b, name
 
+    def test_memory_is_bounded_by_the_feature_matrix(self, tmp_path):
+        # the raw and the normalized 20000x8 matrices are 2x; the split, the
+        # level loop's row sets and 32-cluster k-means on the half of the
+        # training rows that level 1 misclassifies must fit in three more
+        data = _write_synth_csv(tmp_path / "synth.csv", seed=22, rows=20000, features=8)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("clusters = 32\nmax_epochs = 2\npatience = 2\n")
+        tracemalloc.start()
+        try:
+            code = main(["train", "--data", data, "--label-col", "label", "--positive", "yes",
+                         "--out", str(tmp_path / "run"), "--config", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        matrix = 20000 * 8 * np.dtype(np.float64).itemsize
+        assert peak <= 5 * matrix, f"peak {peak / matrix:.2f}x the feature matrix"
+
 
 class TestEval:
     def test_eval_reproduces_training_metrics_shape(self, tmp_path):

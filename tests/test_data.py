@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trisect import DataError, RngStream, load_csv, make_folds, normalize, split_811
-from trisect.data import Dataset, Split, apply_normalization, fold_split
+from trisect.data import Dataset, FoldPlan, Split, apply_normalization, fold_split
 
 from conftest import TOY_LABELS, synthetic_dataset, toy_csv_text
 
@@ -339,6 +339,10 @@ def test_normalization_equals_the_per_column_reference(mode):
         assert replayed.tobytes() == expected.tobytes(), case
 
 
+def _blank_dataset(d: int) -> Dataset:
+    return Dataset(np.zeros((d, 1)), np.ones(d, dtype=np.int64), ("x",))
+
+
 class TestSplit811:
     def test_sizes_d10(self, toy_dataset):
         s = split_811(toy_dataset, RngStream(0, "split"))
@@ -368,9 +372,35 @@ class TestSplit811:
         with pytest.raises(ValueError):
             split_811(ds, RngStream(0, "split"))
 
+    def test_parts_are_sorted_slices_of_the_permutation(self):
+        for d in (10, 11, 99, 1000):
+            perm = RngStream(d, "split").permutation(d)
+            n_train, n_val = int(0.8 * d + 0.5), int(0.1 * d + 0.5)
+            s = split_811(_blank_dataset(d), RngStream(d, "split"))
+            assert [s.train.tolist(), s.validation.tolist(), s.test.tolist()] == [
+                sorted(perm[:n_train]), sorted(perm[n_train:n_train + n_val]),
+                sorted(perm[n_train + n_val:])]
+            for part in (s.train, s.validation, s.test):
+                assert part.dtype == np.int64 and not part.flags.writeable
+
+    def test_repeated_or_negative_index_is_rejected(self):
+        for parts in [((0, 1, 1), (2,), (3,)), ((0, 1), (2, 2), ()), ((0, 1), (2,), (3, 1)),
+                      ((0, 4), (), (4,))]:
+            with pytest.raises(ValueError, match="overlap"):
+                Split(*parts)
+        with pytest.raises(ValueError, match="non-negative"):
+            Split((0, 1), (-1,), (2,))
+
+    def test_parts_are_read_only_copies(self):
+        train = np.arange(3)
+        s = Split(train, [3], np.array([4], dtype=np.int32))
+        assert train.flags.writeable and not s.train.flags.writeable
+        assert [p.dtype for p in (s.train, s.validation, s.test)] == [np.int64] * 3
+        assert s == Split((0, 1, 2), (3,), (4,)) and s != Split((0, 1, 2), (4,), (3,))
+
     def test_explicit_split_construction(self):
         s = Split(train=(0, 1, 2), validation=(3,), test=(4,))
-        assert s.train == (0, 1, 2)
+        assert s.train.tolist() == [0, 1, 2]
         with pytest.raises(ValueError):
             Split(train=(0, 1), validation=(1,), test=(2,))
 
@@ -402,6 +432,21 @@ class TestFolds:
         with pytest.raises(ValueError):
             make_folds(toy_dataset, 11, RngStream(0, "folds"))
 
+    def test_assignments_follow_the_permutation(self):
+        for seed, d, k in ((7, 53, 5), (8, 120, 10), (9, 11, 2)):
+            expected = [0] * d
+            for pos, row in enumerate(RngStream(seed, "folds").permutation(d)):
+                expected[row] = pos % k + 1
+            plan = make_folds(_blank_dataset(d), k, RngStream(seed, "folds"))
+            assert plan.assignments.tolist() == expected
+            assert plan.assignments.dtype == np.int64 and not plan.assignments.flags.writeable
+
+    def test_invalid_plans_are_rejected(self):
+        for k, assignments in ((2, (1, 3)), (2, (0, 1)), (2, (1, 1, 1, 2))):
+            with pytest.raises(ValueError):
+                FoldPlan(k, assignments)
+        assert FoldPlan(3, (1, 2)).fold_indices(3).tolist() == []
+
     def test_fold_tuples_match_their_definition(self):
         # fold i holds the rows assigned to it in row order; the rest of a
         # fold split are the other rows in row order, shuffled by the stream
@@ -410,14 +455,15 @@ class TestFolds:
             plan = make_folds(ds, k, RngStream(seed, "folds"))
             for fold in range(1, k + 1):
                 test = tuple(i for i, f in enumerate(plan.assignments) if f == fold)
-                assert plan.fold_indices(fold) == test
+                assert plan.fold_indices(fold).tolist() == list(test)
                 rest = [i for i in range(d) if plan.assignments[i] != fold]
                 RngStream(seed, f"val-{fold}").shuffle(rest)
                 n_val = int(len(rest) / 9 + 0.5)
                 expected = Split(tuple(sorted(rest[n_val:])), tuple(sorted(rest[:n_val])), test)
                 got = fold_split(ds, plan, fold, RngStream(seed, f"val-{fold}"))
                 assert got == expected
-                assert all(type(i) is int for i in got.train + got.validation + got.test)
+                for part in (got.train, got.validation, got.test):
+                    assert part.dtype == np.int64 and not part.flags.writeable
 
     def test_fold_split_8_1_proportions(self):
         ds = synthetic_dataset(6, 100, 3)

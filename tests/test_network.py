@@ -527,15 +527,13 @@ class TestClassifySplit:
         net = _toy_net()
         pn, mn, nn = classify_split(net, TOY_FEATURES[:6], TOY_LABELS[:6],
                                     indices=(0, 1, 2, 3, 4, 5))
-        assert pn == (1, 2, 5)
-        assert mn == (0, 3, 4)
-        assert nn == ()
+        assert [pn.tolist(), mn.tolist(), nn.tolist()] == [[1, 2, 5], [0, 3, 4], []]
 
     def test_perfect_classifier_has_no_misses(self):
         net = _toy_net()
         labels, _ = predict_batch(net, TOY_FEATURES)
         pn, mn, nn = classify_split(net, TOY_FEATURES, labels, np.arange(10))
-        assert mn == ()
+        assert mn.tolist() == []
         assert set(pn) | set(nn) == set(range(10))
 
     def test_sets_partition_input(self):

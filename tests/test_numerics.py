@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trisect import ACTIVATION_KINDS, RngStream, activate, activate_derivative, derive_stream
-from trisect.data import Dataset, fold_split, make_folds, split_811
+from trisect.data import Dataset, Split, fold_split, make_folds, split_811
 from trisect.numerics import _SHUFFLE_BLOCK, _sigmoid
 
 _M64 = 2**64
@@ -94,13 +94,14 @@ class TestGeneratorContract:
     def test_pinned_split_and_folds(self):
         ds = Dataset(np.zeros((20, 1)), np.array([1, -1] * 10), ("x",))
         split = split_811(ds, RngStream(42, "split"))
-        assert split.train == (0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 14, 15, 16, 18, 19)
-        assert (split.validation, split.test) == ((8, 9), (7, 17))
+        assert split == Split((0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 14, 15, 16, 18, 19),
+                              (8, 9), (7, 17))
         plan = make_folds(ds, 4, RngStream(42, "folds"))
-        assert plan.assignments == (2, 1, 3, 1, 1, 4, 2, 1, 4, 3, 2, 2, 3, 3, 4, 2, 1, 4, 4, 3)
+        assert plan.assignments.tolist() == [2, 1, 3, 1, 1, 4, 2, 1, 4, 3, 2, 2, 3, 3, 4, 2, 1, 4,
+                                             4, 3]
         split = fold_split(ds, plan, 2, RngStream(42, "crossval-val-2"))
-        assert split.train == (1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 14, 16, 17)
-        assert (split.validation, split.test) == ((18, 19), (0, 6, 10, 11, 15))
+        assert split == Split((1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 14, 16, 17), (18, 19),
+                              (0, 6, 10, 11, 15))
 
 
 class TestRngStream:

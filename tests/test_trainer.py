@@ -12,6 +12,7 @@ from trisect import (
     predict_batch,
     run,
 )
+from trisect import trainer
 from trisect.network import LayeredNetwork, classify_split
 from trisect.trainer import _distinct_rows, resolve_unit_costs
 
@@ -44,8 +45,8 @@ class TestWorkedExample:
         assert level2.risk == pytest.approx(0.5962, abs=1e-4)
         assert (level2.cost_test, level2.cost_delay) == (7.0, 4.0)
 
-        assert ledger.pos == (1, 2, 5)  # x2, x3, x6
-        assert ledger.neg == (0, 3, 4)  # x1, x4, x5
+        assert ledger.pos.tolist() == [1, 2, 5]  # x2, x3, x6
+        assert ledger.neg.tolist() == [0, 3, 4]  # x1, x4, x5
         assert ledger.bnd == ()
 
     def test_assembled_matrices(self, toy_dataset, toy_config, toy_schedule):
@@ -68,6 +69,27 @@ class TestWorkedExample:
     def test_unknown_kind_is_rejected(self, toy_dataset, toy_config, toy_schedule):
         with pytest.raises(ValueError, match="unknown level-loop kind 'm2'"):
             run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule, kind="m2")
+
+
+class TestFinalRegions:
+    def test_ledger_rows_are_read_only_arrays(self, toy_dataset, toy_config, toy_schedule):
+        ledger = run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule)[1]
+        for rows in (ledger.pos, ledger.neg):
+            assert rows.dtype == np.int64 and not rows.flags.writeable
+        final = ledger.to_dict()["final"]
+        assert final == {"pos": [1, 2, 5], "neg": [0, 3, 4], "bnd": []}
+        assert {type(i) for i in final["pos"] + final["neg"]} == {int}
+
+    @pytest.mark.parametrize("forge", [
+        lambda pn, mn, nn: (pn, mn, np.append(nn, pn[:1])),  # a row accepted and rejected
+        lambda pn, mn, nn: (np.append(pn, 6), mn, nn),  # a validation row accepted
+    ])
+    def test_forged_regions_are_refused(self, monkeypatch, toy_dataset, toy_config,
+                                        toy_schedule, forge):
+        split = trainer.classify_split
+        monkeypatch.setattr(trainer, "classify_split", lambda *args: forge(*split(*args)))
+        with pytest.raises(RuntimeError, match="do not partition the training set"):
+            run(toy_dataset, TOY_SPLIT, toy_config, toy_schedule)
 
 
 class TestAssemble:
