@@ -18,8 +18,9 @@ from dataclasses import fields
 import numpy as np
 
 from . import baselines
-from .data import (apply_normalization, Dataset, fold_split, load_csv, make_folds,
-                   normalize, require_file, split_811)
+# load_csv and normalize are not called here, but perfbench/tracer.py wraps them by these names
+from .data import (_read_csv, apply_normalization, Dataset, fold_split, load_csv,  # noqa: F401
+                   make_folds, normalization_stats, normalize, require_file, split_811)
 from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
 from .network import TrainHyper, model_to_json, model_from_json, predict_batch
@@ -134,13 +135,21 @@ def _require(settings, *keys) -> None:
             raise ConfigError(f"missing required setting {key!r}")
 
 
-def _read_dataset(settings) -> Dataset:
+def _read_table(settings):
+    """``data._read_csv`` of the data settings: a writable feature matrix,
+    its labels, feature names and ingestion record."""
     _require(settings, "data", "label_col", "positive")
-    return load_csv(settings["data"], settings["label_col"], settings["positive"])
+    return _read_csv(settings["data"], settings["label_col"], settings["positive"])
 
 
 def _load_dataset(settings) -> Dataset:
-    return normalize(_read_dataset(settings), settings["normalize"])
+    """The data, normalized in the matrix it was read into: one feature
+    matrix, as ``normalize(load_csv(...), mode)`` gives it."""
+    X, labels, names, ingestion = _read_table(settings)
+    mode = settings["normalize"]
+    stats = normalization_stats(mode, X)
+    return Dataset(apply_normalization(mode, stats, X, out=X), labels, names, mode, stats,
+                   ingestion)
 
 
 def _check_output_dir(out: str) -> str:
@@ -299,24 +308,36 @@ def cmd_eval(args) -> int:
     settings = resolve_settings(args, default_out=os.path.join(args.run_dir, "eval"))
     net, norm_mode, norm_stats, _, _ = _read_run_json(
         args.run_dir, "model.json", ("W1", "b1", "W2", "b2"), model_from_json)
-    ds = _read_dataset(settings)
-    if ds.n_features != net.n_features:
-        raise DataError(f"{settings['data']} has {ds.n_features} feature columns, "
+    X, truth, names, ingestion = _read_table(settings)
+    if X.shape[1] != net.n_features:
+        raise DataError(f"{settings['data']} has {X.shape[1]} feature columns, "
                         f"the model expects {net.n_features}")
     _check_output_dir(settings["out"])
-    # one feature matrix at a time: the raw one is dropped before the forward
-    # pass, the normalized one before the report
-    truth, X = ds.labels, apply_normalization(norm_mode, norm_stats, ds.features)
-    del ds
-    labels, scores = predict_batch(net, X)
+    # one feature matrix: the model's normalization is replayed into the
+    # matrix read, which is dropped before the report
+    ds = Dataset(apply_normalization(norm_mode, norm_stats, X, out=X), truth, names,
+                 norm_mode, norm_stats, ingestion)
     del X
+    labels, scores = predict_batch(net, ds.features)
+    del ds
     _write_report(settings["out"], truth, labels, scores)
     return 0
 
 
-def _crossval_fold(payload):
-    """One fold's run; top-level so executors can pickle it."""
-    ds, plan, fold, settings, schedule = payload
+# (ds, plan, settings, schedule), the inputs every crossval fold shares in
+# this process; set by _share_fold_inputs, in each pool worker by its initializer
+_FOLD_INPUTS = None
+
+
+def _share_fold_inputs(*inputs) -> None:
+    """Make ``inputs`` the folds' shared inputs; no inputs clears them."""
+    global _FOLD_INPUTS
+    _FOLD_INPUTS = inputs or None
+
+
+def _crossval_fold(fold):
+    """One fold's run on the shared inputs; top-level so executors can pickle it."""
+    ds, plan, settings, schedule = _FOLD_INPUTS
     seed = settings["seed"]
     fold_seed = derive_stream(seed, f"fold-{fold}").next_u64()
     cfg = _build_config({**settings, "seed": fold_seed})
@@ -361,15 +382,21 @@ def cmd_crossval(args) -> int:
     ds = _load_dataset(settings)
     out = _check_output_dir(settings["out"])
     plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
-    payloads = [(ds, plan, f, settings, schedule) for f in range(1, k + 1)]
-    if jobs == 1:
-        records = [_crossval_fold(p) for p in payloads]
-    else:
-        # imported here, so that no other command loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    inputs, folds = (ds, plan, settings, schedule), range(1, k + 1)
+    try:
+        if jobs == 1:
+            _share_fold_inputs(*inputs)
+            records = [_crossval_fold(f) for f in folds]
+        else:
+            # imported here, so that no other command loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
-            records = list(pool.map(_crossval_fold, payloads))  # in fold order
+            # each worker gets the inputs once, from its initializer; a task is its fold
+            with ProcessPoolExecutor(max_workers=min(jobs, k), initializer=_share_fold_inputs,
+                                     initargs=inputs) as pool:
+                records = list(pool.map(_crossval_fold, folds))  # in fold order
+    finally:
+        _share_fold_inputs()
 
     aggregate = {}
     for key in SUMMARY_COLUMNS:

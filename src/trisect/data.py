@@ -96,6 +96,9 @@ class Split:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
+    def __reduce__(self):  # unpickled through the constructor: read-only copies, checked
+        return Split, (self.train, self.validation, self.test)
+
 
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
@@ -116,9 +119,35 @@ class FoldPlan:
         if folds.size and sizes.max() - sizes.min() > 1:
             raise ValueError("fold sizes must differ by at most one")
 
+    def __reduce__(self):  # unpickled through the constructor: read-only copies, checked
+        return FoldPlan, (self.k, self.assignments)
+
     def fold_indices(self, fold: int) -> np.ndarray:
         """The rows of ``fold``, ascending."""
         return np.flatnonzero(self.assignments == fold)
+
+
+# rows whose feature cells _drop_column moves per step, through a temporary of that many rows
+_DROP_CHUNK_ROWS = 4096
+
+
+def _drop_column(table: np.ndarray, col: int) -> np.ndarray:
+    """``np.delete(table, col, axis=1)`` of a C-contiguous 2-d ``table``, made
+    in ``table``'s own buffer, which it overwrites.
+
+    Row i's feature cells move to the i-th row of the C-contiguous (d, m)
+    view at the front of the buffer, a chunk of rows at a time. That never
+    writes past the cells of the chunk being moved, so no later row is
+    overwritten before it is read. Each chunk goes through one assignment
+    from a copy: two slice assignments in one buffer would overwrite cells
+    the second still has to read.
+    """
+    d, n = table.shape
+    front = table.reshape(-1)[:d * (n - 1)].reshape(d, n - 1)
+    for start in range(0, d, _DROP_CHUNK_ROWS):
+        rows = slice(start, start + _DROP_CHUNK_ROWS)
+        front[rows] = np.delete(table[rows], col, axis=1)
+    return front
 
 
 def _parse_table(fh, n_columns: int, label_idx: int):
@@ -127,6 +156,8 @@ def _parse_table(fh, n_columns: int, label_idx: int):
     Returns None unless every row parses: the same cell count as the header,
     a number in every feature cell and a non-empty label. The row scan then
     reads the file instead, and names the fault or drops the incomplete rows.
+    The features are a writable C-contiguous view of the buffer numpy's
+    reader filled, with the label column dropped in place (``_drop_column``).
     """
     codes: dict[str, int] = {}
 
@@ -144,7 +175,7 @@ def _parse_table(fh, n_columns: int, label_idx: int):
         return None
     names = list(codes)
     raw_labels = [names[c] for c in table[:, label_idx].astype(np.int64).tolist()]
-    return np.delete(table, label_idx, axis=1), raw_labels
+    return _drop_column(table, label_idx), raw_labels
 
 
 def _scan_rows(reader, header, label_idx: int, feature_names):
@@ -196,18 +227,10 @@ def require_file(path: str, what: str, error: type) -> None:
         raise error(f"{what} not found: {path}")
 
 
-def load_csv(path: str, label_column, positive_label) -> Dataset:
-    """Load a UTF-8, header-first CSV into a Dataset; a leading byte-order
-    mark is dropped.
-
-    ``label_column`` is a header name or 0-based column index; every other
-    column must be numeric. The raw ``positive_label`` value maps to +1 and
-    the single remaining label value to -1. Cells may be quoted with ``"``,
-    whitespace around a cell is ignored and no character starts a comment.
-    Rows containing empty cells are dropped (counted in ``ingestion``);
-    non-numeric or non-finite (nan, inf) feature cells, rows the csv module
-    cannot read (a cell longer than its field limit) and label columns
-    without exactly two distinct values are errors.
+def _read_csv(path: str, label_column, positive_label):
+    """``load_csv``'s reading and checks, as (features, labels, feature names,
+    ingestion record); the features are a writable float64 matrix, owned by
+    the caller, that a normalization can overwrite in place.
     """
     require_file(path, "dataset file", DataError)
     try:
@@ -270,29 +293,51 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
         "rows_dropped": rows_dropped,
         "label_mapping": {pos: 1, neg: -1},
     }
+    return features, labels, feature_names, ingestion
+
+
+def load_csv(path: str, label_column, positive_label) -> Dataset:
+    """Load a UTF-8, header-first CSV into a Dataset; a leading byte-order
+    mark is dropped.
+
+    ``label_column`` is a header name or 0-based column index; every other
+    column must be numeric. The raw ``positive_label`` value maps to +1 and
+    the single remaining label value to -1. Cells may be quoted with ``"``,
+    whitespace around a cell is ignored and no character starts a comment.
+    Rows containing empty cells are dropped (counted in ``ingestion``);
+    non-numeric or non-finite (nan, inf) feature cells, rows the csv module
+    cannot read (a cell longer than its field limit) and label columns
+    without exactly two distinct values are errors.
+    """
+    features, labels, feature_names, ingestion = _read_csv(path, label_column, positive_label)
     return Dataset(features, labels, feature_names, ingestion=ingestion)
 
 
-def apply_normalization(mode: str, stats, X: np.ndarray) -> np.ndarray:
-    """Replay a fitted normalization on new rows, as a new array.
+def apply_normalization(mode: str, stats, X: np.ndarray, out: np.ndarray | None = None
+                        ) -> np.ndarray:
+    """Replay a fitted normalization on rows, into ``out`` or a new array.
 
     Column j becomes ``(x - a) / scale`` for its stats (a, b), with scale
     ``b - a`` (min-max) or ``b`` (z-score); a column whose scale is 0 becomes
     zeros. The whole matrix goes through one subtraction into the output and
-    one in-place division, so no second full-size array is made, and each
-    entry takes the same two operations as a column at a time would.
+    one in-place division, and each entry takes the same two operations as a
+    column at a time would. ``out`` is a float64 array of ``X``'s shape;
+    ``out=X`` normalizes ``X`` in place, with the same bytes as the new array.
     """
     if mode not in NORMALIZE_MODES:
         raise ValueError(f"unknown normalization mode: {mode!r}")
     if mode == "none":
-        return np.array(X, dtype=np.float64)
+        if out is None:
+            return np.array(X, dtype=np.float64)
+        np.copyto(out, X)
+        return out
     X = np.asarray(X, dtype=np.float64)
     offset, b = np.array(stats, dtype=np.float64).reshape(len(stats), 2).T
     if len(offset) != X.shape[1]:
         raise ValueError(f"normalization stats cover {len(offset)} features, "
                          f"the rows have {X.shape[1]}")
     scale = b - offset if mode == "min-max" else b
-    out = np.subtract(X, offset)
+    out = np.subtract(X, offset, out=out)
     np.divide(out, scale, out=out, where=scale != 0)
     out[:, scale == 0] = 0.0
     return out
@@ -313,25 +358,30 @@ def _column_extremes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def normalization_stats(mode: str, X: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """Per-feature stats (a, b) of ``mode`` fitted on ``X``, for ``apply_normalization``.
+
+    min-max takes each column's (min, max), z-score its (mean, population
+    sd) and none (0, 1).
+    """
+    if mode not in NORMALIZE_MODES:
+        raise ValueError(f"normalization mode must be one of {NORMALIZE_MODES}")
+    if mode == "none":
+        return tuple((0.0, 1.0) for _ in range(X.shape[1]))
+    if mode == "min-max":
+        return tuple(zip(*(e.tolist() for e in _column_extremes(X))))
+    # per column: a strided column's mean is summed pairwise, while
+    # mean(axis=0) adds the rows in order, so the two differ in the last bits
+    return tuple((float(X[:, j].mean()), float(X[:, j].std())) for j in range(X.shape[1]))
+
+
 def normalize(ds: Dataset, mode: str) -> Dataset:
     """Return a copy of ``ds`` with per-feature normalization applied.
 
     min-max maps each feature onto [0, 1]; z-score to mean 0, sd 1
     (population sd). Constant columns map to all zeros in either mode.
     """
-    if mode not in NORMALIZE_MODES:
-        raise ValueError(f"normalization mode must be one of {NORMALIZE_MODES}")
-    if mode == "none":
-        stats = tuple((0.0, 1.0) for _ in range(ds.n_features))
-    elif mode == "min-max":
-        stats = tuple(zip(*(e.tolist() for e in _column_extremes(ds.features))))
-    else:
-        # per column: a strided column's mean is summed pairwise, while
-        # mean(axis=0) adds the rows in order, so the two differ in the last bits
-        stats = tuple(
-            (float(ds.features[:, j].mean()), float(ds.features[:, j].std()))
-            for j in range(ds.n_features)
-        )
+    stats = normalization_stats(mode, ds.features)
     X = apply_normalization(mode, stats, ds.features)
     return Dataset(X, ds.labels.copy(), ds.feature_names, mode, stats, dict(ds.ingestion))
 

@@ -158,19 +158,26 @@ def init_node(m: int, dist: str, stream: RngStream) -> NodeParams:
 
 
 def _softmax_pos(scores: np.ndarray) -> np.ndarray:
-    # a max or sum of two terms is exact or singly rounded, in either order
+    """exp(s0 - top) / (exp(s0 - top) + exp(s1 - top)), top = max(s0, s1), in two
+    temporaries; a max or sum of two terms is exact or singly rounded, in either order."""
     s0, s1 = scores[:, 0], scores[:, 1]
-    top = np.maximum(s0, s1)
-    e0 = np.exp(s0 - top)
-    e1 = np.exp(s1 - top)
-    return e0 / (e0 + e1)
+    e0 = np.maximum(s0, s1)
+    e1 = np.subtract(s1, e0)
+    np.exp(e1, out=e1)
+    np.subtract(s0, e0, out=e0)
+    np.exp(e0, out=e0)
+    e1 += e0
+    return np.divide(e0, e1, out=e0)
 
 
 def forward_arrays(X, W1, b1, W2, b2, activation):
-    """Batch forward pass; returns (Z, A, scores, p_pos)."""
-    Z = X @ W1.T + b1
+    """Batch forward pass; returns (Z, A, scores, p_pos). The biases are added
+    in place, to the products."""
+    Z = X @ W1.T
+    Z += b1
     A = activate(activation, Z)
-    scores = A @ W2.T + b2
+    scores = A @ W2.T
+    scores += b2
     return Z, A, scores, _softmax_pos(scores)
 
 

@@ -196,6 +196,15 @@ def _sigmoid(x):
     return out
 
 
+def _selu(z):
+    # λ · where(z > 0, z, α · expm1(z)), with the temporaries reused in place
+    e = np.expm1(z)
+    e *= SELU_ALPHA
+    out = np.where(z > 0, z, e)
+    out *= SELU_SCALE
+    return out
+
+
 def _swish_derivative(z, a):
     s = _sigmoid(z)
     return s + z * s * (1.0 - s)
@@ -208,7 +217,7 @@ _ACTIVATIONS = {
              lambda z, a: np.where(z >= 0, 1.0, 0.0)),
     "leaky-relu": (lambda z: np.where(z > 0, z, LEAKY_SLOPE * z),
                    lambda z, a: np.where(z >= 0, 1.0, LEAKY_SLOPE)),
-    "selu": (lambda z: SELU_SCALE * np.where(z > 0, z, SELU_ALPHA * np.expm1(z)),
+    "selu": (_selu,
              lambda z, a: SELU_SCALE * np.where(z >= 0, 1.0, SELU_ALPHA * np.exp(z))),
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
     "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),

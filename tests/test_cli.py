@@ -404,6 +404,32 @@ class TestEval:
         assert code == 0
         assert peak <= 3 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
 
+    def test_memory_is_one_feature_matrix_and_the_forward_pass(self, tmp_path):
+        # the table numpy reads, 17/16 of the 20000x16 feature matrix, holds the
+        # features and their normalization; the forward pass, a chunk of the
+        # column drop, the labels and the roc.csv text must fit in the other 0.79
+        rng = np.random.default_rng(19)
+        X = rng.random((20000, 16))
+        margin = X @ rng.standard_normal(16)
+        labels = np.where(margin > np.median(margin), "yes", "no")
+        header = ",".join(f"f{j}" for j in range(16)) + ",label"
+        lines = [",".join(f"{v:.6f}" for v in row) + f",{y}" for row, y in zip(X, labels)]
+        (tmp_path / "train.csv").write_text("\n".join([header] + lines[:300]) + "\n")
+        (tmp_path / "eval.csv").write_text("\n".join([header] + lines) + "\n")
+        del lines
+        out = str(tmp_path / "run")
+        assert main(["train", "--data", str(tmp_path / "train.csv"), "--label-col", "label",
+                     "--positive", "yes", "--out", out, "--config", _fast_config(tmp_path)]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["eval", out, "--data", str(tmp_path / "eval.csv"), "--label-col",
+                         "label", "--positive", "yes", "--out", str(tmp_path / "ev")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.85 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
+
 
 def _with_normalization(text, key, edit):
     """A model.json text whose normalization ``key`` is ``edit`` of its value."""
@@ -489,11 +515,12 @@ class TestCrossval:
         import concurrent.futures
 
         class SerialPool:
-            """Records its worker count and maps in this process."""
+            """Records its worker count, runs the initializer once and maps in this process."""
             workers = []
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 self.workers.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -516,6 +543,22 @@ class TestCrossval:
             blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
         assert SerialPool.workers == [3]
         assert blobs[0] == blobs[1]
+
+    def test_shared_fold_inputs_are_cleared(self, tmp_path, monkeypatch):
+        import trisect.cli as cli
+
+        data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
+        argv = ["crossval", "--data", data, "--label-col", "label", "--positive", "yes",
+                "--folds", "3", "--config", _fast_config(tmp_path)]
+        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+        assert cli._FOLD_INPUTS is None
+
+        def failing(*args):
+            raise RuntimeError("stopped")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(argv + ["--out", str(tmp_path / "failed")]) == 3
+        assert cli._FOLD_INPUTS is None
 
     def test_negative_jobs_is_exit_1(self, tmp_path, capsys):
         data = _write_synth_csv(tmp_path / "synth.csv")

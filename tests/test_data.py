@@ -1,12 +1,14 @@
 import csv
 import io
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trisect import DataError, RngStream, load_csv, make_folds, normalize, split_811
-from trisect.data import Dataset, FoldPlan, Split, apply_normalization, fold_split
+from trisect.data import (Dataset, FoldPlan, Split, _parse_table, _scan_rows,
+                          apply_normalization, fold_split, normalization_stats)
 
 from conftest import TOY_LABELS, synthetic_dataset, toy_csv_text
 
@@ -339,6 +341,44 @@ def test_normalization_equals_the_per_column_reference(mode):
         assert replayed.tobytes() == expected.tobytes(), case
 
 
+@pytest.mark.parametrize("mode", ["min-max", "z-score", "none"])
+def test_normalization_in_place_gives_the_new_array_bytes(mode):
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-3, 4, (1, 4))
+    X[:, 2] = 7.5  # a zero-scale column
+    X[0, 0] = -0.0
+    stats = normalization_stats(mode, X)
+    expected = apply_normalization(mode, stats, X)
+    got = apply_normalization(mode, stats, X, out=X)
+    assert got is X and X.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 4095, 4096, 4097])  # 4096 rows are dropped a chunk at a time
+@pytest.mark.parametrize("label_idx", [0, 2, 4])
+def test_label_column_drop_equals_np_delete(d, label_idx):
+    """Both readers give np.delete's bytes and layout. With the label in a
+    middle column, moving each chunk by two slice assignments within the one
+    buffer would overwrite the last cell of a row before it is read."""
+    rng = np.random.default_rng(d + label_idx)
+    table = rng.standard_normal((d, 5)) * 10.0 ** rng.integers(-5, 6, (d, 5))
+    raw = np.where(rng.random(d) < 0.5, "yes", "no").tolist()
+    header = [f"f{j}" for j in range(5)]
+    header[label_idx] = "y"
+    cells = [[repr(v) for v in row] for row in table.tolist()]
+    for row, label in zip(cells, raw):
+        row[label_idx] = label
+    body = "".join(",".join(row) + "\n" for row in cells)
+    expected = np.delete(table, label_idx, axis=1)
+    parsed = _parse_table(io.StringIO(body), 5, label_idx)
+    scanned = _scan_rows(csv.reader(io.StringIO(body)), header, label_idx,
+                         tuple(h for h in header if h != "y"))
+    for features, labels in (parsed, scanned[:2]):
+        assert labels == raw
+        assert features.tobytes() == expected.tobytes()
+        assert features.flags.c_contiguous and features.strides == expected.strides
+        assert features.flags.writeable
+
+
 def _blank_dataset(d: int) -> Dataset:
     return Dataset(np.zeros((d, 1)), np.ones(d, dtype=np.int64), ("x",))
 
@@ -398,6 +438,15 @@ class TestSplit811:
         assert [p.dtype for p in (s.train, s.validation, s.test)] == [np.int64] * 3
         assert s == Split((0, 1, 2), (3,), (4,)) and s != Split((0, 1, 2), (4,), (3,))
 
+    def test_pickle_round_trip_rebuilds_through_the_constructor(self):
+        s = Split((0, 2), (1,), (3, 4))
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s
+        assert not any(p.flags.writeable for p in (again.train, again.validation, again.test))
+        object.__setattr__(s, "test", np.array([0]))  # overlaps train: the checks run again
+        with pytest.raises(ValueError, match="overlap"):
+            pickle.loads(pickle.dumps(s))
+
     def test_explicit_split_construction(self):
         s = Split(train=(0, 1, 2), validation=(3,), test=(4,))
         assert s.train.tolist() == [0, 1, 2]
@@ -440,6 +489,15 @@ class TestFolds:
             plan = make_folds(_blank_dataset(d), k, RngStream(seed, "folds"))
             assert plan.assignments.tolist() == expected
             assert plan.assignments.dtype == np.int64 and not plan.assignments.flags.writeable
+
+    def test_pickle_round_trip_rebuilds_through_the_constructor(self):
+        plan = FoldPlan(2, (1, 2, 1))
+        again = pickle.loads(pickle.dumps(plan))
+        assert again.k == 2 and again.assignments.tolist() == [1, 2, 1]
+        assert not again.assignments.flags.writeable
+        object.__setattr__(plan, "assignments", np.array([1, 3]))
+        with pytest.raises(ValueError, match="1..k"):
+            pickle.loads(pickle.dumps(plan))
 
     def test_invalid_plans_are_rejected(self):
         for k, assignments in ((2, (1, 3)), (2, (0, 1)), (2, (1, 1, 1, 2))):
