@@ -294,7 +294,10 @@ def _fit_command(settings, kind) -> int:
     schedule = level_schedule(kind, cfg) if kind in LEVEL_LOOP_KINDS else None
     ds = _load_dataset(settings)
     _check_output_dir(settings["out"])
-    split = split_811(ds, derive_stream(cfg.master_seed, "split"))
+    try:
+        split = split_811(ds, derive_stream(cfg.master_seed, "split"))
+    except ValueError as exc:  # too few usable rows: a fault of the data, not the settings
+        raise DataError(f"{settings['data']}: {exc}") from None
     net, ledger, extra_metrics = _fit(kind, ds, split, cfg, schedule, settings)
     _write_bundle(settings, ds, split, net, ledger, schedule, extra_metrics)
     return 0

@@ -154,8 +154,8 @@ def _parse_table(fh, n_columns: int, label_idx: int):
     """Features and raw labels of the rows after the header, by numpy's C reader.
 
     Returns None unless every row parses: the same cell count as the header,
-    a number in every feature cell and a non-empty label. The row scan then
-    reads the file instead, and names the fault or drops the incomplete rows.
+    a finite number in every feature cell and a non-empty label. The row scan
+    then reads the file instead, and names the fault or drops the incomplete rows.
     The features are a writable C-contiguous view of the buffer numpy's
     reader filled, with the label column dropped in place (``_drop_column``).
     """
@@ -171,7 +171,7 @@ def _parse_table(fh, n_columns: int, label_idx: int):
                                comments=None, ndmin=2, converters={label_idx: label_code})
     except (ValueError, UserWarning):
         return None
-    if table.shape[1] != n_columns or "" in codes:
+    if table.shape[1] != n_columns or "" in codes or not np.isfinite(table).all():
         return None
     names = list(codes)
     raw_labels = [names[c] for c in table[:, label_idx].astype(np.int64).tolist()]
@@ -267,11 +267,6 @@ def _read_csv(path: str, label_column, positive_label):
             else:
                 features, raw_labels = table
                 rows_read, rows_dropped = len(raw_labels), 0
-                finite = np.isfinite(features)
-                if not finite.all():  # blank lines are skipped by both parsers, so row = index + 1
-                    row, col = np.argwhere(~finite)[0]
-                    raise DataError(f"non-finite value {float(features[row, col])} in column "
-                                    f"{feature_names[col]!r}, row {row + 1}")
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})") from None
 

@@ -221,14 +221,17 @@ def within_sse(points: np.ndarray, centers: np.ndarray, assignments: np.ndarray)
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
-    """Choose k distinct initial centers by distance-squared roulette.
+    """Choose at most k distinct initial centers by distance-squared roulette.
 
     The first center is a uniformly chosen row; each subsequent center is
     drawn with probability proportional to its squared distance from the
-    nearest already-chosen center. A zero total before center c is drawn
-    means that every row equals one of the c centers already chosen, or
-    lies so close to one that its squared distance underflows, so the k
-    centers cannot all be distinct.
+    nearest already-chosen center. The drawing stops early when that total
+    is 0: every row then equals a chosen center, or lies so close to one
+    that its squared distance underflows, and the centers chosen so far are
+    returned. So the rows give k centers, or one per distinct row when they
+    hold fewer; as in ``np.unique``, -0.0 and 0.0 are one value, and a row
+    whose squared distance to a center underflows counts as that center.
+    A k below 1 or no points raise ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -241,13 +244,15 @@ def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
     diff = np.subtract(points, points[chosen[0]])
     d2 = np.square(diff, out=diff).sum(axis=1)
     near = np.empty(n)
-    for c in range(1, k):
+    for _ in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
-            raise ValueError(f"k must be in [1, {c} (distinct points)], got {k}")
+            break
         u = stream.uniform(0.0, total)
         idx = int(np.searchsorted(np.cumsum(d2), u, side="right"))
-        chosen.append(min(idx, n - 1))
+        # a draw past the cumulative sum's end, by rounding, takes the last
+        # row of positive weight, never one that lies on a chosen center
+        chosen.append(idx if idx < n else int(np.flatnonzero(d2)[-1]))
         np.subtract(points, points[chosen[-1]], out=diff)
         np.minimum(d2, np.square(diff, out=diff).sum(axis=1, out=near), out=d2)
     return points[chosen]
@@ -293,6 +298,11 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
                    sse_trace: list | None = None) -> Clustering:
     """Lloyd iterations from k-means++ seeds until assignments stabilize.
 
+    ``k`` caps the clusters: the clustering's k is the number of centers
+    ``kmeanspp_seed`` draws, which is fewer than ``k`` when the rows run out
+    of distinct values (``min(k, len(np.unique(points, axis=0)))`` unless two
+    rows' squared distance underflows).
+
     If ``sse_trace`` is a list, the within-cluster SSE after every
     assignment step is appended to it (a non-increasing sequence).
     """
@@ -311,7 +321,7 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
             sse_trace.append(within_sse(points, centers, new_assignments))
         converged = np.array_equal(new_assignments, assignments)
         assignments = new_assignments
-    return Clustering(k, centers, assignments, iterations, converged)
+    return Clustering(len(centers), centers, assignments, iterations, converged)
 
 
 def build_equivalence_classes(members, keys, labels) -> list[EquivalenceClass]:

@@ -210,11 +210,6 @@ class Regions:
     bnd: tuple[EquivalenceClass, ...]
     neg: tuple[EquivalenceClass, ...]
 
-    def instance_counts(self) -> tuple[int, int, int]:
-        return (sum(c.size for c in self.pos),
-                sum(c.size for c in self.bnd),
-                sum(c.size for c in self.neg))
-
     def indices(self, which: str) -> tuple[int, ...]:
         group = getattr(self, which)
         return tuple(sorted(i for c in group for i in c.members))

@@ -210,17 +210,6 @@ def resolve_unit_costs(cfg: TrainConfig):
     return tuple(values), tuple(values)
 
 
-def _distinct_rows(points: np.ndarray, limit: int) -> int:
-    """``min(limit, len(np.unique(points, axis=0)))`` for finite rows, without
-    sorting them: the count stops once ``limit`` distinct rows are seen."""
-    seen: set[bytes] = set()
-    for s in range(0, len(points), 64):
-        seen.update(map(np.ndarray.tobytes, points[s:s + 64] + 0.0))  # -0.0 + 0.0 is 0.0
-        if len(seen) >= limit:
-            return limit
-    return len(seen)
-
-
 def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
     """Category of each row of ``points``: its k-means cluster among at most
     ``cfg.clusters`` clusters, or, if ``identity``, an id per distinct raw row
@@ -228,9 +217,8 @@ def _granulate(points: np.ndarray, cfg: TrainConfig, identity: bool):
     if identity:
         ids: dict[bytes, int] = {}
         return [ids.setdefault(row.tobytes(), len(ids)) for row in points]
-    k = _distinct_rows(points, cfg.clusters)
     stream = derive_stream(cfg.master_seed, "kmeans-level-1")
-    return kmeans_cluster(points, k, stream).assignments
+    return kmeans_cluster(points, cfg.clusters, stream).assignments
 
 
 def _region_rows(regions: Regions, which: str) -> np.ndarray:
@@ -311,13 +299,13 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig,
 
         process = accrue_process_costs(process, len(mn), unit_test[level - 1],
                                        unit_delay[level - 1])
-        accepted[_region_rows(regions, "pos")] = True
-        rejected[_region_rows(regions, "neg")] = True
-        up, ub, un = regions.instance_counts()
+        pl, bl, nl = (_region_rows(regions, which) for which in ("pos", "bnd", "neg"))
+        accepted[pl] = True
+        rejected[nl] = True
         records.append(LevelRecord(level, len(active), len(mn), len(pn), len(mn), len(nn),
-                                   up, ub, un, rule.name, rule.alpha, rule.beta, rule.gamma,
-                                   risk, *process))
-        active = _region_rows(regions, "bnd")
+                                   len(pl), len(bl), len(nl), rule.name, rule.alpha, rule.beta,
+                                   rule.gamma, risk, *process))
+        active = bl
         if not active.size:
             break
 

@@ -7,6 +7,8 @@ the traced command with an error, or changes what it writes; these tests run
 it on tiny commands and compare its outputs with an untraced run's.
 """
 
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -90,3 +92,26 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         assert len(partitions) == len(processed)
         assert all(s["classes"] >= 1 for s in partitions)
         assert len(risks) == 2 * len(processed)
+
+
+def test_every_traced_name_resolves():
+    """Each name ``perfbench/tracer.py`` wraps is a callable of its owner,
+    checked without running a command."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    class Recorder:
+        def __init__(self):
+            self.pairs = []
+
+        def wrap(self, owner, attr, name, probe=None):
+            self.pairs.append((owner, attr))
+
+    recorder = Recorder()
+    tracer.install(recorder)
+    assert recorder.pairs
+    missing = [f"{owner.__name__ if inspect.ismodule(owner) else owner.__qualname__}.{attr}"
+               for owner, attr in recorder.pairs if not callable(getattr(owner, attr, None))]
+    assert not missing, f"traced names that do not resolve: {missing}"

@@ -165,7 +165,7 @@ class TestTrain:
         def never(*args):
             raise AssertionError("read the data before checking the settings")
 
-        monkeypatch.setattr(cli, "load_csv", never)
+        monkeypatch.setattr(cli, "_read_csv", never)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(setting + "\n")
         assert main([*command, "--data", str(tmp_path / "absent.csv"), "--label-col", "D",
@@ -198,6 +198,34 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "row 4 cannot be read: field larger than field limit" in err
         assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("command", [["train"], ["baseline", "--kind", "m2"]])
+    @pytest.mark.parametrize("rows, dropped", [(9, 0), (12, 3)])
+    def test_too_few_rows_to_split_is_exit_2(self, tmp_path, capsys, command, rows, dropped):
+        data = _write_synth_csv(tmp_path / "small.csv", rows=rows)
+        for row in range(1, dropped + 1):
+            _with_cell(data, row, 0, "")
+        code = main([*command, "--data", data, "--label-col", "label", "--positive", "yes",
+                     "--out", str(tmp_path / "o"), "--config", _fast_config(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data}: 8:1:1 split needs at least 10 rows, got 9"]
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_rows_whose_squared_distance_underflows_train(self, tmp_path, capsys):
+        # 0.0 and 1e-200 differ in their bytes, but (1e-200)^2 is 0.0: k-means
+        # finds one cluster among level 1's misclassified rows, not two
+        data = tmp_path / "underflow.csv"
+        data.write_text("x,y\n" + "".join(
+            f"{'0.0' if i % 2 == 0 else '1e-200'},{'yes' if i % 4 < 2 else 'no'}\n"
+            for i in range(40)))
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--label-col", "y", "--positive", "yes",
+                     "--seed", "0", "--out", str(out),
+                     "--config", _fast_config(tmp_path, normalize="none")]) == 0
+        assert capsys.readouterr().err == ""
+        levels = json.loads((out / "ledger.json").read_text())["levels"]
+        assert levels[0]["m"] > 0  # level 1 clustered its misclassified rows
 
     def test_collapsed_schedule_is_exit_3(self, toy_csv, tmp_path, capsys):
         # seed 0's defer corridor holds no float strictly inside by level 20

@@ -71,24 +71,66 @@ class TestSeeding:
         b = kmeanspp_seed(pts, 3, RngStream(8, "seed"))
         assert np.array_equal(a, b)
 
-    def test_k_above_distinct_points_rejected(self):
+    def test_k_above_distinct_points_returns_each_distinct_point(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(ValueError):
-            kmeanspp_seed(pts, 3, RngStream(0, "seed"))
+        for k in (2, 3, 7):
+            centers = kmeanspp_seed(pts, k, RngStream(0, "seed"))
+            assert sorted(map(tuple, centers.tolist())) == [(1.0, 1.0), (2.0, 2.0)]
 
-    def test_the_rejection_names_the_distinct_points_found(self):
+    def test_k_below_one_and_empty_points_are_rejected(self):
         pts = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [2.0, 2.0], [3.0, 0.5]])
-        with pytest.raises(ValueError, match=r"k must be in \[1, 3 \(distinct points\)\], got 4"):
-            kmeanspp_seed(pts, 4, RngStream(0, "seed"))
-        for points, k in ((pts, 0), (np.empty((0, 2)), 1)):
+        assert len(kmeanspp_seed(pts, 4, RngStream(0, "seed"))) == 3
+        for points, k in ((pts, 0), (pts, -1), (np.empty((0, 2)), 1)):
             with pytest.raises(ValueError, match="at least 1 and the points non-empty"):
                 kmeanspp_seed(points, k, RngStream(0, "seed"))
 
-    def test_distinct_rows_whose_squared_distance_underflows_are_too_few(self):
+    def test_distinct_rows_whose_squared_distance_underflows_give_one_center(self):
         # (1e-200)^2 is 0 in float64, so the roulette has nothing to draw from
         pts = np.array([[0.0], [1e-200]])
-        with pytest.raises(ValueError, match=r"\[1, 1 \(distinct points\)\], got 2"):
-            kmeanspp_seed(pts, 2, RngStream(0, "seed"))
+        for seed in range(4):
+            centers = kmeanspp_seed(pts, 2, RngStream(seed, "seed"))
+            assert centers.shape == (1, 1) and centers[0, 0] in (0.0, 1e-200)
+
+    def test_a_draw_past_the_cumulative_sum_takes_the_last_row_of_weight(self):
+        # u == total: searchsorted runs past the end, and the trailing row
+        # lies on the first center, so the last row of positive weight is drawn
+        pts = np.array([[0.0], [1.0], [2.0], [0.0]])
+
+        class Edge:
+            def randrange(self, n):
+                return 0
+
+            def uniform(self, lo, hi):
+                return hi
+
+        assert kmeanspp_seed(pts, 2, Edge()).tolist() == [[0.0], [2.0]]
+
+
+class TestClusterCap:
+    """k-means takes at most its k clusters, and no more than ``np.unique`` counts rows."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(0)
+        pool = rng.random((5, 3))
+        yield pool[rng.integers(0, 5, 200)]  # 5 distinct rows, many duplicates
+        yield rng.random((300, 2))  # every row distinct
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 1.0]])
+        yield signed  # -0.0 and 0.0 are one value: 3 distinct rows
+        yield np.concatenate([signed[rng.integers(0, 5, 150)], rng.random((10, 2))])
+        yield np.zeros((70, 4))
+        yield rng.integers(0, 2, (130, 3)).astype(np.float64)  # 8 distinct rows
+
+    def test_k_is_the_capped_unique_count(self):
+        for case, points in enumerate(self._cases()):
+            distinct = len(np.unique(points, axis=0))
+            for limit in (1, 2, 3, 5, 8, 9, 64, 300, 400):
+                capped = kmeans_cluster(points, limit, RngStream(case, "cap"))
+                k = min(limit, distinct)
+                assert capped.k == len(capped.centers) == k, (case, limit)
+                exact = kmeans_cluster(points, k, RngStream(case, "cap"))
+                assert capped.assignments.tobytes() == exact.assignments.tobytes()
+                assert capped.centers.tobytes() == exact.centers.tobytes()
 
 
 class TestLloyd:

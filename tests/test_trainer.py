@@ -14,7 +14,7 @@ from trisect import (
 )
 from trisect import trainer
 from trisect.network import LayeredNetwork, classify_split
-from trisect.trainer import _distinct_rows, resolve_unit_costs
+from trisect.trainer import resolve_unit_costs
 
 from conftest import (
     MATRIX_1,
@@ -246,24 +246,3 @@ class TestLiveRuns:
         with pytest.raises(ValueError):
             run(toy_dataset, empty, toy_config)
 
-
-class TestDistinctRows:
-    """The k cap counts distinct rows as ``np.unique(points, axis=0)`` does."""
-
-    @staticmethod
-    def _cases():
-        rng = np.random.default_rng(0)
-        pool = rng.random((5, 3))
-        yield pool[rng.integers(0, 5, 200)]  # 5 distinct rows, many duplicates
-        yield rng.random((300, 2))  # every row distinct, past several blocks
-        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0], [2.0, 1.0]])
-        yield signed  # -0.0 and 0.0 are one value: 3 distinct rows
-        yield np.concatenate([signed[rng.integers(0, 5, 150)], rng.random((10, 2))])
-        yield np.zeros((70, 4))
-        yield rng.integers(0, 2, (130, 3)).astype(np.float64)  # 8 distinct rows
-
-    def test_equals_the_capped_unique_count(self):
-        for points in self._cases():
-            distinct = len(np.unique(points, axis=0))
-            for limit in (1, 2, 3, 5, 8, 9, 64, 300, 400):
-                assert _distinct_rows(points, limit) == min(limit, distinct), (distinct, limit)
