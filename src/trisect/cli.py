@@ -384,7 +384,11 @@ def cmd_crossval(args) -> int:
     schedule = level_schedule(SEQUENTIAL, _build_config(settings))  # folds build their own config
     ds = _load_dataset(settings)
     out = _check_output_dir(settings["out"])
-    plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
+    try:
+        plan = make_folds(ds, k, derive_stream(settings["seed"], "folds"))
+    except ValueError as exc:  # fewer usable rows than folds: a fault of the data
+        raise DataError(f"{settings['data']} has too few usable rows for folds = {k}: "
+                        f"{exc}") from None
     inputs, folds = (ds, plan, settings, schedule), range(1, k + 1)
     try:
         if jobs == 1:
@@ -467,8 +471,8 @@ COMMANDS = {
 }
 
 # error type -> exit code; the first type an error is an instance of applies. The
-# library raises ValueError for a value it rejects (TrainHyper's ranges, t < 2,
-# more folds than rows), so the CLI reports it as a configuration error.
+# library raises ValueError for a value it rejects (TrainHyper's ranges, t < 2),
+# so the CLI reports it as a configuration error.
 EXIT_CODES = (
     (ConfigError, 1),
     (DataError, 2),

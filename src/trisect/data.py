@@ -247,6 +247,9 @@ def _read_csv(path: str, label_column, positive_label):
             if isinstance(label_column, int):
                 label_idx = label_column
             elif label_column in header:
+                if header.count(label_column) > 1:
+                    raise DataError(f"label column {label_column!r} appears "
+                                    f"{header.count(label_column)} times in the header")
                 label_idx = header.index(label_column)
             else:
                 try:

@@ -11,29 +11,26 @@ center; the other rows go through that expression. So every assignment,
 center and SSE is bit for bit that of the one-shot expression, for any BLAS
 kernel and thread count.
 
-The screen is one blocked routine, ``_screen``, run in two precisions. The
-first stage screens every row in float32; the rows it leaves go to the same
-routine in float64; the rows that stage leaves take the one-shot expression.
-A stage multiplies the centers' operand ``[-2c, |c|^2]`` by the rows ``[x, 1]``,
-so each product value ``g = |c|^2 - 2 c.x`` is the squared distance
-``d = |x - c|^2`` less the row's own ``|x|^2``. A center is close when its g is
-at most the row's smallest g plus ``s R^2``, with ``R = |x| + max|c|`` and the
-slack ``s = (4m + 16) eps = (8m + 32) u`` of the stage's dtype (u = eps / 2).
-A row is certified when exactly one center is close.
+The screen, ``_screen``, runs in float32. It multiplies the centers' operand
+``[-2c, |c|^2]`` by the rows ``[x, 1]``, so each product value
+``g = |c|^2 - 2 c.x`` is the squared distance ``d = |x - c|^2`` less the row's
+own ``|x|^2``. A center is close when its g is at most the row's smallest g
+plus ``s R^2``, with ``R = |x| + max|c|`` and the slack
+``s = (4m + 16) eps = (8m + 32) u`` of float32 (u = eps / 2 = 2^-24). A row is
+certified when exactly one center is close.
 
 Why a certified pick is the one-shot argmin, with no tie to break. Let
 gamma_j = j u / (1 - j u); every d and every |g| is at most R^2.
 
 - The operands. float32 rounds x, -2c and |c|^2 (computed in float64), each
   to within u of itself, so the exact product of the rounded operands is
-  within (2u + u^2) 2|c||x| + 2u |c|^2 <= 3u R^2 of g. In float64, x and -2c
-  are exact and |c|^2 is within gamma_m |c|^2.
+  within (2u + u^2) 2|c||x| + 2u |c|^2 <= 3u R^2 of g.
 - The product. An (m+1)-term dot product, summed in any order, with or
   without FMA, is within gamma_(m+1) of the sum of its terms' absolute
   values (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
   section 3.1), here at most (1 + 3u) R^2. So for every BLAS kernel and
   thread count each computed g is within e R^2 of its true value, with e
-  about (m + 4) u in float32 and (2m + 1) u in float64.
+  about (m + 4) u.
 - The threshold. The row's one close center a holds its smallest g, since
   a center whose g equals it would be close too. The threshold sum
   fl(g_a + fl(s R^2)) rounds by at most u (1 + e + s) R^2, and the computed
@@ -44,17 +41,16 @@ gamma_j = j u / (1 - j u); every d and every |g| is at most R^2.
   squares of rounded differences, within gamma_(m+2) d of d. So it picks a
   strictly when the true d_j - d_a exceeds 2 gamma_(m+2) R^2 (float64's u).
 
-A certified row therefore needs s above about 2e + u + 2 gamma_(m+2): about
-(2m + 9) u in float32 and (6m + 7) u in float64. s = (8m + 32) u exceeds
-both, and its spare of at least (2m + 25) u covers the second-order terms
-and the absolute rounding of subnormal values. A stage certifies only rows
-whose scale R^2 lies in its window (tiny, 1 / tiny), ``_TINY``: (1e-30, 1e30)
-for float32 and (1e-150, 1e150) for float64. There every operand, product
-and sum of the stage is finite, and a value that is subnormal or underflows
-rounds by at most 2^-150 (float32) or 2^-1075 (float64), at most
-(m + 2) 1e-15 R^2 over a row's g in float32 and far less in float64. A row
-outside the window, or one whose values overflow or are not finite, is not
-certified, so overflow and NaN only move rows on to the next stage.
+A certified row therefore needs s above about 2e + u + 2 gamma_(m+2), about
+(2m + 9) u: the last term is in float64's u, 2^-29 of float32's.
+s = (8m + 32) u exceeds it, and its spare of (6m + 23) u covers the
+second-order terms and the absolute rounding of subnormal values. The screen
+certifies only rows whose scale R^2 lies in its window (``_TINY``,
+1 / ``_TINY``) = (1e-30, 1e30). There every operand, product and sum is
+finite, and a value that is subnormal or underflows rounds by at most
+2^-150, at most (m + 2) 1e-15 R^2 over a row's g. A row outside the window,
+or one whose values overflow or are not finite, is not certified, so
+overflow and NaN only send rows to the one-shot expression.
 """
 
 from __future__ import annotations
@@ -67,12 +63,12 @@ from .numerics import RngStream
 
 MAX_LLOYD_ITERATIONS = 100
 # elements in one block of the screen, k values per row, and of the exact path's
-# temporary: a block's close marks take 256 KB in the float32 stage and 512 KB in
-# the float64 one, so that the block and its temporaries stay in a 2 MB L2 cache
+# temporary: a block's float32 close marks take 256 KB, so that the block and
+# its temporaries stay in a 2 MB L2 cache
 _BLOCK_ELEMS = 1 << 16
-# each stage of the screen certifies only rows whose scale (|x| + max|c|)^2
-# lies in (tiny, 1 / tiny) of its dtype; see the module docstring
-_TINY = {np.dtype(np.float32): 1e-30, np.dtype(np.float64): 1e-150}
+# the screen certifies only rows whose scale (|x| + max|c|)^2 lies in
+# (_TINY, 1 / _TINY); see the module docstring
+_TINY = 1e-30
 
 
 @dataclass(frozen=True)
@@ -134,10 +130,10 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", points, points))
 
 
-def _augmented(points: np.ndarray, dtype) -> np.ndarray:
-    """The rows ``[x, 1]`` of ``points`` in ``dtype``, one per column: a screen
-    stage's right operand, whose blocks BLAS reads as contiguous rows."""
-    rows = np.empty((points.shape[1] + 1, points.shape[0]), dtype=dtype)
+def _augmented(points: np.ndarray) -> np.ndarray:
+    """The float32 rows ``[x, 1]`` of ``points``, one per column: the screen's
+    right operand, whose blocks BLAS reads as contiguous rows."""
+    rows = np.empty((points.shape[1] + 1, points.shape[0]), dtype=np.float32)
     with np.errstate(over="ignore"):  # a row beyond float32's range fails the window
         rows[:-1] = points.T
     rows[-1] = 1.0
@@ -146,7 +142,7 @@ def _augmented(points: np.ndarray, dtype) -> np.ndarray:
 
 def _screen(rows: np.ndarray, norms: np.ndarray,
             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One stage of the screen, in the dtype of ``rows`` (``_augmented``).
+    """The float32 screen of ``rows``, laid out by ``_augmented``.
 
     ``norms`` are the rows' norms |x|, in float64. Blocks of _BLOCK_ELEMS // k
     rows are screened with ``g = [-2c, |c|^2] @ [x, 1]``, laid out one center
@@ -156,25 +152,24 @@ def _screen(rows: np.ndarray, norms: np.ndarray,
     """
     k, m = centers.shape
     n = rows.shape[1]
-    tiny = _TINY[rows.dtype]
     step = max(1, _BLOCK_ELEMS // k)
     nearest = np.empty(n, dtype=np.intp)
     certified = np.empty(n, dtype=bool)
     # one product counts each row's close centers and sums their indices. A
     # count and a lone pick are integers below k, exact in any summation order
-    # in float32 while k < 2^24, so the float32 stage marks and tallies in
-    # float32; the sum of two or more picks may round, but certifies nothing
-    marks_dtype = rows.dtype if k < 1 << 24 else np.dtype(np.float64)
+    # in float32 while k < 2^24, so the screen marks and tallies in float32
+    # below that; the sum of two or more picks may round, but certifies nothing
+    marks_dtype = np.float32 if k < 1 << 24 else np.float64
     tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)]).astype(marks_dtype)
     close = np.empty((k, min(step, n)), dtype=marks_dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         norms2 = np.einsum("ij,ij->i", centers, centers)
-        operand = np.empty((k, m + 1), dtype=rows.dtype)
+        operand = np.empty((k, m + 1), dtype=np.float32)
         operand[:, :-1] = -2.0 * centers  # a power-of-two scaling is exact
         operand[:, -1] = norms2
         scale = (norms + np.sqrt(norms2.max())) ** 2
-        window = (scale > tiny) & (scale < 1 / tiny)
-        limit = ((4 * m + 16) * np.finfo(rows.dtype).eps * scale).astype(rows.dtype)
+        window = (scale > _TINY) & (scale < 1 / _TINY)
+        limit = ((4 * m + 16) * np.finfo(np.float32).eps * scale).astype(np.float32)
         for s in range(0, n, step):
             g = operand @ rows[:, s:s + step]
             bound = g.min(axis=0)
@@ -191,25 +186,20 @@ def _nearest(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray | 
              screen_rows: np.ndarray | None = None) -> np.ndarray:
     """Nearest center of every row, as ``_exact_nearest`` gives it.
 
-    The float32 stage of the screen takes every row, the float64 stage the
-    rows it leaves, and ``_exact_nearest`` the rows that stage leaves: ties,
-    rows far from the origin, and rows at extreme or non-finite scales.
+    The float32 screen takes every row, and ``_exact_nearest`` the rows it
+    leaves: near ties, rows far from the origin relative to the gaps between
+    centers, and rows at extreme or non-finite scales.
 
     ``point_norms`` are the rows' norms, ``_row_norms(points)``, and
-    ``screen_rows`` their float32 rows, ``_augmented(points, np.float32)``; a
-    caller that screens the same points many times makes them once.
+    ``screen_rows`` their float32 rows, ``_augmented(points)``; a caller that
+    screens the same points many times makes them once.
     """
     if point_norms is None:
         point_norms = _row_norms(points)
     if screen_rows is None:
-        screen_rows = _augmented(points, np.float32)
+        screen_rows = _augmented(points)
     nearest, certified = _screen(screen_rows, point_norms, centers)
     redo = np.flatnonzero(~certified)
-    if len(redo):
-        picks, certified = _screen(_augmented(points[redo], np.float64), point_norms[redo],
-                                   centers)
-        nearest[redo] = picks
-        redo = redo[~certified]
     if len(redo):
         nearest[redo] = _exact_nearest(points, centers, redo)
     return nearest
@@ -307,7 +297,7 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
     assignment step is appended to it (a non-increasing sequence).
     """
     points = np.asarray(points, dtype=np.float64)
-    norms, screen_rows = _row_norms(points), _augmented(points, np.float32)
+    norms, screen_rows = _row_norms(points), _augmented(points)
     centers = kmeanspp_seed(points, k, stream)
     assignments = _assign_with_repair(points, centers, norms, screen_rows)
     if sse_trace is not None:

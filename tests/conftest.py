@@ -1,6 +1,11 @@
-"""Shared fixtures: the ten-row worked example and synthetic data builders."""
+"""Shared fixtures: the ten-row worked example and synthetic data builders,
+and the report header that names the platform the pinned digests depend on."""
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +21,40 @@ from trisect import (
     TrainConfig,
     TrainHyper,
 )
+
+
+def _float64_math_targets() -> str:
+    """The SIMD target numpy dispatches each float64 function to, whose
+    bytes the pinned digests depend on."""
+    from numpy.lib.introspect import opt_func_info
+
+    info = opt_func_info(func_name="^(exp|log|expm1|log1p|tanh)$", signature="float64")
+    return ", ".join(f"{name} {target['current']}" for name, sigs in sorted(info.items())
+                     for target in sigs.values())
+
+
+def _openblas_core() -> str:
+    """The kernel the OpenBLAS bundled with numpy picked for this CPU."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    path = glob.glob(os.path.join(libs, "libscipy_openblas*"))[0]
+    corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _or_unknown(read) -> str:
+    try:
+        return read() or "unknown"
+    except Exception:  # a header line must never stop the run
+        return "unknown"
+
+
+def pytest_report_header(config):
+    # the pinned output digests hold on one numpy dispatch and BLAS kernel
+    return [f"numpy: {np.__version__}",
+            f"float64 exp|log|expm1|log1p|tanh target: {_or_unknown(_float64_math_targets)}",
+            f"OpenBLAS core: {_or_unknown(_openblas_core)}"]
+
 
 # ten-row two-class table driving the worked-example checks; labels 1/2,
 # label 1 is the positive class

@@ -212,6 +212,16 @@ class TestTrain:
             f"error: {data}: 8:1:1 split needs at least 10 rows, got 9"]
         assert not os.path.exists(tmp_path / "o")
 
+    def test_duplicated_label_column_name_is_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("y,a,y\n" + "".join(f"{i % 2},{i}.5,{i}\n" for i in range(20)))
+        code = main(["train", "--data", str(data), "--label-col", "y", "--positive", "1",
+                     "--out", str(tmp_path / "o"), "--config", _fast_config(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: label column 'y' appears 2 times in the header"]
+        assert not os.path.exists(tmp_path / "o")
+
     def test_rows_whose_squared_distance_underflows_train(self, tmp_path, capsys):
         # 0.0 and 1e-200 differ in their bytes, but (1e-200)^2 is 0.0: k-means
         # finds one cluster among level 1's misclassified rows, not two
@@ -600,6 +610,18 @@ class TestCrossval:
         code = main(["crossval", "--data", data, "--label-col", "label",
                      "--positive", "yes", "--folds", "1", "--out", str(tmp_path / "o")])
         assert code == 1
+
+    @pytest.mark.parametrize("rows, dropped", [(9, 0), (12, 3)])
+    def test_fewer_usable_rows_than_folds_is_exit_2(self, tmp_path, capsys, rows, dropped):
+        data = _write_synth_csv(tmp_path / "small.csv", rows=rows)
+        for row in range(1, dropped + 1):
+            _with_cell(data, row, 0, "")
+        code = main(["crossval", "--data", data, "--label-col", "label", "--positive", "yes",
+                     "--out", str(tmp_path / "o"), "--config", _fast_config(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data} has too few usable rows for folds = 10: k must be in [2, 9], got 10"]
+        assert not os.path.exists(tmp_path / "o")
 
 
 class TestBaseline:

@@ -109,6 +109,11 @@ LOAD_CASES = [
      ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
     ("label-middle", "a,D,b\n1,x,2\n3,y,4\n", 1,
      ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
+    # a label name that two header cells carry is ambiguous; an index is not
+    ("label-name-twice", "D,a, D\nx,1,2\ny,3,4\n", "D",
+     "label column 'D' appears 2 times in the header"),
+    ("label-index-of-a-repeated-name", "D,a,D\nx,1,2\ny,3,4\n", 0,
+     ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "D"), 2, 0, {"x": 1, "y": -1})),
     ("single-feature", "a,D\n5,y\n6,x\n7,y\n", "D",
      ([[5.0], [6.0], [7.0]], [-1, 1, -1], ("a",), 3, 0, {"x": 1, "y": -1})),
     ("empty-label-dropped", "a,D\n1,x\n2, \n3,y\n", "D",

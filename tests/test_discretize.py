@@ -496,8 +496,9 @@ class TestBoundedLloyd:
                 assert d2.count(min(d2)) == 1 and d2.index(min(d2)) == got[i], (m, i)
             certified += len(points) - len(exact)
         # the screen certifies at moderate scales and leaves the rest to the
-        # exact expression: cancellation at 1e7, subnormal or overflowing scales
-        if case in ("unit", "signed", "near-tie"):
+        # exact expression: near ties, cancellation at 1e7, subnormal or
+        # overflowing scales
+        if case in ("unit", "signed"):
             assert certified > 0
         else:
             assert certified == 0
@@ -534,65 +535,57 @@ class TestBoundedLloyd:
 
 
 class TestScreenStages:
-    """Each stage of the cascade certifies what its bound allows, and no more."""
+    """The float32 screen certifies what its bound allows, and no more."""
 
     @staticmethod
-    def _stage(points, centers, dtype):
-        rows = discretize._augmented(points, dtype)
+    def _stage(points, centers):
+        rows = discretize._augmented(points)
         return discretize._screen(rows, discretize._row_norms(points), centers)
-
-    @staticmethod
-    def _gap_over_slack(points, centers, m):
-        """Each row's exact gap between its two smallest d2, over the float64
-        stage's slack (4m + 16) eps (|x| + max|c|)^2."""
-        radius = np.sqrt((centers ** 2).sum(axis=1).max())
-        out = []
-        for point in points:
-            d2 = sorted(_exact_d2(point, c) for c in centers)
-            scale = (np.sqrt((point ** 2).sum()) + radius) ** 2
-            out.append(float(d2[1] - d2[0]) / ((4 * m + 16) * np.finfo(np.float64).eps * scale))
-        return np.array(out)
 
     def test_the_float32_stage_alone_certifies_unit_scale_rows(self, monkeypatch):
         rng = np.random.default_rng(11)
         points, centers = rng.random((3000, 8)), rng.random((32, 8))
-        picks, certified = self._stage(points, centers, np.float32)
+        picks, certified = self._stage(points, centers)
         assert certified.mean() > 0.99, certified.mean()
         assert np.array_equal(picks[certified],
                               _exact_nearest(points, centers, np.flatnonzero(certified)))
-        # in a clustering, the float64 stage sees the few rows that float32 leaves
-        screen = discretize._screen
-        seen = {np.dtype(np.float32): [0, 0], np.dtype(np.float64): [0, 0]}
+        # in a clustering, the exact expression takes the rows each screen
+        # leaves, once each, and no others
+        screen, exact = discretize._screen, discretize._exact_nearest
+        left, taken = [], []
 
         def counted_screen(rows, norms, centers):
             picks, certified = screen(rows, norms, centers)
-            seen[rows.dtype][0] += rows.shape[1]
-            seen[rows.dtype][1] += int(certified.sum())
+            left.append(np.flatnonzero(~certified))
             return picks, certified
 
+        def counted_exact(points, centers, rows):
+            taken.append(rows.copy())
+            return exact(points, centers, rows)
+
         monkeypatch.setattr(discretize, "_screen", counted_screen)
+        monkeypatch.setattr(discretize, "_exact_nearest", counted_exact)
         cl = kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"))
-        rows32, certified32 = seen[np.dtype(np.float32)]
-        assert rows32 == len(points) * (cl.iterations + 1)  # no repair on this input
-        assert certified32 > 0.99 * rows32
-        assert seen[np.dtype(np.float64)][0] == rows32 - certified32
+        assert len(left) == cl.iterations + 1  # no repair on this input
+        assert [r.tolist() for r in taken] == [r.tolist() for r in left if len(r)]
+        left_rows = sum(len(r) for r in left)
+        assert 0 < left_rows < 0.01 * len(left) * len(points), left_rows
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 17, 40])
-    def test_near_ties_pass_float32_to_the_float64_stage(self, m):
+    def test_near_ties_take_the_exact_expression(self, m):
         rng = np.random.default_rng(m)
         points, centers = _certificate_case("near-tie", m, rng)
-        # every near-tie row lies within float32's slack, 2^29 times float64's
-        ratio = self._gap_over_slack(points, centers, m)
-        assert ratio.max() < 2.0 ** 29 / 4
-        assert not self._stage(points, centers, np.float32)[1].any()
-        # float64 certifies every row that clears its slack twice over, none
-        # that is below half of it, and so the rows at steps of 1e-11 and more
-        picks, certified = self._stage(points, centers, np.float64)
-        assert certified[ratio > 2].all() and not certified[ratio < 0.5].any()
-        steps = np.abs(np.concatenate([np.logspace(-17, -8, 15)] * 2))
-        assert certified[steps >= 1e-11].all() and not certified[steps <= 1e-15].any()
-        rows = np.flatnonzero(certified)
-        assert np.array_equal(picks[rows], _exact_nearest(points, centers, rows))
+        # every near-tie row's exact gap between its two smallest d2 is below
+        # a quarter of float32's slack (4m + 16) eps (|x| + max|c|)^2
+        radius = np.sqrt((centers ** 2).sum(axis=1).max())
+        slack = (4 * m + 16) * np.finfo(np.float32).eps
+        for point in points:
+            d2 = sorted(_exact_d2(point, c) for c in centers)
+            scale = (np.sqrt((point ** 2).sum()) + radius) ** 2
+            assert float(d2[1] - d2[0]) < slack * scale / 4
+        assert not self._stage(points, centers)[1].any()
+        assert np.array_equal(_nearest(points, centers),
+                              _exact_nearest(points, centers, np.arange(len(points))))
 
     @pytest.mark.parametrize("case", ["huge", "subnormal"])
     def test_extreme_scales_reach_the_exact_path_without_a_warning(self, monkeypatch, case):
@@ -604,8 +597,7 @@ class TestScreenStages:
             counter.watch(points)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                for dtype in (np.float32, np.float64):
-                    assert not self._stage(points, centers, dtype)[1].any()
+                assert not self._stage(points, centers)[1].any()
                 got = _nearest(points, centers)
             assert counter.exact_rows == len(points)
             assert np.array_equal(got, _exact_nearest(points, centers, np.arange(len(points))))
