@@ -20,6 +20,7 @@ from .network import (
     focal_loss,
     init_node,
     predict_batch,
+    predict_rows,
     regularized_cost,
     train_node,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .data import Dataset, Split
-from .network import LayeredNetwork, TrainHyper, init_node, predict_batch, train_network
+from .network import LayeredNetwork, TrainHyper, init_node, predict_rows, train_network
 from .numerics import RngStream, derive_stream
 from .metrics import accuracy
 
@@ -53,8 +53,9 @@ def train_fixed_topology(ds: Dataset, split: Split, nodes: int, hyper: TrainHype
     drawn = LayeredNetwork.empty(ds.n_features, activation)
     for _ in range(nodes):
         drawn = drawn.with_node(init_node(ds.n_features, init_dist, stream))
-    X, y, tr, va = ds.features, ds.labels, split.train, split.validation
-    return train_network(drawn, X[tr], y[tr], hyper, X[va], y[va], stream, history=history)
+    X, y, va = ds.features, ds.labels, split.validation
+    return train_network(drawn, X, y, hyper, X[va], y[va], stream, history=history,
+                         rows=split.train)
 
 
 def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
@@ -66,7 +67,7 @@ def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,
     for nodes in range(1, max_nodes + 1):
         stream = derive_stream(master_seed, f"grid-{nodes}")
         net = train_fixed_topology(ds, split, nodes, hyper, activation, init_dist, stream)
-        labels, _ = predict_batch(net, ds.features[va])
+        labels, _ = predict_rows(net, ds.features, va)
         acc = accuracy(ds.labels[va], labels)
         if best is None or acc > best[0]:
             best = (acc, nodes, net)

@@ -23,7 +23,9 @@ from .data import (_read_csv, apply_normalization, Dataset, fold_split, load_csv
                    make_folds, normalization_stats, normalize, require_file, split_811)
 from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
-from .network import TrainHyper, model_to_json, model_from_json, predict_batch
+from .network import TrainHyper, model_to_json, model_from_json, predict_rows
+# predict_batch is not called here, but perfbench/tracer.py wraps it by this name
+from .network import predict_batch  # noqa: F401
 from .numerics import derive_stream
 # build_schedule is not called here, but perfbench/tracer.py wraps it by this name
 from .threeway import build_schedule, schedule_to_json  # noqa: F401
@@ -238,7 +240,7 @@ def _write_costs_csv(path: str, levels) -> None:
 def _evaluate(net, ds: Dataset, indices):
     """Truth, predicted labels and positive-class scores of the rows ``indices``
     (an int64 array, as a Split holds)."""
-    return (ds.labels[indices], *predict_batch(net, ds.features[indices]))
+    return (ds.labels[indices], *predict_rows(net, ds.features, indices))
 
 
 def _write_report(out: str, truth, labels, scores, extra_metrics=None) -> None:
@@ -321,7 +323,7 @@ def cmd_eval(args) -> int:
     ds = Dataset(apply_normalization(norm_mode, norm_stats, X, out=X), truth, names,
                  norm_mode, norm_stats, ingestion)
     del X
-    labels, scores = predict_batch(net, ds.features)
+    labels, scores = predict_rows(net, ds.features)
     del ds
     _write_report(settings["out"], truth, labels, scores)
     return 0

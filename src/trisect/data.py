@@ -248,16 +248,17 @@ def _read_csv(path: str, label_column, positive_label):
                 label_idx = label_column
             elif label_column in header:
                 if header.count(label_column) > 1:
-                    raise DataError(f"label column {label_column!r} appears "
+                    raise DataError(f"{path}: label column {label_column!r} appears "
                                     f"{header.count(label_column)} times in the header")
                 label_idx = header.index(label_column)
             else:
                 try:
                     label_idx = int(label_column)
                 except (TypeError, ValueError):
-                    raise DataError(f"label column {label_column!r} not in header") from None
+                    raise DataError(f"{path}: label column {label_column!r} "
+                                    "not in header") from None
             if not 0 <= label_idx < len(header):
-                raise DataError(f"label column index {label_idx} out of range")
+                raise DataError(f"{path}: label column index {label_idx} out of range")
 
             feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
             table = _parse_table(fh, len(header), label_idx)

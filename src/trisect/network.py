@@ -20,6 +20,9 @@ from .data import NORMALIZE_MODES
 from .numerics import RngStream, _f2s, activate, activate_derivative, ACTIVATION_KINDS
 
 PROB_CLAMP = 1e-12
+# rows per block of a forward pass over many rows (see _row_blocks): at one BLAS
+# thread a block of at least this many rows gets the bytes of one product of them all
+BLOCK_ROWS = 4096
 INIT_DISTRIBUTIONS = ("uniform", "normal")
 
 
@@ -193,6 +196,39 @@ def predict_batch(net: LayeredNetwork, X):
     return labels, p
 
 
+def _row_blocks(X, rows=None):
+    """The rows ``rows`` of ``X`` (every row, if None), in order, as blocks of
+    ``BLOCK_ROWS`` rows; the last block also takes the remainder, so a block is
+    shorter only when it is the whole set. A block of every row is a slice of
+    ``X``; a block of ``rows`` is gathered into one buffer, which the next block
+    overwrites.
+    """
+    n = len(X) if rows is None else len(rows)
+    bounds = [*range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS), n]
+    if rows is None:
+        for a, b in zip(bounds, bounds[1:]):
+            yield X[a:b]
+        return
+    rows = np.asarray(rows, dtype=np.int64)
+    if n and not 0 <= rows.min() <= rows.max() < len(X):
+        raise IndexError(f"row indices must lie in [0, {len(X)})")
+    buffer = np.empty((bounds[-1] - bounds[-2], X.shape[1]), dtype=X.dtype)
+    for a, b in zip(bounds, bounds[1:]):
+        # "clip" writes into ``out`` directly; "raise" would gather into a new array
+        yield np.take(X, rows[a:b], axis=0, out=buffer[:b - a], mode="clip")
+
+
+def predict_rows(net: LayeredNetwork, X, rows=None):
+    """``predict_batch`` of the rows ``rows`` of ``X`` (every row, if None),
+    computed one block of rows at a time (see ``_row_blocks``); a set of one
+    block is one ``predict_batch`` call, whose result is returned as it is."""
+    X = np.asarray(X, dtype=np.float64)
+    parts = [predict_batch(net, block) for block in _row_blocks(X, rows)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float,
                  derivative: bool = False) -> np.ndarray:
     """Per-instance focal loss at the clamped ``q``, or its derivative w.r.t. ``q``.
@@ -261,9 +297,14 @@ def _forward(X, W1, b1, W2, b2, activation):
     return Z, A, np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2) -> float:
-    """Mean focal loss of the rows plus the L2 penalty over all four tensors."""
-    q = _forward(X, W1, b1, W2, b2, activation)[2]
+def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2, rows=None) -> float:
+    """Mean focal loss of the rows ``rows`` of ``X`` and ``y`` (every row, if
+    None) plus the L2 penalty over all four tensors; the forward pass runs one
+    block of rows at a time (see ``_row_blocks``)."""
+    X = np.asarray(X, dtype=np.float64)
+    q = np.concatenate([_forward(block, W1, b1, W2, b2, activation)[2]
+                        for block in _row_blocks(X, rows)])
+    y = np.asarray(y) if rows is None else np.asarray(y)[rows]
     return regularized_cost(_focal_terms(q, y, delta, theta), W1, b1, W2, b2, l2)
 
 
@@ -304,9 +345,12 @@ def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2, first=0):
 
 
 def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
-                  stream: RngStream, first: int = 0, history=None) -> LayeredNetwork:
+                  stream: RngStream, first: int = 0, history=None,
+                  rows=None) -> LayeredNetwork:
     """Mini-batch Adam on nodes ``first`` onward, with early stopping on validation cost.
 
+    The training set is the rows ``rows`` of ``X`` and ``y`` (every row, if
+    None); each batch is gathered from ``X``, so they are never copied whole.
     Row i of W1, entry i of b1 and column i of W2 move for every node
     i >= ``first``, and the output bias b2 always does; earlier nodes stay
     as they are. Adam updates one vector packing those slices, and each
@@ -317,12 +361,14 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.shape[0] == 0:
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
         raise ValueError("training set is empty")
     W1, b1, W2, b2 = (a.copy() for a in net.tensors)
-    loss = (net.activation, resolve_delta(hyper, y), hyper.theta, hyper.l2)
+    loss = (net.activation, resolve_delta(hyper, y[rows]), hyper.theta, hyper.l2)
+    val_rows = None
     if X_val is None or len(X_val) == 0:
-        X_val, y_val = X, y
+        X_val, y_val, val_rows = X, y, rows
 
     def snapshot():
         return W1.copy(), b1.copy(), W2.copy(), b2.copy()
@@ -334,23 +380,23 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
     unpacked = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
 
     state = AdamState(flat)
-    best_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
+    best_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss, rows=val_rows)
     best = snapshot()
     if history is not None:
-        history.append((0, cost(X, y, W1, b1, W2, b2, *loss), best_cost, True))
+        history.append((0, cost(X, y, W1, b1, W2, b2, *loss, rows=rows), best_cost, True))
     bad_epochs = 0
-    order = list(range(X.shape[0]))
+    order = list(range(len(rows)))
     for epoch in range(1, hyper.max_epochs + 1):
         stream.shuffle(order)
-        rows = np.fromiter(order, np.int64, len(order))
-        for start in range(0, len(rows), hyper.batch_size):
-            batch = rows[start:start + hyper.batch_size]
+        shuffled = rows[np.fromiter(order, np.int64, len(order))]
+        for start in range(0, len(shuffled), hyper.batch_size):
+            batch = shuffled[start:start + hyper.batch_size]
             grads = cost_and_grads(np.take(X, batch, axis=0), y[batch], W1, b1, W2, b2, *loss,
                                    first=first)
             adam_step(state, flat, np.concatenate(grads, axis=None), hyper)
             for p, part in zip(params, unpacked):
                 p[...] = part
-        val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss)
+        val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss, rows=val_rows)
         improved = val_cost < best_cost
         if improved:
             best_cost = val_cost
@@ -359,38 +405,40 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
         else:
             bad_epochs += 1
         if history is not None:
-            history.append((epoch, cost(X, y, W1, b1, W2, b2, *loss), val_cost, improved))
+            history.append((epoch, cost(X, y, W1, b1, W2, b2, *loss, rows=rows), val_cost,
+                            improved))
         if bad_epochs >= hyper.patience:
             break
     return LayeredNetwork(*best, net.activation)
 
 
-def train_node(X_active, y_active, frozen: LayeredNetwork, fresh: NodeParams,
-               hyper: TrainHyper, X_val, y_val, stream: RngStream,
-               history=None) -> LayeredNetwork:
-    """``frozen`` grown by the ``fresh`` node, optimized on the active rows.
+def train_node(X, y, frozen: LayeredNetwork, fresh: NodeParams, hyper: TrainHyper,
+               X_val, y_val, stream: RngStream, history=None, rows=None) -> LayeredNetwork:
+    """``frozen`` grown by the ``fresh`` node, optimized on the active rows:
+    the rows ``rows`` of ``X`` and ``y`` (every row, if None).
 
     Earlier nodes keep their parameters; only the fresh node's w1/b1/w2 and
     the shared output bias are updated.
     """
-    if len(X_active) == 0:
+    if (len(X) if rows is None else len(rows)) == 0:
         raise ValueError("active set is empty")
     grown = frozen.with_node(fresh)
     if hyper.max_epochs == 0:
         return grown
-    return train_network(grown, X_active, y_active, hyper, X_val, y_val, stream,
-                         first=frozen.n_nodes, history=history)
+    return train_network(grown, X, y, hyper, X_val, y_val, stream,
+                         first=frozen.n_nodes, history=history, rows=rows)
 
 
 def classify_split(net: LayeredNetwork, X, y, indices):
-    """Partition rows into correct positives, misclassified, correct negatives.
+    """Partition the rows ``indices`` of ``X`` and ``y`` into correct
+    positives, misclassified and correct negatives.
 
-    ``indices[r]`` names row r of ``X``; each part is the int64 array of its
-    rows' indices, in the order of ``indices``.
+    Each part is the int64 array of its rows' indices, in the order of
+    ``indices``; the rows are predicted one block at a time (``predict_rows``).
     """
     indices = np.asarray(indices, dtype=np.int64)
-    labels, _ = predict_batch(net, X)
-    y = np.asarray(y)
+    labels, _ = predict_rows(net, X, indices)
+    y = np.asarray(y)[indices]
     correct = labels == y
     return indices[correct & (y == 1)], indices[~correct], indices[correct & (y == -1)]
 

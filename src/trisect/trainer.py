@@ -269,12 +269,10 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig,
 
     for level in range(1, cfg.t + 1):
         stream = derive_stream(cfg.master_seed, f"init-node-{level}")
-        X_active, y_active = X[active], y[active]
         fresh = init_node(ds.n_features, cfg.init_dist, stream)
-        net = train_node(X_active, y_active, net, fresh, cfg.hyper, X_val, y_val, stream)
+        net = train_node(X, y, net, fresh, cfg.hyper, X_val, y_val, stream, rows=active)
 
-        pn, mn, nn = classify_split(net, X_active, y_active, active)
-        del X_active, y_active  # not held through the level's k-means, its memory peak
+        pn, mn, nn = classify_split(net, X, y, active)
         accepted[pn] = True
         rejected[nn] = True
 

@@ -219,7 +219,7 @@ class TestTrain:
                      "--out", str(tmp_path / "o"), "--config", _fast_config(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: label column 'y' appears 2 times in the header"]
+            f"error: {data}: label column 'y' appears 2 times in the header"]
         assert not os.path.exists(tmp_path / "o")
 
     def test_rows_whose_squared_distance_underflows_train(self, tmp_path, capsys):

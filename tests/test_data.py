@@ -111,9 +111,13 @@ LOAD_CASES = [
      ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "b"), 2, 0, {"x": 1, "y": -1})),
     # a label name that two header cells carry is ambiguous; an index is not
     ("label-name-twice", "D,a, D\nx,1,2\ny,3,4\n", "D",
-     "label column 'D' appears 2 times in the header"),
+     "<path>: label column 'D' appears 2 times in the header"),
     ("label-index-of-a-repeated-name", "D,a,D\nx,1,2\ny,3,4\n", 0,
      ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "D"), 2, 0, {"x": 1, "y": -1})),
+    # the label-column errors name the file: <path> stands for the table's path
+    ("label-not-in-header", "D,a\nx,1\ny,3\n", "E", "<path>: label column 'E' not in header"),
+    ("label-index-out-of-range", "D,a\nx,1\ny,3\n", 2,
+     "<path>: label column index 2 out of range"),
     ("single-feature", "a,D\n5,y\n6,x\n7,y\n", "D",
      ([[5.0], [6.0], [7.0]], [-1, 1, -1], ("a",), 3, 0, {"x": 1, "y": -1})),
     ("empty-label-dropped", "a,D\n1,x\n2, \n3,y\n", "D",
@@ -163,7 +167,7 @@ def test_load_csv_parity_table(tmp_path, text, label_col, expected):
     if isinstance(expected, str):
         with pytest.raises(DataError) as err:
             load_csv(str(path), label_col, "x")
-        assert str(err.value) == expected
+        assert str(err.value) == expected.replace("<path>", str(path))
         return
     features, labels, names, rows_read, rows_dropped, mapping = expected
     ds = load_csv(str(path), label_col, "x")

@@ -1,5 +1,11 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +25,8 @@ from trisect import (
 )
 from trisect.baselines import train_fixed_topology
 from trisect.network import (
+    BLOCK_ROWS,
+    _row_blocks,
     _two_column_mean,
     cost,
     cost_and_grads,
@@ -26,6 +34,7 @@ from trisect.network import (
     model_from_json,
     model_to_json,
     predict_batch,
+    predict_rows,
     resolve_delta,
     train_network,
 )
@@ -542,6 +551,74 @@ class TestClassifySplit:
         groups = (set(pn), set(mn), set(nn))
         assert set().union(*groups) == set(range(10))
         assert sum(len(g) for g in groups) == 10
+
+
+class TestRowBlocks:
+    """Forward passes over many rows run one block of rows at a time."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8191, 8192, 12289])
+    def test_blocks_cover_the_rows_in_order(self, n):
+        X = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
+        rows = np.random.default_rng(n).permutation(n)
+        for picked, expected in ((None, X), (rows, X[rows])):
+            blocks = [block.copy() for block in _row_blocks(X, picked)]
+            sizes = [len(block) for block in blocks]
+            # the remainder joins the last block: a short block is the whole set
+            assert len(blocks) == max(n // BLOCK_ROWS, 1)
+            assert all(BLOCK_ROWS <= size < 2 * BLOCK_ROWS for size in sizes[1:])
+            assert sizes[0] == (n if len(blocks) == 1 else BLOCK_ROWS)
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_rows_outside_the_matrix_are_refused(self, bad):
+        with pytest.raises(IndexError, match=r"\[0, 7\)"):
+            predict_rows(_toy_net(), np.ones((7, 4)), np.array([0, bad, 2]))
+
+    def test_blocked_pass_has_the_bytes_of_one_call(self):
+        # at one BLAS thread a block of at least BLOCK_ROWS rows, sliced or
+        # gathered, gets the bytes of one product of every row, under the
+        # default core and under Haswell's; 777-row blocks do not
+        probe = textwrap.dedent("""\
+            import json, numpy as np
+            from trisect.network import (PROB_CLAMP, LayeredNetwork, cost, focal_loss,
+                                         predict_batch, predict_rows, regularized_cost)
+            rng = np.random.default_rng(26)
+            cases, mismatches = 0, []
+            for m in (1, 3, 8, 32, 64):
+                for t in (1, 2, 3, 6):
+                    net = LayeredNetwork(rng.standard_normal((t, m)), rng.standard_normal(t),
+                                         rng.standard_normal((2, t)), rng.standard_normal(2),
+                                         "selu")
+                    for n in (4095, 4096, 4097, 8191, 8193, 12289, 30001):
+                        X = rng.random((n + 9, m))
+                        y = np.where(rng.random(n + 9) < 0.5, 1, -1)
+                        rows = rng.permutation(n + 9)[:n]
+                        for picked, Xp, yp in ((None, X[:n], y[:n]), (rows, X, y)):
+                            full = predict_batch(net, Xp if picked is None else X[rows])
+                            got = predict_rows(net, Xp, picked)
+                            truth = yp if picked is None else y[rows]
+                            q = np.clip(full[1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+                            one = regularized_cost(focal_loss(q, truth, 0.4, 2.0),
+                                                   *net.tensors, 0.01)
+                            blocked = cost(Xp, yp, *net.tensors, "selu", 0.4, 2.0, 0.01,
+                                           rows=picked)
+                            cases += 1
+                            if (got[0].tobytes() != full[0].tobytes()
+                                    or got[1].tobytes() != full[1].tobytes()
+                                    or blocked.hex() != one.hex()):
+                                mismatches.append([m, t, n, picked is not None])
+            print(json.dumps({"cases": cases, "mismatches": mismatches}))
+            """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for core in (None, "Haswell"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update(OPENBLAS_NUM_THREADS="1", **({"OPENBLAS_CORETYPE": core} if core else {}))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            result = json.loads(done.stdout)
+            assert result == {"cases": 280, "mismatches": []}, (core, result)
 
 
 class TestModelJson:

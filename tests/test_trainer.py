@@ -1,16 +1,20 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trisect import (
     ConfigError,
+    Dataset,
     Split,
     ThresholdSchedule,
     TrainConfig,
     TrainHyper,
+    derive_stream,
     predict_batch,
     run,
+    split_811,
 )
 from trisect import trainer
 from trisect.network import LayeredNetwork, classify_split
@@ -246,3 +250,25 @@ class TestLiveRuns:
         with pytest.raises(ValueError):
             run(toy_dataset, empty, toy_config)
 
+
+
+def test_level_loop_holds_no_copy_of_the_active_rows():
+    # level 1 trains on and classifies 16000 of 20000 rows: a gathered copy of
+    # them alone is 0.8x the feature matrix; batches and forward-pass blocks
+    # gathered from the matrix, the validation rows and level 1's k-means
+    # must fit below that
+    rng = np.random.default_rng(3)
+    X = rng.random((20000, 32))
+    margin = X @ rng.standard_normal(32)
+    y = np.where(margin + rng.normal(0, 0.3, len(X)) > np.median(margin), 1, -1)
+    ds = Dataset(X, y, tuple(f"f{j}" for j in range(32)))
+    split = split_811(ds, derive_stream(0, "split"))
+    cfg = TrainConfig(hyper=TrainHyper(l2=0.01, max_epochs=2, patience=2))
+    tracemalloc.start()
+    try:
+        _, ledger = run(ds, split, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ledger.levels[0].active_size == 16000 and ledger.levels[0].m > 0
+    assert peak <= 0.8 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
