@@ -19,13 +19,13 @@ import numpy as np
 
 from . import baselines
 # load_csv and normalize are not called here, but perfbench/tracer.py wraps them by these names
-from .data import (_read_csv, apply_normalization, Dataset, fold_split, load_csv,  # noqa: F401
-                   make_folds, normalization_stats, normalize, require_file, split_811)
+from .data import (_read_csv, _read_csv_blocks, apply_normalization, Dataset,  # noqa: F401
+                   fold_split, load_csv, make_folds, normalization_stats, normalize,
+                   require_file, split_811)
 from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
-from .network import TrainHyper, model_to_json, model_from_json, predict_rows
-# predict_batch is not called here, but perfbench/tracer.py wraps it by this name
-from .network import predict_batch  # noqa: F401
+from .network import (BLOCK_ROWS, TrainHyper, model_to_json, model_from_json, predict_batch,
+                      predict_rows)
 from .numerics import derive_stream
 # build_schedule is not called here, but perfbench/tracer.py wraps it by this name
 from .threeway import build_schedule, schedule_to_json  # noqa: F401
@@ -223,8 +223,9 @@ def _write_roc_csv(path: str, curve) -> None:
             return
         for start in range(0, len(curve.thresholds), ROC_CHUNK_LINES):
             chunk = slice(start, start + ROC_CHUNK_LINES)
-            fh.write("".join(f"{thr!r},{fpr!r},{tpr!r}\n" for thr, fpr, tpr in
-                             zip(curve.thresholds[chunk], curve.fpr[chunk], curve.tpr[chunk])))
+            points = zip(*(column[chunk].tolist()
+                           for column in (curve.thresholds, curve.fpr, curve.tpr)))
+            fh.write("".join(f"{thr!r},{fpr!r},{tpr!r}\n" for thr, fpr, tpr in points))
 
 
 def _cost_lines(levels, columns) -> list[str]:
@@ -309,22 +310,37 @@ def cmd_train(args) -> int:
     return _fit_command(resolve_settings(args), SEQUENTIAL)
 
 
+def _scored_rows(settings, net, norm_mode, norm_stats):
+    """Truth, predicted labels and positive-class scores of the data's rows,
+    under ``net`` after the normalization it was trained with.
+
+    The rows are read, normalized and predicted a block at a time, in the
+    blocks ``predict_rows`` would use, so the feature matrix is never held
+    whole. A file that needs the row scan, or whose width is not the model's,
+    is read whole instead, as train reads it, with its errors.
+    """
+    def score(X):  # the normalization is replayed into the block read
+        return predict_batch(net, apply_normalization(norm_mode, norm_stats, X, out=X))
+
+    _require(settings, "data", "label_col", "positive")
+    streamed = _read_csv_blocks(settings["data"], settings["label_col"], settings["positive"],
+                                net.n_features, BLOCK_ROWS, score)
+    if streamed is not None:
+        truth, parts = streamed
+        return (truth, *(np.concatenate(part) for part in zip(*parts)))
+    X, truth, _, _ = _read_table(settings)
+    if X.shape[1] != net.n_features:
+        raise DataError(f"{settings['data']} has {X.shape[1]} feature columns, "
+                        f"the model expects {net.n_features}")
+    return (truth, *predict_rows(net, apply_normalization(norm_mode, norm_stats, X, out=X)))
+
+
 def cmd_eval(args) -> int:
     settings = resolve_settings(args, default_out=os.path.join(args.run_dir, "eval"))
     net, norm_mode, norm_stats, _, _ = _read_run_json(
         args.run_dir, "model.json", ("W1", "b1", "W2", "b2"), model_from_json)
-    X, truth, names, ingestion = _read_table(settings)
-    if X.shape[1] != net.n_features:
-        raise DataError(f"{settings['data']} has {X.shape[1]} feature columns, "
-                        f"the model expects {net.n_features}")
+    truth, labels, scores = _scored_rows(settings, net, norm_mode, norm_stats)
     _check_output_dir(settings["out"])
-    # one feature matrix: the model's normalization is replayed into the
-    # matrix read, which is dropped before the report
-    ds = Dataset(apply_normalization(norm_mode, norm_stats, X, out=X), truth, names,
-                 norm_mode, norm_stats, ingestion)
-    del X
-    labels, scores = predict_rows(net, ds.features)
-    del ds
     _write_report(settings["out"], truth, labels, scores)
     return 0
 

@@ -7,6 +7,7 @@ parse problem is a hard :class:`~trisect.errors.DataError`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -150,14 +151,16 @@ def _drop_column(table: np.ndarray, col: int) -> np.ndarray:
     return front
 
 
-def _parse_table(fh, n_columns: int, label_idx: int):
-    """Features and raw labels of the rows after the header, by numpy's C reader.
+def _parse_table(fh, n_columns: int, label_idx: int, max_rows=None):
+    """Features and raw labels of the next ``max_rows`` rows of ``fh`` (every
+    row left, if None), by numpy's C reader.
 
     Returns None unless every row parses: the same cell count as the header,
     a finite number in every feature cell and a non-empty label. The row scan
     then reads the file instead, and names the fault or drops the incomplete rows.
-    The features are a writable C-contiguous view of the buffer numpy's
-    reader filled, with the label column dropped in place (``_drop_column``).
+    A read at the end of the file gives 0 rows. The features are a writable
+    C-contiguous view of the buffer numpy's reader filled, with the label
+    column dropped in place (``_drop_column``).
     """
     codes: dict[str, int] = {}
 
@@ -166,11 +169,15 @@ def _parse_table(fh, n_columns: int, label_idx: int):
 
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # loadtxt's "input contained no data"
+            # "input contained no data", and a blank line that max_rows does not count
+            warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(fh, dtype=np.float64, delimiter=",", quotechar='"',
-                               comments=None, ndmin=2, converters={label_idx: label_code})
-    except (ValueError, UserWarning):
+                               comments=None, ndmin=2, converters={label_idx: label_code},
+                               max_rows=max_rows)
+    except ValueError:  # also a byte that is not UTF-8
         return None
+    if not len(table):
+        return np.empty((0, n_columns - 1)), []
     if table.shape[1] != n_columns or "" in codes or not np.isfinite(table).all():
         return None
     names = list(codes)
@@ -178,7 +185,7 @@ def _parse_table(fh, n_columns: int, label_idx: int):
     return _drop_column(table, label_idx), raw_labels
 
 
-def _scan_rows(reader, header, label_idx: int, feature_names):
+def _scan_rows(reader, header, label_idx: int, feature_names, path: str):
     """Row-by-row parse: drops rows with empty cells and names any other fault."""
     rows_read = 0
     rows_dropped = 0
@@ -196,7 +203,8 @@ def _scan_rows(reader, header, label_idx: int, feature_names):
         rows_read += 1
         cells = [c.strip() for c in row]
         if len(cells) != len(header):
-            raise DataError(f"row {rows_read} has {len(cells)} cells, expected {len(header)}")
+            raise DataError(f"{path}: row {rows_read} has {len(cells)} cells, "
+                            f"expected {len(header)}")
         if any(c == "" for c in cells):
             rows_dropped += 1
             continue
@@ -227,10 +235,11 @@ def require_file(path: str, what: str, error: type) -> None:
         raise error(f"{what} not found: {path}")
 
 
-def _read_csv(path: str, label_column, positive_label):
-    """``load_csv``'s reading and checks, as (features, labels, feature names,
-    ingestion record); the features are a writable float64 matrix, owned by
-    the caller, that a normalization can overwrite in place.
+@contextlib.contextmanager
+def _open_table(path: str, label_column):
+    """``path`` open for reading after its header, as (file, header cells,
+    label column index). An error in the header or the label column, and a
+    byte that is not UTF-8, also one the caller reads, names the file.
     """
     require_file(path, "dataset file", DataError)
     try:
@@ -240,9 +249,9 @@ def _read_csv(path: str, label_column, positive_label):
             try:
                 header = next(reader)
             except StopIteration:
-                raise DataError("empty CSV file") from None
+                raise DataError(f"{path}: empty CSV file") from None
             except csv.Error as err:
-                raise DataError(f"header cannot be read: {err}") from None
+                raise DataError(f"{path}: header cannot be read: {err}") from None
             header = [h.strip() for h in header]
             if isinstance(label_column, int):
                 label_idx = label_column
@@ -259,40 +268,93 @@ def _read_csv(path: str, label_column, positive_label):
                                     "not in header") from None
             if not 0 <= label_idx < len(header):
                 raise DataError(f"{path}: label column index {label_idx} out of range")
-
-            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-            table = _parse_table(fh, len(header), label_idx)
-            if table is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                features, raw_labels, rows_read, rows_dropped = _scan_rows(
-                    reader, header, label_idx, feature_names)
-            else:
-                features, raw_labels = table
-                rows_read, rows_dropped = len(raw_labels), 0
+            yield fh, header, label_idx
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})") from None
 
-    if len(features) < 2:
-        raise DataError(f"need at least 2 usable data rows, got {len(features)}")
+
+def _labels(path: str, raw_labels, positive_label):
+    """The ±1 labels of the rows whose label cells are ``raw_labels``, and the
+    label mapping. Needs at least 2 rows and exactly 2 label values, one of
+    them ``positive_label``."""
+    if len(raw_labels) < 2:
+        raise DataError(f"{path}: need at least 2 usable data rows, got {len(raw_labels)}")
     distinct = sorted(set(raw_labels))
     if len(distinct) == 1:
-        raise DataError(f"label column is constant ({distinct[0]!r})")
+        raise DataError(f"{path}: label column is constant ({distinct[0]!r})")
     if len(distinct) != 2:
-        raise DataError(f"label column must have exactly 2 values, got {len(distinct)}")
+        raise DataError(f"{path}: label column must have exactly 2 values, got {len(distinct)}")
     pos = str(positive_label).strip()
     if pos not in distinct:
-        raise DataError(f"positive label {pos!r} not present (values: {distinct})")
+        raise DataError(f"{path}: positive label {pos!r} not present (values: {distinct})")
     neg = distinct[0] if distinct[1] == pos else distinct[1]
-
     labels = np.array([1 if r == pos else -1 for r in raw_labels], dtype=np.int64)
+    return labels, {pos: 1, neg: -1}
+
+
+def _read_csv(path: str, label_column, positive_label):
+    """``load_csv``'s reading and checks, as (features, labels, feature names,
+    ingestion record); the features are a writable float64 matrix, owned by
+    the caller, that a normalization can overwrite in place.
+    """
+    with _open_table(path, label_column) as (fh, header, label_idx):
+        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        table = _parse_table(fh, len(header), label_idx)
+        if table is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            features, raw_labels, rows_read, rows_dropped = _scan_rows(
+                reader, header, label_idx, feature_names, path)
+        else:
+            features, raw_labels = table
+            rows_read, rows_dropped = len(raw_labels), 0
+    labels, mapping = _labels(path, raw_labels, positive_label)
     ingestion = {
         "rows_read": rows_read,
         "rows_dropped": rows_dropped,
-        "label_mapping": {pos: 1, neg: -1},
+        "label_mapping": mapping,
     }
     return features, labels, feature_names, ingestion
+
+
+def _read_csv_blocks(path: str, label_column, positive_label, n_features: int, rows: int, fn):
+    """``fn`` of each block of ``_read_csv``'s feature matrix, in order, and the
+    labels, as (labels, ``fn``'s results); the matrix is never held whole.
+
+    The blocks are ``_parse_table``'s reads of ``rows`` rows, except that the
+    last also takes the remainder, so a block is shorter than ``rows`` only
+    when it is every row: the blocks of ``network._row_blocks``. A full read
+    is held until the next one shows whether more rows follow. ``fn`` gets a
+    block as a writable matrix, which it may overwrite. Returns None, and reads
+    no further, when the file has other than ``n_features`` feature columns or
+    a read does not parse: ``_read_csv`` then gives the file's errors, or its
+    rows without the incomplete ones.
+    """
+    results, raw_labels, held = [], [], None
+
+    def take(block):
+        results.append(fn(block[0]))
+        raw_labels.extend(block[1])
+
+    with _open_table(path, label_column) as (fh, header, label_idx):
+        if len(header) - 1 != n_features:
+            return None
+        while True:
+            block = _parse_table(fh, len(header), label_idx, rows)
+            if block is None:
+                return None
+            if len(block[1]) < rows:  # the end of the file
+                break
+            if held is not None:
+                take(held)
+            held = block
+    if held is not None:  # the rows after the last full read join it
+        block = (np.concatenate((held[0], block[0])), held[1] + block[1]) if block[1] else held
+        held = None  # a joined read's buffer is freed before fn runs
+    if block[1]:
+        take(block)
+    return _labels(path, raw_labels, positive_label)[0], results
 
 
 def load_csv(path: str, label_column, positive_label) -> Dataset:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,21 +24,27 @@ def accuracy(truth, predicted) -> float:
     return float((truth == predicted).mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Threshold sweep from (0, 0) to (1, 1); tied scores move together."""
+    """Threshold sweep from (0, 0) to (1, 1); tied scores move together.
 
-    thresholds: tuple[float, ...]
-    fpr: tuple[float, ...]
-    tpr: tuple[float, ...]
+    Each field is a read-only float64 array, one entry per point.
+    """
+
+    thresholds: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
 
     def __post_init__(self):
+        for f in fields(self):
+            values = np.asarray(getattr(self, f.name), dtype=np.float64).view()
+            values.setflags(write=False)
+            object.__setattr__(self, f.name, values)
         if not (self.fpr[0] == 0.0 and self.tpr[0] == 0.0):
             raise ValueError("ROC curve must start at (0, 0)")
         if not (self.fpr[-1] == 1.0 and self.tpr[-1] == 1.0):
             raise ValueError("ROC curve must end at (1, 1)")
         for name, rates in (("FPR", self.fpr), ("TPR", self.tpr)):
-            rates = np.asarray(rates, dtype=np.float64)
             # neighbours compared, not subtracted: a difference could overflow
             if (rates[1:] < rates[:-1]).any():
                 raise ValueError(f"{name} must be non-decreasing")
@@ -64,20 +70,32 @@ def roc_auc(truth, scores) -> tuple[RocCurve, float]:
 
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
-    ranked_truth = truth[order]
-    # one threshold group per run of equal scores: [first, last] index ranges
-    last = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), ranked.size - 1)
-    first = np.concatenate(([0], last[:-1] + 1))
-    tp = np.cumsum(ranked_truth == 1)[last]
-    fp = np.cumsum(ranked_truth == -1)[last]
-    fpr = np.concatenate(([0.0], fp / n_neg))
-    tpr = np.concatenate(([0.0], tp / n_pos))
-    curve = RocCurve((float("inf"), *ranked[first].tolist()), tuple(fpr.tolist()),
-                     tuple(tpr.tolist()))
+    ranked_pos, ranked_neg = (truth == 1)[order], (truth == -1)[order]
+    del order
+    # one threshold group per run of equal scores; ends marks each group's last row
+    ends = np.empty(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=ends[:-1])
+    ends[-1] = True
+    groups = int(ends.sum())
+    thresholds = np.empty(groups + 1)
+    thresholds[0] = np.inf
+    thresholds[1:] = ranked[np.concatenate(([True], ends[:-1]))]  # each group's first score
+    del ranked
+
+    def rates(hits, total):
+        """0, then the share of ``total`` among ``hits`` up to each group's end."""
+        out = np.zeros(groups + 1)
+        np.divide(np.cumsum(hits)[ends], total, out=out[1:])
+        return out
+
+    fpr, tpr = rates(ranked_neg, n_neg), rates(ranked_pos, n_pos)
+    curve = RocCurve(thresholds, fpr, tpr)
     # every trapezoid is +0.0 or positive, so an in-order sum from the first
     # one equals the left-to-right sum from 0.0 bit for bit
-    auc = np.cumsum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
-    return curve, float(auc)
+    trapezoids = np.diff(fpr)
+    trapezoids *= tpr[1:] + tpr[:-1]
+    trapezoids /= 2.0
+    return curve, float(np.cumsum(trapezoids)[-1])
 
 
 def metrics_report(truth, predicted) -> dict:

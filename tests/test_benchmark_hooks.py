@@ -68,6 +68,12 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
     names = {s["name"] for s in traced_spans}
     assert "cli.write" in names
     assert ("network.predict" if command == "eval" else "trainer.run") in names
+    if command == "eval":
+        # network.predict_rows and data.normalize_s come from these spans, which
+        # exist only while eval calls both through cli's own names
+        predicts = [s for s in traced_spans if s["name"] == "network.predict"]
+        assert sum(s["rows"] for s in predicts) == ds.n_rows
+        assert "data.normalize" in names
     if command == "train":
         # settle-fine's per-layer k-means metrics come from this span, which
         # exists only while the trainer calls k-means as trainer.kmeans_cluster

@@ -7,8 +7,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ import pytest
 from trisect.cli import ROC_CHUNK_LINES, _write_roc_csv, main
 from trisect.errors import ConfigError, DataError, SamplingError
 from trisect.metrics import roc_auc
+from trisect.network import _row_blocks
 from trisect.trainer import run
 
 from conftest import (
@@ -352,8 +357,9 @@ class TestEval:
         assert len(results) == 2  # one for the train bundle, one for eval
         for run_dir, (curve, auc) in zip((out, tmp_path / "ev"), results):
             rows = open(os.path.join(run_dir, "roc.csv")).read().splitlines()
-            assert rows[1:] == [f"{t!r},{f!r},{r!r}"
-                                for t, f, r in zip(curve.thresholds, curve.fpr, curve.tpr)]
+            assert rows[1:] == [f"{t!r},{f!r},{r!r}" for t, f, r in
+                                zip(curve.thresholds.tolist(), curve.fpr.tolist(),
+                                    curve.tpr.tolist())]
             assert json.loads(open(os.path.join(run_dir, "metrics.json")).read())["auc"] == auc
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -420,53 +426,145 @@ class TestEval:
     def test_memory_is_bounded_by_the_feature_matrix(self, tmp_path):
         # the raw and the normalized 20000x16 matrices together are 2x; the
         # rows, their labels and the roc.csv text must fit in the third
-        rng = np.random.default_rng(19)
-        X = rng.random((20000, 16))
-        margin = X @ rng.standard_normal(16)
-        labels = np.where(margin > np.median(margin), "yes", "no")
-        header = ",".join(f"f{j}" for j in range(16)) + ",label"
-        lines = [",".join(f"{v:.6f}" for v in row) + f",{y}" for row, y in zip(X, labels)]
-        (tmp_path / "train.csv").write_text("\n".join([header] + lines[:300]) + "\n")
-        (tmp_path / "eval.csv").write_text("\n".join([header] + lines) + "\n")
-        del lines
-        out = str(tmp_path / "run")
-        assert main(["train", "--data", str(tmp_path / "train.csv"), "--label-col", "label",
-                     "--positive", "yes", "--out", out, "--config", _fast_config(tmp_path)]) == 0
-        tracemalloc.start()
-        try:
-            code = main(["eval", out, "--data", str(tmp_path / "eval.csv"), "--label-col",
-                         "label", "--positive", "yes", "--out", str(tmp_path / "ev")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak <= 3 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
+        peak, matrix = _eval_peak(tmp_path, 20000)
+        assert peak <= 3 * matrix, f"peak {peak / matrix:.2f}x the feature matrix"
 
     def test_memory_is_one_feature_matrix_and_the_forward_pass(self, tmp_path):
-        # the table numpy reads, 17/16 of the 20000x16 feature matrix, holds the
-        # features and their normalization; the forward pass, a chunk of the
-        # column drop, the labels and the roc.csv text must fit in the other 0.79
-        rng = np.random.default_rng(19)
-        X = rng.random((20000, 16))
-        margin = X @ rng.standard_normal(16)
-        labels = np.where(margin > np.median(margin), "yes", "no")
-        header = ",".join(f"f{j}" for j in range(16)) + ",label"
-        lines = [",".join(f"{v:.6f}" for v in row) + f",{y}" for row, y in zip(X, labels)]
-        (tmp_path / "train.csv").write_text("\n".join([header] + lines[:300]) + "\n")
-        (tmp_path / "eval.csv").write_text("\n".join([header] + lines) + "\n")
-        del lines
-        out = str(tmp_path / "run")
-        assert main(["train", "--data", str(tmp_path / "train.csv"), "--label-col", "label",
-                     "--positive", "yes", "--out", out, "--config", _fast_config(tmp_path)]) == 0
-        tracemalloc.start()
-        try:
-            code = main(["eval", out, "--data", str(tmp_path / "eval.csv"), "--label-col",
-                         "label", "--positive", "yes", "--out", str(tmp_path / "ev")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak <= 1.85 * X.nbytes, f"peak {peak / X.nbytes:.2f}x the feature matrix"
+        # eval holds one parsed 4096-row block and the one read after it, and
+        # at the end the 7712-row last block made of the two; with the truth,
+        # labels and scores of each row, and then the ROC arrays, that is
+        # about the 20000x16 feature matrix, which is never held whole
+        peak, matrix = _eval_peak(tmp_path, 20000)
+        assert peak <= 1.1 * matrix, f"peak {peak / matrix:.2f}x the feature matrix"
+
+    def test_memory_does_not_grow_with_the_feature_matrix(self, tmp_path):
+        # twice the rows of the test above: the blocks stay the same size, so
+        # only the per-row truth, labels, scores and ROC arrays grow
+        peak, matrix = _eval_peak(tmp_path, 40000)
+        assert peak <= 0.6 * matrix, f"peak {peak / matrix:.2f}x the feature matrix"
+
+    def test_streamed_eval_writes_the_whole_matrix_bytes(self, tmp_path):
+        # at one BLAS thread, eval's blocks give the metrics.json and roc.csv
+        # of predict_rows on the loaded table, and a file the row scan must
+        # read still takes the whole-matrix path, with its message or rows
+        probe = textwrap.dedent("""\
+            import contextlib, io, json, os, sys
+            import numpy as np
+            import trisect.cli as cli
+            from trisect.data import apply_normalization, load_csv, normalization_stats
+            from trisect.network import LayeredNetwork, model_to_json, predict_rows
+
+            work = sys.argv[1]
+            blocks, whole_calls = [], []
+            stream_batch, stream_whole = cli.predict_batch, cli.predict_rows
+            cli.predict_batch = lambda net, X: blocks.append(len(X)) or stream_batch(net, X)
+            cli.predict_rows = lambda *a: whole_calls.append(1) or stream_whole(*a)
+
+            def bundle(out):
+                return [open(os.path.join(out, name), "rb").read()
+                        for name in ("metrics.json", "roc.csv")]
+
+            def evaluate(path, run, ds):  # against predict_rows on ds, the table loaded whole
+                del blocks[:], whole_calls[:]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = cli.main(["eval", run, "--data", path, "--label-col", "y",
+                                     "--positive", "1", "--out", work + "/ev"])
+                if code:
+                    return {"code": code, "err": err.getvalue(), "whole": len(whole_calls)}
+                net, mode, stats, _, _ = cli._read_run_json(
+                    run, "model.json", ("W1",), cli.model_from_json)
+                labels, scores = predict_rows(net, apply_normalization(mode, stats, ds.features))
+                cli._write_report(work + "/ref", ds.labels, labels, scores)
+                return {"same": bundle(work + "/ev") == bundle(work + "/ref"),
+                        "rows": ds.n_rows, "whole": len(whole_calls), "blocks": blocks[:]}
+
+            rng = np.random.default_rng(28)
+            runs, results = {}, []
+            for m in (1, 8, 32):
+                for t in (1, 3):
+                    runs[m, t] = run = f"{work}/m{m}t{t}"
+                    os.makedirs(run)
+                    net = LayeredNetwork(rng.standard_normal((t, m)), rng.standard_normal(t),
+                                         rng.standard_normal((2, t)), rng.standard_normal(2),
+                                         "selu")
+                    # min-max stats from 50 rows: a little inside the range of the cells
+                    fit = rng.random((50, m)) * 1000.0
+                    doc = model_to_json(net, "min-max", normalization_stats("min-max", fit),
+                                        None, {})
+                    cli._write_json(os.path.join(run, "model.json"), doc)
+            for n in (2, 4095, 4096, 4097, 8191, 8192, 8193, 12289):
+                for m in (1, 8, 32):
+                    cells = rng.integers(0, 1000, (n, m)).astype(str)
+                    y = np.where(rng.random(n) < 0.5, "1", "0")
+                    y[:2] = "1", "0"
+                    cells = np.insert(cells, m // 2, y, axis=1)
+                    header = [f"f{j}" for j in range(m)]
+                    header.insert(m // 2, "y")
+                    path = f"{work}/n{n}m{m}.csv"
+                    with open(path, "w") as fh:
+                        fh.writelines(",".join(row) + "\\n" for row in [header, *cells.tolist()])
+                    ds = load_csv(path, "y", "1")
+                    for t in (1, 3):
+                        results.append([n, m, t, evaluate(path, runs[m, t], ds)])
+
+            with open(path := f"{work}/n12289m8.csv") as fh:
+                lines = fh.read().splitlines()
+
+            def with_first_cell(text):  # column f0 of data row 10000, in the third block
+                lines[10000] = text + lines[10000][lines[10000].index(","):]
+                with open(path, "w") as fh:
+                    fh.write("\\n".join(lines) + "\\n")
+                return path
+
+            damaged = evaluate(with_first_cell("abc"), runs[8, 3], None)
+            dropped = evaluate(with_first_cell(""), runs[8, 3], load_csv(path, "y", "1"))
+            print(json.dumps({"results": results, "damaged": damaged, "dropped": dropped}))
+            """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        assert len(got["results"]) == 48
+        for n, m, t, result in got["results"]:
+            # eval's own forward passes, one per block of predict_rows
+            blocks = [len(block) for block in _row_blocks(np.empty((n, 0)))]
+            assert result == {"same": True, "rows": n, "whole": 0, "blocks": blocks}, (n, m, t)
+        # the parent's message for the damaged cell, after the whole-matrix path
+        assert got["damaged"] == {
+            "code": 2, "whole": 0,
+            "err": "error: non-numeric value 'abc' in column 'f0', row 10000\n"}
+        # the first block was predicted before the third read failed
+        assert got["dropped"] == {"same": True, "rows": 12288, "whole": 1, "blocks": [4096]}
+
+
+def _eval_peak(tmp_path, rows):
+    """The tracemalloc peak of ``eval`` on ``rows`` x 16 rows, of a model
+    trained on the first 300, and the bytes of their feature matrix."""
+    rng = np.random.default_rng(19)
+    X = rng.random((rows, 16))
+    margin = X @ rng.standard_normal(16)
+    labels = np.where(margin > np.median(margin), "yes", "no")
+    header = ",".join(f"f{j}" for j in range(16)) + ",label"
+    lines = [",".join(f"{v:.6f}" for v in row) + f",{y}" for row, y in zip(X, labels)]
+    (tmp_path / "train.csv").write_text("\n".join([header] + lines[:300]) + "\n")
+    (tmp_path / "eval.csv").write_text("\n".join([header] + lines) + "\n")
+    del lines
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", str(tmp_path / "train.csv"), "--label-col", "label",
+                 "--positive", "yes", "--out", out, "--config", _fast_config(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["eval", out, "--data", str(tmp_path / "eval.csv"), "--label-col",
+                     "label", "--positive", "yes", "--out", str(tmp_path / "ev")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak, X.nbytes
 
 
 def _with_normalization(text, key, edit):
@@ -493,7 +591,8 @@ def test_roc_csv_has_the_whole_file_bytes(tmp_path, points):
         thresholds = [math.inf] + sorted(rng.random(points // 2).tolist(), reverse=True)
         thresholds += [-0.0] * (points - len(thresholds))
         fpr, tpr = (tuple(sorted(rng.random(points).tolist())) for _ in range(2))
-        curve = types.SimpleNamespace(thresholds=tuple(thresholds), fpr=fpr, tpr=tpr)
+        curve = types.SimpleNamespace(thresholds=np.array(thresholds), fpr=np.array(fpr),
+                                      tpr=np.array(tpr))
         lines += [f"{t!r},{f!r},{r!r}" for t, f, r in zip(thresholds, fpr, tpr)]
     path = tmp_path / "roc.csv"
     _write_roc_csv(str(path), curve)
@@ -736,6 +835,40 @@ def trained_toy_run(tmp_path_factory):
     assert main(["train", "--data", str(data), "--label-col", "D", "--positive", "1",
                  "--config", cfg, "--out", run_dir]) == 0
     return run_dir, str(data), cfg
+
+
+_TOY_HEADER = "a1,a2,a3,a4,D\n"
+# (id, CSV text, its error after "<path>: ") for label D and positive label 1
+CSV_ERRORS = [
+    ("empty", "", "empty CSV file"),
+    ("oversized-header-cell", "a" * 200_000 + ",a2,a3,a4,D\n1,2,3,4,1\n2,3,4,5,0\n",
+     "header cannot be read: field larger than field limit (131072)"),
+    ("header-only", _TOY_HEADER, "need at least 2 usable data rows, got 0"),
+    ("one-row", _TOY_HEADER + "1,2,3,4,1\n", "need at least 2 usable data rows, got 1"),
+    ("constant-label", _TOY_HEADER + "1,2,3,4,1\n5,6,7,8,1\n",
+     "label column is constant ('1')"),
+    ("three-labels", _TOY_HEADER + "1,2,3,4,0\n5,6,7,8,1\n9,1,2,3,2\n",
+     "label column must have exactly 2 values, got 3"),
+    ("positive-absent", _TOY_HEADER + "1,2,3,4,0\n5,6,7,8,2\n",
+     "positive label '1' not present (values: ['0', '2'])"),
+    ("ragged-row", _TOY_HEADER + "1,2,3,4,0\n5,6,7,1\n", "row 2 has 4 cells, expected 5"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("text, message", [c[1:] for c in CSV_ERRORS],
+                         ids=[c[0] for c in CSV_ERRORS])
+def test_csv_input_error_names_the_file(trained_toy_run, tmp_path, capsys, command, text,
+                                        message):
+    # eval reads a file of the model's width in blocks, and checks its labels after the last
+    run_dir = trained_toy_run[0]
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    argv = [command, *([run_dir] if command == "eval" else []), "--data", str(data),
+            "--label-col", "D", "--positive", "1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

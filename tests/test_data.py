@@ -114,7 +114,8 @@ LOAD_CASES = [
      "<path>: label column 'D' appears 2 times in the header"),
     ("label-index-of-a-repeated-name", "D,a,D\nx,1,2\ny,3,4\n", 0,
      ([[1.0, 2.0], [3.0, 4.0]], [1, -1], ("a", "D"), 2, 0, {"x": 1, "y": -1})),
-    # the label-column errors name the file: <path> stands for the table's path
+    # the label-column, row-count and cell-count errors name the file: <path> stands
+    # for the table's path
     ("label-not-in-header", "D,a\nx,1\ny,3\n", "E", "<path>: label column 'E' not in header"),
     ("label-index-out-of-range", "D,a\nx,1\ny,3\n", 2,
      "<path>: label column index 2 out of range"),
@@ -122,11 +123,13 @@ LOAD_CASES = [
      ([[5.0], [6.0], [7.0]], [-1, 1, -1], ("a",), 3, 0, {"x": 1, "y": -1})),
     ("empty-label-dropped", "a,D\n1,x\n2, \n3,y\n", "D",
      ([[1.0], [3.0]], [1, -1], ("a",), 3, 1, {"x": 1, "y": -1})),
-    ("header-only", "a,b,D\n", "D", "need at least 2 usable data rows, got 0"),
-    ("one-row", "a,b,D\n1,2,x\n", "D", "need at least 2 usable data rows, got 1"),
-    ("ragged-row", "a,b,D\n1,2,x\n3,y\n", "D", "row 2 has 2 cells, expected 3"),
-    ("rows-wider-than-header", "a,D\n1,x,2\n3,y,4\n", "D", "row 1 has 3 cells, expected 2"),
-    ("rows-narrower-than-header", "D,a,b\nx,1\ny,2\n", "D", "row 1 has 2 cells, expected 3"),
+    ("header-only", "a,b,D\n", "D", "<path>: need at least 2 usable data rows, got 0"),
+    ("one-row", "a,b,D\n1,2,x\n", "D", "<path>: need at least 2 usable data rows, got 1"),
+    ("ragged-row", "a,b,D\n1,2,x\n3,y\n", "D", "<path>: row 2 has 2 cells, expected 3"),
+    ("rows-wider-than-header", "a,D\n1,x,2\n3,y,4\n", "D",
+     "<path>: row 1 has 3 cells, expected 2"),
+    ("rows-narrower-than-header", "D,a,b\nx,1\ny,2\n", "D",
+     "<path>: row 1 has 2 cells, expected 3"),
     ("nan-after-blank-lines", "a,b,D\n\n1,2,x\n\n3,nan,y\n", "D",
      "non-finite value nan in column 'b', row 2"),
     ("inf-after-blank-lines", "a,b,D\n1,2,x\n\n\n1e999,4,y\n", "D",
@@ -144,7 +147,7 @@ LOAD_CASES = [
     ("oversized-cell-after-blank-lines", "a,b,D\n\n1,2,x\n\n" + "1" * 200_000 + ",2,y\n3,y\n",
      "D", "row 2 cannot be read: field larger than field limit (131072)"),
     ("oversized-header-cell", "a" * 200_000 + ",D\n1,x\n2,y\n", "D",
-     "header cannot be read: field larger than field limit (131072)"),
+     "<path>: header cannot be read: field larger than field limit (131072)"),
     # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark, which
     # belongs to no header name; a row with an empty cell sends the file to
     # the row scan, which reads it again from the start
@@ -421,7 +424,7 @@ def test_label_column_drop_equals_np_delete(d, label_idx):
     expected = np.delete(table, label_idx, axis=1)
     parsed = _parse_table(io.StringIO(body), 5, label_idx)
     scanned = _scan_rows(csv.reader(io.StringIO(body)), header, label_idx,
-                         tuple(h for h in header if h != "y"))
+                         tuple(h for h in header if h != "y"), "table.csv")
     for features, labels in (parsed, scanned[:2]):
         assert labels == raw
         assert features.tobytes() == expected.tobytes()

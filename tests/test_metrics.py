@@ -184,7 +184,7 @@ class TestRocAuc:
             else:
                 scores = np.array([round(stream.uniform(), case % 3) for _ in range(n)])
             curve, _ = roc_auc(truth, scores)
-            got = (curve.thresholds, curve.fpr, curve.tpr)
+            got = tuple(tuple(a.tolist()) for a in (curve.thresholds, curve.fpr, curve.tpr))
             assert repr(got) == repr(tuple(map(tuple, loop_roc(truth, scores))))
 
     def test_auc_equals_the_trapezoid_loop_exactly(self):
