@@ -19,9 +19,9 @@ import numpy as np
 
 from . import baselines
 # load_csv and normalize are not called here, but perfbench/tracer.py wraps them by these names
-from .data import (_read_csv, _read_csv_blocks, apply_normalization, Dataset,  # noqa: F401
-                   fold_split, load_csv, make_folds, normalization_stats, normalize,
-                   require_file, split_811)
+from .data import (_read_csv, apply_normalization, Dataset, fold_split,  # noqa: F401
+                   load_csv, make_folds, normalization_stats, normalize, require_file,
+                   split_811)
 from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
 from .network import (BLOCK_ROWS, TrainHyper, model_to_json, model_from_json, predict_batch,
@@ -137,17 +137,12 @@ def _require(settings, *keys) -> None:
             raise ConfigError(f"missing required setting {key!r}")
 
 
-def _read_table(settings):
-    """``data._read_csv`` of the data settings: a writable feature matrix,
-    its labels, feature names and ingestion record."""
-    _require(settings, "data", "label_col", "positive")
-    return _read_csv(settings["data"], settings["label_col"], settings["positive"])
-
-
 def _load_dataset(settings) -> Dataset:
     """The data, normalized in the matrix it was read into: one feature
     matrix, as ``normalize(load_csv(...), mode)`` gives it."""
-    X, labels, names, ingestion = _read_table(settings)
+    _require(settings, "data", "label_col", "positive")
+    (X,), labels, names, ingestion = _read_csv(settings["data"], settings["label_col"],
+                                               settings["positive"], lambda X: X)
     mode = settings["normalize"]
     stats = normalization_stats(mode, X)
     return Dataset(apply_normalization(mode, stats, X, out=X), labels, names, mode, stats,
@@ -316,23 +311,19 @@ def _scored_rows(settings, net, norm_mode, norm_stats):
 
     The rows are read, normalized and predicted a block at a time, in the
     blocks ``predict_rows`` would use, so the feature matrix is never held
-    whole. A file that needs the row scan, or whose width is not the model's,
-    is read whole instead, as train reads it, with its errors.
+    whole. A file whose width is not the model's fails on the first block
+    predicted.
     """
     def score(X):  # the normalization is replayed into the block read
+        if X.shape[1] != net.n_features:
+            raise DataError(f"{settings['data']} has {X.shape[1]} feature columns, "
+                            f"the model expects {net.n_features}")
         return predict_batch(net, apply_normalization(norm_mode, norm_stats, X, out=X))
 
     _require(settings, "data", "label_col", "positive")
-    streamed = _read_csv_blocks(settings["data"], settings["label_col"], settings["positive"],
-                                net.n_features, BLOCK_ROWS, score)
-    if streamed is not None:
-        truth, parts = streamed
-        return (truth, *(np.concatenate(part) for part in zip(*parts)))
-    X, truth, _, _ = _read_table(settings)
-    if X.shape[1] != net.n_features:
-        raise DataError(f"{settings['data']} has {X.shape[1]} feature columns, "
-                        f"the model expects {net.n_features}")
-    return (truth, *predict_rows(net, apply_normalization(norm_mode, norm_stats, X, out=X)))
+    parts, truth, _, _ = _read_csv(settings["data"], settings["label_col"], settings["positive"],
+                                   score, BLOCK_ROWS)
+    return (truth, *(np.concatenate(part) for part in zip(*parts)))
 
 
 def cmd_eval(args) -> int:

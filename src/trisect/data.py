@@ -197,7 +197,7 @@ def _scan_rows(reader, header, label_idx: int, feature_names, path: str):
         except StopIteration:
             break
         except csv.Error as err:  # e.g. a cell longer than csv.field_size_limit()
-            raise DataError(f"row {rows_read + 1} cannot be read: {err}") from None
+            raise DataError(f"{path}: row {rows_read + 1} cannot be read: {err}") from None
         if not row or all(c.strip() == "" for c in row):
             continue
         rows_read += 1
@@ -216,12 +216,13 @@ def _scan_rows(reader, header, label_idx: int, feature_names, path: str):
                 vals.append(float(c))
             except ValueError:
                 raise DataError(
-                    f"non-numeric value {c!r} in column {header[i]!r}, row {rows_read}"
+                    f"{path}: non-numeric value {c!r} in column {header[i]!r}, row {rows_read}"
                 ) from None
         if not math.isfinite(sum(vals)):  # a nan/inf cell, or only a sum that overflows
             for name, v in zip(feature_names, vals):
                 if not math.isfinite(v):
-                    raise DataError(f"non-finite value {v} in column {name!r}, row {rows_read}")
+                    raise DataError(f"{path}: non-finite value {v} in column {name!r}, "
+                                    f"row {rows_read}")
         feats.append(vals)
         raw_labels.append(cells[label_idx])
     return np.array(feats, dtype=np.float64), raw_labels, rows_read, rows_dropped
@@ -292,69 +293,66 @@ def _labels(path: str, raw_labels, positive_label):
     return labels, {pos: 1, neg: -1}
 
 
-def _read_csv(path: str, label_column, positive_label):
-    """``load_csv``'s reading and checks, as (features, labels, feature names,
-    ingestion record); the features are a writable float64 matrix, owned by
-    the caller, that a normalization can overwrite in place.
+def _block_bounds(n: int, rows) -> list[int]:
+    """The bounds ``[0, ..., n]`` of ``n`` rows in blocks of ``rows`` rows (in
+    one block, if None). The last block also takes the remainder, so a block is
+    shorter than ``rows`` only when it is every row; 0 rows are one empty block.
     """
+    if rows is None:
+        return [0, n]
+    return [*range(0, max(n - rows, 0) + 1, rows), n]
+
+
+def _read_csv(path: str, label_column, positive_label, fn, rows=None):
+    """``fn`` of each block of the CSV's feature matrix, in order, as (``fn``'s
+    results, labels, feature names, ingestion record).
+
+    The blocks are those of ``_block_bounds(n, rows)``, which
+    ``network._row_blocks`` also uses. ``rows=None`` reads every row in one
+    ``_parse_table`` call, as one block. Otherwise the file is read ``rows``
+    rows at a time, and a full read is held until the next one shows whether
+    more rows follow, so the last block also takes the remainder. ``fn`` gets
+    each block as a writable float64 matrix, which it may overwrite, such as
+    a normalization in place.
+
+    When a read does not parse, the results so far are dropped and the row
+    scan reads the file from the start: it names the faulty cell, or drops
+    the incomplete rows, and ``fn`` runs on the blocks of the rows it keeps,
+    which it holds whole.
+    The label checks run after the last read, before ``fn`` of the blocks
+    that read leaves.
+    """
+    results, raw_labels, held, rows_dropped = [], [], None, 0
     with _open_table(path, label_column) as (fh, header, label_idx):
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        table = _parse_table(fh, len(header), label_idx)
-        if table is None:
+        while (read := _parse_table(fh, len(header), label_idx, rows)) is not None:
+            if rows is None or len(read[1]) < rows:  # the end of the file
+                break
+            if held is not None:
+                results.append(fn(held[0]))
+                raw_labels += held[1]
+            held = read
+        if read is None:  # the row scan reads the file from the start
+            results, raw_labels, held = [], [], None
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            features, raw_labels, rows_read, rows_dropped = _scan_rows(
-                reader, header, label_idx, feature_names, path)
-        else:
-            features, raw_labels = table
-            rows_read, rows_dropped = len(raw_labels), 0
+            X, kept, _, rows_dropped = _scan_rows(reader, header, label_idx, feature_names, path)
+            read = X, kept
+    if held is not None:  # the rows after the last full read join it, the file closed
+        read = (np.concatenate((held[0], read[0])), held[1] + read[1]) if read[1] else held
+        held = None  # a joined read's buffer is freed before fn runs
+    X, tail = read
+    raw_labels = raw_labels + tail if raw_labels else tail  # one read's list is not copied
     labels, mapping = _labels(path, raw_labels, positive_label)
+    bounds = _block_bounds(len(X), rows)
+    results += [fn(X[a:b]) for a, b in zip(bounds, bounds[1:])]
     ingestion = {
-        "rows_read": rows_read,
+        "rows_read": len(raw_labels) + rows_dropped,
         "rows_dropped": rows_dropped,
         "label_mapping": mapping,
     }
-    return features, labels, feature_names, ingestion
-
-
-def _read_csv_blocks(path: str, label_column, positive_label, n_features: int, rows: int, fn):
-    """``fn`` of each block of ``_read_csv``'s feature matrix, in order, and the
-    labels, as (labels, ``fn``'s results); the matrix is never held whole.
-
-    The blocks are ``_parse_table``'s reads of ``rows`` rows, except that the
-    last also takes the remainder, so a block is shorter than ``rows`` only
-    when it is every row: the blocks of ``network._row_blocks``. A full read
-    is held until the next one shows whether more rows follow. ``fn`` gets a
-    block as a writable matrix, which it may overwrite. Returns None, and reads
-    no further, when the file has other than ``n_features`` feature columns or
-    a read does not parse: ``_read_csv`` then gives the file's errors, or its
-    rows without the incomplete ones.
-    """
-    results, raw_labels, held = [], [], None
-
-    def take(block):
-        results.append(fn(block[0]))
-        raw_labels.extend(block[1])
-
-    with _open_table(path, label_column) as (fh, header, label_idx):
-        if len(header) - 1 != n_features:
-            return None
-        while True:
-            block = _parse_table(fh, len(header), label_idx, rows)
-            if block is None:
-                return None
-            if len(block[1]) < rows:  # the end of the file
-                break
-            if held is not None:
-                take(held)
-            held = block
-    if held is not None:  # the rows after the last full read join it
-        block = (np.concatenate((held[0], block[0])), held[1] + block[1]) if block[1] else held
-        held = None  # a joined read's buffer is freed before fn runs
-    if block[1]:
-        take(block)
-    return _labels(path, raw_labels, positive_label)[0], results
+    return results, labels, feature_names, ingestion
 
 
 def load_csv(path: str, label_column, positive_label) -> Dataset:
@@ -370,7 +368,8 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     cannot read (a cell longer than its field limit) and label columns
     without exactly two distinct values are errors.
     """
-    features, labels, feature_names, ingestion = _read_csv(path, label_column, positive_label)
+    (features,), labels, feature_names, ingestion = _read_csv(path, label_column,
+                                                              positive_label, lambda X: X)
     return Dataset(features, labels, feature_names, ingestion=ingestion)
 
 

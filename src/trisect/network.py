@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NORMALIZE_MODES
+from .data import NORMALIZE_MODES, _block_bounds
 from .numerics import RngStream, _f2s, activate, activate_derivative, ACTIVATION_KINDS
 
 PROB_CLAMP = 1e-12
@@ -197,14 +197,15 @@ def predict_batch(net: LayeredNetwork, X):
 
 
 def _row_blocks(X, rows=None):
-    """The rows ``rows`` of ``X`` (every row, if None), in order, as blocks of
-    ``BLOCK_ROWS`` rows; the last block also takes the remainder, so a block is
-    shorter only when it is the whole set. A block of every row is a slice of
+    """The rows ``rows`` of ``X`` (every row, if None), in order, as the blocks
+    of ``data._block_bounds`` at ``BLOCK_ROWS`` rows, which ``data._read_csv``
+    also reads: the last block also takes the remainder, so a block is shorter
+    only when it is the whole set. A block of every row is a slice of
     ``X``; a block of ``rows`` is gathered into one buffer, which the next block
     overwrites.
     """
     n = len(X) if rows is None else len(rows)
-    bounds = [*range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS), n]
+    bounds = _block_bounds(n, BLOCK_ROWS)
     if rows is None:
         for a, b in zip(bounds, bounds[1:]):
             yield X[a:b]

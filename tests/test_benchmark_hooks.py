@@ -30,19 +30,25 @@ def _trisect(argv, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("command, extra, outputs", [
-    ("train", [], ("costs.csv", "ingestion.json", "ledger.json", "metrics.json",
-                   "model.json", "roc.csv")),
-    ("crossval", ["--folds", "3", "--jobs", "1"], ("summary.csv", "summary.json")),
+# the ids of the first three cases are those pytest gives them without the blank argument
+@pytest.mark.parametrize("command, extra, outputs, blank", [
+    pytest.param("train", [], ("costs.csv", "ingestion.json", "ledger.json", "metrics.json",
+                               "model.json", "roc.csv"), None, id="train-extra0-outputs0"),
+    pytest.param("crossval", ["--folds", "3", "--jobs", "1"], ("summary.csv", "summary.json"),
+                 None, id="crossval-extra1-outputs1"),
     # eval-bulk's command, on the model a plain train run first writes to (cwd)/model
-    ("eval", ["model"], ("metrics.json", "roc.csv")),
+    pytest.param("eval", ["model"], ("metrics.json", "roc.csv"), None, id="eval-extra2-outputs2"),
+    # with an empty cell in row 7, which sends the file from numpy's reader to the row scan
+    pytest.param("eval", ["model"], ("metrics.json", "roc.csv"), 7, id="eval-row-scan"),
 ])
-def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outputs):
+def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outputs, blank):
     ds = synthetic_dataset(5, 60, 3)
+    rows = [",".join(map(repr, row)) + f",{label}\n"
+            for row, label in zip(ds.features.tolist(), ds.labels.tolist())]
+    if blank is not None:
+        rows[blank - 1] = "," + rows[blank - 1].split(",", 1)[1]
     data = tmp_path / "synth.csv"
-    data.write_text("f0,f1,f2,y\n" + "".join(
-        ",".join(map(repr, row)) + f",{label}\n"
-        for row, label in zip(ds.features.tolist(), ds.labels.tolist())))
+    data.write_text("f0,f1,f2,y\n" + "".join(rows))
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("max_epochs = 5\nbatch_size = 32\nt = 4\nl2 = 0.01\n")
     shared = ["--data", str(data), "--label-col", "y", "--positive", "1", "--config", str(cfg)]
@@ -72,7 +78,7 @@ def test_traced_command_writes_the_untraced_bytes(tmp_path, command, extra, outp
         # network.predict_rows and data.normalize_s come from these spans, which
         # exist only while eval calls both through cli's own names
         predicts = [s for s in traced_spans if s["name"] == "network.predict"]
-        assert sum(s["rows"] for s in predicts) == ds.n_rows
+        assert sum(s["rows"] for s in predicts) == ds.n_rows - (blank is not None)
         assert "data.normalize" in names
     if command == "train":
         # settle-fine's per-layer k-means metrics come from this span, which

@@ -331,6 +331,22 @@ class TestEval:
             err = capsys.readouterr().err
             assert f"has {width} feature columns, the model expects 3" in err
 
+    @pytest.mark.parametrize("rows", [60, 12289])
+    def test_feature_count_is_checked_on_the_first_block_predicted(self, tmp_path, capsys,
+                                                                   rows):
+        # a damaged cell in row 10000, the third block's, or in the last row of a
+        # file of one block: the width error comes first only when the first block
+        # is predicted before the damaged row is read
+        out = self._train(tmp_path)  # 3 features
+        data = _with_cell(_write_synth_csv(tmp_path / "w4.csv", rows=rows, features=4),
+                          min(rows, 10000), 0, "abc")
+        code = main(["eval", out, "--data", data, "--label-col", "label",
+                     "--positive", "yes", "--out", str(tmp_path / "ev")])
+        assert code == 2
+        expected = (f"{data} has 4 feature columns, the model expects 3" if rows > 8192 else
+                    f"{data}: non-numeric value 'abc' in column 'f0', row {rows}")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     def test_non_finite_feature_is_exit_2(self, tmp_path, capsys):
         out = self._train(tmp_path)
         data = _with_cell(_write_synth_csv(tmp_path / "new.csv"), 5, 0, "nan")
@@ -446,26 +462,29 @@ class TestEval:
     def test_streamed_eval_writes_the_whole_matrix_bytes(self, tmp_path):
         # at one BLAS thread, eval's blocks give the metrics.json and roc.csv
         # of predict_rows on the loaded table, and a file the row scan must
-        # read still takes the whole-matrix path, with its message or rows
+        # read goes to it from the failed read, with its message or rows
         probe = textwrap.dedent("""\
             import contextlib, io, json, os, sys
             import numpy as np
             import trisect.cli as cli
+            import trisect.data as data
             from trisect.data import apply_normalization, load_csv, normalization_stats
             from trisect.network import LayeredNetwork, model_to_json, predict_rows
 
             work = sys.argv[1]
-            blocks, whole_calls = [], []
+            blocks, whole_calls, parses = [], [], []
             stream_batch, stream_whole = cli.predict_batch, cli.predict_rows
             cli.predict_batch = lambda net, X: blocks.append(len(X)) or stream_batch(net, X)
             cli.predict_rows = lambda *a: whole_calls.append(1) or stream_whole(*a)
+            parse = data._parse_table
+            data._parse_table = lambda *a: parses.append(1) or parse(*a)
 
             def bundle(out):
                 return [open(os.path.join(out, name), "rb").read()
                         for name in ("metrics.json", "roc.csv")]
 
             def evaluate(path, run, ds):  # against predict_rows on ds, the table loaded whole
-                del blocks[:], whole_calls[:]
+                del blocks[:], whole_calls[:], parses[:]
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
                     code = cli.main(["eval", run, "--data", path, "--label-col", "y",
@@ -518,8 +537,10 @@ class TestEval:
                 return path
 
             damaged = evaluate(with_first_cell("abc"), runs[8, 3], None)
+            damaged_parses = len(parses)
             dropped = evaluate(with_first_cell(""), runs[8, 3], load_csv(path, "y", "1"))
-            print(json.dumps({"results": results, "damaged": damaged, "dropped": dropped}))
+            print(json.dumps({"results": results, "damaged": damaged, "dropped": dropped,
+                              "parses": [damaged_parses, len(parses)]}))
             """)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
@@ -533,12 +554,16 @@ class TestEval:
             # eval's own forward passes, one per block of predict_rows
             blocks = [len(block) for block in _row_blocks(np.empty((n, 0)))]
             assert result == {"same": True, "rows": n, "whole": 0, "blocks": blocks}, (n, m, t)
-        # the parent's message for the damaged cell, after the whole-matrix path
         assert got["damaged"] == {
             "code": 2, "whole": 0,
-            "err": "error: non-numeric value 'abc' in column 'f0', row 10000\n"}
-        # the first block was predicted before the third read failed
-        assert got["dropped"] == {"same": True, "rows": 12288, "whole": 1, "blocks": [4096]}
+            "err": f"error: {tmp_path}/n12289m8.csv: non-numeric value 'abc' in column 'f0', "
+                   "row 10000\n"}
+        # the first block was predicted before the third read failed; the row
+        # scan's 12288 rows are then predicted in predict_rows' blocks
+        assert got["dropped"] == {"same": True, "rows": 12288, "whole": 0,
+                                  "blocks": [4096, 4096, 4096, 4096]}
+        # three reads and no parse of the whole file before each row scan
+        assert got["parses"] == [3, 3]
 
 
 def _eval_peak(tmp_path, rows):
