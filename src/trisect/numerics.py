@@ -197,8 +197,10 @@ def _sigmoid(x):
 
 
 def _selu(z):
-    # λ · where(z > 0, z, α · expm1(z)), with the temporaries reused in place
-    e = np.expm1(z)
+    # λ · where(z > 0, z, α · expm1(z)), with the temporaries reused in place;
+    # expm1 sees only the non-positive side, so no large z overflows, and
+    # minimum(0.0, z) keeps the sign of a -0.0 z
+    e = np.expm1(np.minimum(0.0, z))
     e *= SELU_ALPHA
     out = np.where(z > 0, z, e)
     out *= SELU_SCALE
@@ -218,7 +220,8 @@ _ACTIVATIONS = {
     "leaky-relu": (lambda z: np.where(z > 0, z, LEAKY_SLOPE * z),
                    lambda z, a: np.where(z >= 0, 1.0, LEAKY_SLOPE)),
     "selu": (_selu,
-             lambda z, a: SELU_SCALE * np.where(z >= 0, 1.0, SELU_ALPHA * np.exp(z))),
+             lambda z, a: SELU_SCALE * np.where(z >= 0, 1.0,
+                                                SELU_ALPHA * np.exp(np.minimum(0.0, z)))),
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
     "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
     "swish": (lambda z: z * _sigmoid(z), _swish_derivative),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,21 @@ class TestActivations:
         # kink convention: the positive branch value at exactly zero
         assert activate_derivative("relu", 0.0, 0.0) == 1.0
         assert activate_derivative("leaky-relu", 0.0, 0.0) == 1.0
+
+    def test_selu_exponentials_see_no_large_pre_activation(self):
+        # 709.5 overflowed alpha * expm1(z), and 800 expm1(z) and exp(z) too;
+        # the values are the bytes of evaluating both sides everywhere
+        z = np.array([-0.0, 0.0, -1.0, 709.5, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a = activate("selu", z)
+            d = activate_derivative("selu", z, a)
+        assert [float.hex(v) for v in a.tolist()] == [
+            "-0x0.0p+0", "0x0.0p+0", "-0x1.1c802bd35198bp+0", "0x1.74bc75f94ee97p+9",
+            "0x1.a447c7f41ff7ep+9"]
+        assert [float.hex(v) for v in d.tolist()] == [
+            "0x1.0cfabd690a384p+0", "0x1.0cfabd690a384p+0", "0x1.4b2541192c07ap-1",
+            "0x1.0cfabd690a384p+0", "0x1.0cfabd690a384p+0"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
