@@ -200,9 +200,20 @@ def _selu(z):
     # λ · where(z > 0, z, α · expm1(z)), with the temporaries reused in place;
     # expm1 sees only the non-positive side, so no large z overflows, and
     # minimum(0.0, z) keeps the sign of a -0.0 z
-    e = np.expm1(np.minimum(0.0, z))
+    e = np.minimum(0.0, z, out=np.empty_like(z))
+    np.expm1(e, out=e)
     e *= SELU_ALPHA
     out = np.where(z > 0, z, e)
+    out *= SELU_SCALE
+    return out
+
+
+def _selu_derivative(z, a):
+    # λ · where(z >= 0, 1, α · exp(z)), with exp on the non-positive side only
+    e = np.minimum(0.0, z, out=np.empty_like(z))
+    np.exp(e, out=e)
+    e *= SELU_ALPHA
+    out = np.where(z >= 0, 1.0, e)
     out *= SELU_SCALE
     return out
 
@@ -219,9 +230,7 @@ _ACTIVATIONS = {
              lambda z, a: np.where(z >= 0, 1.0, 0.0)),
     "leaky-relu": (lambda z: np.where(z > 0, z, LEAKY_SLOPE * z),
                    lambda z, a: np.where(z >= 0, 1.0, LEAKY_SLOPE)),
-    "selu": (_selu,
-             lambda z, a: SELU_SCALE * np.where(z >= 0, 1.0,
-                                                SELU_ALPHA * np.exp(np.minimum(0.0, z)))),
+    "selu": (_selu, _selu_derivative),
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
     "sigmoid": (_sigmoid, lambda z, a: a * (1.0 - a)),
     "swish": (lambda z: z * _sigmoid(z), _swish_derivative),

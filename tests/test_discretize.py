@@ -468,28 +468,37 @@ class TestBoundedLloyd:
     """The screened loop gives the bytes of recomputing every row every time."""
 
     def test_equals_the_unbounded_loop(self, monkeypatch):
-        skipped = certified = exact = 0
+        # every case runs at the default block, where its rows fit one screen
+        # block and every step screens every row, and at 128-element blocks,
+        # where most cases take several and keep bounds
+        skipped = certified = exact = plain_skips = 0
         counter = _RowCounter(monkeypatch, None)
         for case in range(250):
             points = _fuzz_points(case)
             distinct = np.unique(points, axis=0).shape[0]
             k = 1 + case % distinct
             stream_name = f"fuzz-{case}"
-            counter.watch(points)
-            trace: list = []
-            got = kmeans_cluster(points, k, RngStream(case, stream_name), sse_trace=trace)
             centers = kmeanspp_seed(points, k, RngStream(case, stream_name))
             want, want_trace = _reference_lloyd(points, centers)
-            assert got.assignments.tobytes() == want.tobytes(), case
-            assert got.centers.tobytes() == centers.tobytes(), case
-            assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), case
-            assert got.iterations == len(trace) - 1, case
-            skipped += counter.skipped_rows > 0
-            certified += counter.exact_rows < counter.assigned
-            exact += counter.exact_rows > 0
+            for block in (_BLOCK_ELEMS, 128):
+                monkeypatch.setattr(discretize, "_BLOCK_ELEMS", block)
+                counter.watch(points)
+                trace: list = []
+                got = kmeans_cluster(points, k, RngStream(case, stream_name), sse_trace=trace)
+                assert got.assignments.tobytes() == want.tobytes(), (case, block)
+                assert got.centers.tobytes() == centers.tobytes(), (case, block)
+                assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), (case, block)
+                assert got.iterations == len(trace) - 1, (case, block)
+                if block == _BLOCK_ELEMS:
+                    plain_skips += counter.skipped_rows
+                    continue
+                skipped += counter.skipped_rows > 0
+                certified += counter.exact_rows < counter.assigned
+                exact += counter.exact_rows > 0
         # the bounds kept rows in most cases, the screen certified rows in
         # most, and the exact path ran in many (the 1e7 offsets and the grid
-        # ties), so the fuzz tests all three
+        # ties), so the fuzz tests all three; in one block no row is skipped
+        assert plain_skips == 0, plain_skips
         assert skipped >= 200, skipped
         assert certified >= 200, certified
         assert exact >= 20, exact
@@ -501,6 +510,8 @@ class TestBoundedLloyd:
                            [0.0, 9.0], [8.0, 2.0], [4.0, 7.0], [10.0, 8.0]])
         seeds = np.array([[7.0, 4.0], [6.0, 5.0], [4.0, 1.0], [5.0, 4.0]])
         monkeypatch.setattr(discretize, "kmeanspp_seed", lambda p, k, s: seeds.copy())
+        # two rows a screen block, so that the loop keeps bounds
+        monkeypatch.setattr(discretize, "_BLOCK_ELEMS", 8)
         counter = _RowCounter(monkeypatch, points)
         trace: list = []
         got = kmeans_cluster(points, 4, RngStream(0, "unused"), sse_trace=trace)
