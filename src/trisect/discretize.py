@@ -56,15 +56,17 @@ overflow and NaN only send rows to the one-shot expression.
 Between assignments the Lloyd loop keeps two bounds per row (Hamerly,
 "Making k-means even faster", SDM 2010): ``upper`` on the distance
 D_a = |x - c_a| to its own center a, and ``lower`` on its distance D_j to
-every other center. Why a row kept by its bounds has the one-shot argmin a,
+every other center. It keeps them only when a screen of every row takes
+more than one block; otherwise every step screens every row. Why a row kept
+by its bounds has the one-shot argmin a,
 with no tie to break. Let t = (m + 8) eps = (2m + 16) u and F = ``_FLOOR`` =
 1e-150, in float64's u from here on.
 
 - From the screen. A certified row gets sqrt(|x|^2 + fl(g_a + s R^2)) and
-  sqrt(|x|^2 + fl(g_2 - s R^2)), with g_2 its smallest other g. Each clears
-  the true distance by (s - e - 2u) R^2, about (7m + 26) u R^2 in float32's
-  u, which covers the float64 rounding of |x|^2, the sums and the square
-  roots.
+  sqrt(|x|^2 + fl(g_2 - s R^2)), with g_2 its smallest other g. Under the
+  root each clears the true squared distance by (s - e - 2u) R^2, about
+  (7m + 26) u R^2 in float32's u, which covers the float64 rounding of
+  |x|^2, the sums and the square roots.
 - From the one-shot expression. A computed d is within gamma_(m+2) d of d,
   plus m 2^-1075 from underflow, so sqrt(d) (1 + t) + F and
   sqrt(d) (1 - t) - F bound its distance. A lower bound is capped at
