@@ -5,12 +5,11 @@ identical categorical features; each occupied cluster then forms one
 equivalence class whose conditional probability is the exact fraction of
 positive-labelled members.
 
-Each assignment step keeps a row's center when the row's distance bounds
-prove that the one-shot distance expression picks it again. It screens the
-other rows and keeps a screened row's pick only when an error bound proves
-that the one-shot expression picks the same center; the rest go through
-that expression. So every assignment, center and SSE is bit for bit that of
-the one-shot expression, for any BLAS kernel and thread count.
+Each assignment step screens every row and keeps a row's pick only when an
+error bound proves that the one-shot distance expression picks the same
+center; the other rows go through that expression. So every assignment,
+center and SSE is bit for bit that of the one-shot expression, for any BLAS
+kernel and thread count.
 
 The screen, ``_screen``, runs in float32. It multiplies the centers' operand
 ``[-2c, |c|^2]`` by the rows ``[x, 1]``, so each product value
@@ -52,41 +51,6 @@ finite, and a value that is subnormal or underflows rounds by at most
 2^-150, at most (m + 2) 1e-15 R^2 over a row's g. A row outside the window,
 or one whose values overflow or are not finite, is not certified, so
 overflow and NaN only send rows to the one-shot expression.
-
-Between assignments the Lloyd loop keeps two bounds per row (Hamerly,
-"Making k-means even faster", SDM 2010): ``upper`` on the distance
-D_a = |x - c_a| to its own center a, and ``lower`` on its distance D_j to
-every other center. It keeps them only when a screen of every row takes
-more than one block; otherwise every step screens every row. Why a row kept
-by its bounds has the one-shot argmin a,
-with no tie to break. Let t = (m + 8) eps = (2m + 16) u and F = ``_FLOOR`` =
-1e-150, in float64's u from here on.
-
-- From the screen. A certified row gets sqrt(|x|^2 + fl(g_a + s R^2)) and
-  sqrt(|x|^2 + fl(g_2 - s R^2)), with g_2 its smallest other g. Under the
-  root each clears the true squared distance by (s - e - 2u) R^2, about
-  (7m + 26) u R^2 in float32's u, which covers the float64 rounding of
-  |x|^2, the sums and the square roots.
-- From the one-shot expression. A computed d is within gamma_(m+2) d of d,
-  plus m 2^-1075 from underflow, so sqrt(d) (1 + t) + F and
-  sqrt(d) (1 - t) - F bound its distance. A lower bound is capped at
-  ``_HUGE`` = 1e150.
-- The moves. A center's move, sqrt(sum (c - c')^2) (1 + t) + F, bounds its
-  true move by the same argument. By the triangle inequality an upper bound
-  stays one when its center's move is added, and a lower bound when the
-  largest move is taken away. Each sum rounds by at most u, and the step of
-  (1 + 2 eps) or (1 - 2 eps) that follows rounds it outward; a lower bound
-  at or below 0 holds anyway.
-- The skip. A row is kept when fl(U (1 + t) + F) < L. Less the rounding of
-  that test, t' > gamma_(m+2) / (1 - gamma_(m+2)) and F' > F / 2, and every
-  other D_j > D_a (1 + t') + F', so d_j (1 - gamma_(m+2)) exceeds
-  d_a (1 + gamma_(m+2)) by more than F'^2 / 2, far above the underflow
-  terms: the one-shot expression picks a strictly. L <= 1e150 gives
-  U < 1e150, so d_a < 1e300 and its sum does not overflow. A bound that is
-  not a number keeps no row.
-
-A repair moves a center by a jump that no bound follows, so it assigns
-every row again, which sets every bound afresh.
 """
 
 from __future__ import annotations
@@ -98,23 +62,17 @@ import numpy as np
 from .numerics import RngStream
 
 MAX_LLOYD_ITERATIONS = 100
-# elements in one block of the screen, k values per row, of the exact path's
-# temporary and of the seeding's differences: a block's float32 close marks
-# take 256 KB, so that the block and its temporaries stay in a 2 MB L2 cache
+# elements in one block of the screen, k values per row, and of the exact path's
+# temporary: a block's float32 close marks take 256 KB, so that the block and
+# its temporaries stay in a 2 MB L2 cache
 _BLOCK_ELEMS = 1 << 16
 # the screen certifies only rows whose scale (|x| + max|c|)^2 lies in
 # (_TINY, 1 / _TINY); see the module docstring
 _TINY = 1e-30
-# a distance bound's absolute slack, far above the square root of a squared
-# distance's subnormal rounding; and the cap of a lower bound, so that a row
-# its bounds keep has a finite squared distance
-_FLOOR = 1e-150
-_HUGE = 1e150
-_EPS = np.finfo(np.float64).eps
 # up to this many features the center update sums with one bincount per
-# feature, each over a strided column; from 16 on one gather of each
-# cluster's rows is faster (0.30 against 0.22 ms on 3800 x 16, k = 2, on a
-# 2-CPU Xeon VM)
+# feature, each over a strided column; at 16 one gather of each cluster's rows
+# is faster (0.30 against 0.22 ms on 3800 x 16, k = 2, on a 2-CPU Xeon VM),
+# and the crossover between 8 and 16 was not measured
 _BINCOUNT_FEATURES = 8
 
 
@@ -155,44 +113,21 @@ class EquivalenceClass:
         return len(self.members)
 
 
-def _distance_slack(m: int) -> float:
-    """Relative slack of a distance bound taken from a float64 squared distance.
-
-    A one-shot squared distance is within gamma_(m+2) of its true value, so
-    its square root is within about (m / 2 + 2) roundings of the true distance;
-    the slack is about four times that. See the module docstring.
-    """
-    return (m + 8) * _EPS
-
-
-def _exact_nearest(points: np.ndarray, centers: np.ndarray,
-                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exact_nearest(points: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Nearest center of each row ``points[rows]``, by the one-shot expression.
 
     This is the argmin, ties toward the lowest index, of the (n, k, m)
     expression ``((p - c) ** 2).sum(axis=2)``, which defines every
     assignment. It is taken a block at a time, so the temporary stays
-    _BLOCK_ELEMS long. Also returns each row's bounds: an upper bound on its
-    distance to the center picked, and a lower bound on its distance to
-    every other center, capped at _HUGE so that a row these bounds keep has
-    a finite squared distance.
+    _BLOCK_ELEMS long.
     """
     step = max(1, _BLOCK_ELEMS // centers.size)
     nearest = np.empty(len(rows), dtype=np.intp)
-    first = np.empty(len(rows))
-    second = np.empty(len(rows))
-    at = np.arange(min(step, len(rows)))
     for s in range(0, len(rows), step):
         p = points[rows[s:s + step]]
-        d2 = ((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        near = np.argmin(d2, axis=1)
-        nearest[s:s + step] = near
-        first[s:s + step] = d2[at[:len(p)], near]
-        d2[at[:len(p)], near] = np.inf
-        second[s:s + step] = d2.min(axis=1)
-    tol = _distance_slack(centers.shape[1])
-    return (nearest, np.sqrt(first) * (1 + tol) + _FLOOR,
-            np.minimum(np.sqrt(second) * (1 - tol) - _FLOOR, _HUGE))
+        nearest[s:s + step] = np.argmin(((p[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2),
+                                        axis=1)
+    return nearest
 
 
 def _row_norms(points: np.ndarray) -> np.ndarray:
@@ -210,24 +145,20 @@ def _augmented(points: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _screen(rows: np.ndarray, norms: np.ndarray, centers: np.ndarray,
-            cols: np.ndarray | None, out: tuple) -> np.ndarray:
-    """The float32 screen of the columns ``cols`` of ``rows`` (every column
-    when None), laid out by ``_augmented``.
+def _screen(rows: np.ndarray, norms: np.ndarray,
+            centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 screen of ``rows``, laid out by ``_augmented``.
 
-    ``norms`` are the norms |x| of all the rows, in float64. Blocks of
-    _BLOCK_ELEMS // k columns are gathered and screened with
-    ``g = [-2c, |c|^2] @ [x, 1]``, laid out one center per row so that the
-    reductions run across the block. Each row's pick and bounds (an upper
-    bound on its distance to the pick and a lower bound on its distance to
-    every other center) are written at its index into ``out`` = (picks,
-    upper, lower), the bounds only when ``upper`` is not None, and whether
-    it is certified is returned. The pick and bounds of a row that is not
-    certified mean nothing.
+    ``norms`` are the rows' norms |x|, in float64. Blocks of _BLOCK_ELEMS // k
+    rows are screened with ``g = [-2c, |c|^2] @ [x, 1]``, laid out one center
+    per row so that the reductions run across the block. Returns each row's
+    pick and whether it is certified; the pick of a row that is not certified
+    means nothing.
     """
     k, m = centers.shape
-    n = rows.shape[1] if cols is None else len(cols)
+    n = rows.shape[1]
     step = max(1, _BLOCK_ELEMS // k)
+    nearest = np.empty(n, dtype=np.intp)
     certified = np.empty(n, dtype=bool)
     # one product counts each row's close centers and sums their indices. A
     # count and a lone pick are integers below k, exact in any summation order
@@ -235,65 +166,34 @@ def _screen(rows: np.ndarray, norms: np.ndarray, centers: np.ndarray,
     # below that; the sum of two or more picks may round, but certifies nothing
     marks_dtype = np.float32 if k < 1 << 24 else np.float64
     tally = np.stack([np.ones(k), np.arange(k, dtype=np.float64)]).astype(marks_dtype)
-    # every block's products, close marks and gathered rows reuse one buffer
-    # each, so no block's arrays share the peak with the next block's
-    at = np.arange(min(step, n))
-    products = np.empty(k * len(at), dtype=np.float32)
-    close = np.empty(k * len(at), dtype=marks_dtype)
-    gathered = None if cols is None else np.empty((m + 1) * len(at), dtype=np.float32)
+    close = np.empty((k, min(step, n)), dtype=marks_dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         norms2 = np.einsum("ij,ij->i", centers, centers)
         operand = np.empty((k, m + 1), dtype=np.float32)
         operand[:, :-1] = -2.0 * centers  # a power-of-two scaling is exact
         operand[:, -1] = norms2
-        radius = np.sqrt(norms2.max())
+        scale = (norms + np.sqrt(norms2.max())) ** 2
+        window = (scale > _TINY) & (scale < 1 / _TINY)
+        limit = ((4 * m + 16) * np.finfo(np.float32).eps * scale).astype(np.float32)
         for s in range(0, n, step):
-            width = min(step, n - s)
-            # a gathered block is C-ordered, as BLAS reads a slice of ``rows``
-            if cols is None:
-                part = slice(s, s + step)
-                block = rows[:, part]
-            else:
-                part = cols[s:s + step]
-                block = np.take(rows, part, axis=1,
-                                out=gathered[:(m + 1) * width].reshape(m + 1, width))
-            x = norms[part]
-            scale = (x + radius) ** 2
-            limit = ((4 * m + 16) * np.finfo(np.float32).eps * scale).astype(np.float32)
-            g = np.matmul(operand, block, out=products[:k * width].reshape(k, width))
-            marks = close[:k * width].reshape(k, width)
+            g = operand @ rows[:, s:s + step]
             bound = g.min(axis=0)
-            bound += limit
+            bound += limit[s:s + step]
+            marks = close[:, :g.shape[1]]
             np.less_equal(g, bound, out=marks)
             count, pick = tally @ marks
-            certified[s:s + step] = (count == 1) & (scale > _TINY) & (scale < 1 / _TINY)
-            out[0][part] = pick
-            if out[1] is not None:
-                # with the pick's g set aside, the smallest g is the other
-                # centers'; a sum of picks, which certifies nothing, is clipped
-                # below k
-                g[np.minimum(pick, k - 1).astype(np.intp), at[:width]] = np.inf
-                second = g.min(axis=0)
-                second -= limit
-                # d = |x|^2 + g, and the slack exceeds the error of each g
-                squares = x * x
-                out[1][part] = np.sqrt(squares + bound)
-                out[2][part] = np.sqrt(np.maximum(squares + second, 0.0))
-    return certified
+            certified[s:s + step] = (count == 1) & window[s:s + step]
+            nearest[s:s + step] = pick
+    return nearest, certified
 
 
 def _nearest(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray | None = None,
-             screen_rows: np.ndarray | None = None, rows: np.ndarray | None = None,
-             out: tuple | None = None) -> tuple:
-    """Nearest center of the rows ``points[rows]`` (every row when None), as
-    ``_exact_nearest`` gives it, and the bounds of their distances.
+             screen_rows: np.ndarray | None = None) -> np.ndarray:
+    """Nearest center of every row, as ``_exact_nearest`` gives it.
 
     The float32 screen takes every row, and ``_exact_nearest`` the rows it
     leaves: near ties, rows far from the origin relative to the gaps between
-    centers, and rows at extreme or non-finite scales. Each row's center,
-    upper bound and lower bound are written at its index into ``out`` =
-    (assignments, upper, lower), arrays over all the rows (new ones when
-    None; no bounds when ``upper`` is None), which is returned.
+    centers, and rows at extreme or non-finite scales.
 
     ``point_norms`` are the rows' norms, ``_row_norms(points)``, and
     ``screen_rows`` their float32 rows, ``_augmented(points)``; a caller that
@@ -303,22 +203,49 @@ def _nearest(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray | 
         point_norms = _row_norms(points)
     if screen_rows is None:
         screen_rows = _augmented(points)
-    if out is None:
-        out = np.empty(len(points), dtype=np.intp), np.empty(len(points)), np.empty(len(points))
-    redo = np.flatnonzero(~_screen(screen_rows, point_norms, centers, rows, out))
+    nearest, certified = _screen(screen_rows, point_norms, centers)
+    redo = np.flatnonzero(~certified)
     if len(redo):
-        if rows is not None:
-            redo = rows[redo]
-        nearest, upper, lower = _exact_nearest(points, centers, redo)
-        out[0][redo] = nearest
-        if out[1] is not None:
-            out[1][redo], out[2][redo] = upper, lower
-    return out
+        nearest[redo] = _exact_nearest(points, centers, redo)
+    return nearest
 
 
 def within_sse(points: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> float:
     diff = points - centers[assignments]
     return float((diff * diff).sum())
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.T.sum(axis=1)`` bit for bit, summed in place into ``terms[0]``,
+    for terms that are not -0.0.
+
+    numpy sums a contiguous run of fewer than 8 values one by one, a run of
+    up to 128 in 8 interleaved partial sums joined pairwise, and a longer run
+    as two halves, the first a multiple of 8 long. Here each value is a row,
+    so the row sums of an (n, m) matrix take about m vector adds of n, where
+    numpy makes n reductions of m.
+    """
+    m = len(terms)
+    if m == 0:
+        return np.zeros(terms.shape[1])
+    if m < 8:
+        for j in range(1, m):
+            terms[0] += terms[j]
+        return terms[0]
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        _pairwise_sum(terms[:half])
+        terms[0] += _pairwise_sum(terms[half:])
+        return terms[0]
+    tail = m - m % 8
+    for j in range(8, tail, 8):
+        terms[:8] += terms[j:j + 8]
+    terms[0:8:2] += terms[1:8:2]
+    terms[0:8:4] += terms[2:8:4]
+    terms[0] += terms[4]
+    for j in range(tail, m):
+        terms[0] += terms[j]
+    return terms[0]
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
@@ -341,20 +268,16 @@ def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
                          f"for {n} points")
 
     chosen = [stream.randrange(n)]
-    # one block of row differences, squared in place, serves every draw; a
-    # row's squared distance is the sum of its own m squares in any block
-    step = max(1, _BLOCK_ELEMS // points.shape[1])
-    diff = np.empty((min(step, n), points.shape[1]))
+    # one (m, n) buffer of differences, one feature per row, serves every
+    # draw, so each step is one long vector operation; its rows are summed in
+    # numpy's order, so each squared distance is ((x - c) ** 2).sum() bit for bit
+    diff = np.empty((points.shape[1], n))
 
-    def squared_distances(center, out):
-        for s in range(0, n, step):
-            block = diff[:min(step, n - s)]
-            np.subtract(points[s:s + step], center, out=block)
-            np.square(block, out=block).sum(axis=1, out=out[s:s + step])
-        return out
+    def squared_distances(center):
+        np.subtract(points.T, center[:, None], out=diff)
+        return _pairwise_sum(np.square(diff, out=diff))
 
-    d2 = squared_distances(points[chosen[0]], np.empty(n))
-    near = np.empty(n)
+    d2 = squared_distances(points[chosen[0]]).copy()
     for _ in range(1, k):
         total = float(d2.sum())
         if total == 0.0:
@@ -364,25 +287,24 @@ def kmeanspp_seed(points: np.ndarray, k: int, stream: RngStream) -> np.ndarray:
         # a draw past the cumulative sum's end, by rounding, takes the last
         # row of positive weight, never one that lies on a chosen center
         chosen.append(idx if idx < n else int(np.flatnonzero(d2)[-1]))
-        np.minimum(d2, squared_distances(points[chosen[-1]], near), out=d2)
+        np.minimum(d2, squared_distances(points[chosen[-1]]), out=d2)
     return points[chosen]
 
 
-def _repaired(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray,
-              screen_rows: np.ndarray, assigned: tuple) -> tuple:
-    """``assigned``, the (assignments, upper, lower) of every row, with its
-    empty clusters repaired: each grabs the farthest point, and every row is
-    assigned again, which resets every bound."""
+def _assign_with_repair(points: np.ndarray, centers: np.ndarray, point_norms: np.ndarray,
+                        screen_rows: np.ndarray) -> np.ndarray:
+    """Nearest-center assignment; empty clusters grab the farthest point."""
     k = centers.shape[0]
-    counts = np.bincount(assigned[0], minlength=k)
+    assignments = _nearest(points, centers, point_norms, screen_rows)
+    counts = np.bincount(assignments, minlength=k)
     for c in range(k):
         if not counts[c]:
-            dist = ((points - centers[assigned[0]]) ** 2).sum(axis=1)
+            dist = ((points - centers[assignments]) ** 2).sum(axis=1)
             far = int(np.argmax(dist))
             centers[c] = points[far]
-            assigned = _nearest(points, centers, point_norms, screen_rows, out=assigned)
-            counts = np.bincount(assigned[0], minlength=k)
-    return assigned
+            assignments = _nearest(points, centers, point_norms, screen_rows)
+            counts = np.bincount(assignments, minlength=k)
+    return assignments
 
 
 def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.ndarray) -> None:
@@ -412,28 +334,6 @@ def _update_centers(points: np.ndarray, assignments: np.ndarray, centers: np.nda
     centers /= counts[:, None]
 
 
-def _lapsed(assignments: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-            previous: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The rows whose bounds no longer prove their center, once the centers
-    moved from ``previous``.
-
-    First the bounds move, in place: each upper bound grows by its center's
-    move, and each lower bound shrinks by the largest move. A sum rounds by
-    at most half an eps, so a step of two eps rounds it outward: up for the
-    upper bounds, and down, or to a value <= 0, for the lower. A row is kept
-    when its upper bound, widened by the one-shot expression's rounding,
-    stays below its lower bound.
-    """
-    tol = _distance_slack(centers.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        moved = np.sqrt(((centers - previous) ** 2).sum(axis=1)) * (1 + tol) + _FLOOR
-    upper += moved[assignments]
-    upper *= 1 + 2 * _EPS
-    lower -= moved.max()
-    lower *= 1 - 2 * _EPS
-    return np.flatnonzero(~(upper * (1 + tol) + _FLOOR < lower))
-
-
 def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
                    max_iterations: int = MAX_LLOYD_ITERATIONS,
                    sse_trace: list | None = None) -> Clustering:
@@ -446,36 +346,18 @@ def kmeans_cluster(points: np.ndarray, k: int, stream: RngStream,
 
     If ``sse_trace`` is a list, the within-cluster SSE after every
     assignment step is appended to it (a non-increasing sequence).
-
-    ``upper[i]`` bounds row i's distance to its own center from above and
-    ``lower[i]`` its distance to every other center from below. After each
-    center update they move by the centers' moves, rounded outward, and only
-    the rows whose bounds no longer prove their center are assigned again.
-    Rows that fit one screen block are all assigned at every step, with no
-    bounds.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = len(points)
     norms, screen_rows = _row_norms(points), _augmented(points)
     centers = kmeanspp_seed(points, k, stream)
-    # the bounds spare screen blocks, so they are kept only when one screen of
-    # every row takes more than one block
-    bounded = n > _BLOCK_ELEMS // len(centers)
-    upper, lower = (np.empty(n), np.empty(n)) if bounded else (None, None)
-    assigned = _nearest(points, centers, norms, screen_rows,
-                        out=(np.empty(n, dtype=np.intp), upper, lower))
-    assignments, upper, lower = _repaired(points, centers, norms, screen_rows, assigned)
+    assignments = _assign_with_repair(points, centers, norms, screen_rows)
     if sse_trace is not None:
         sse_trace.append(within_sse(points, centers, assignments))
     iterations, converged = 0, False
     while iterations < max_iterations and not converged:
         iterations += 1
-        previous = centers.copy()
         _update_centers(points, assignments, centers)
-        lapsed = _lapsed(assignments, upper, lower, previous, centers) if bounded else None
-        assigned = _nearest(points, centers, norms, screen_rows, lapsed,
-                            (assignments.copy(), upper, lower))
-        new_assignments, upper, lower = _repaired(points, centers, norms, screen_rows, assigned)
+        new_assignments = _assign_with_repair(points, centers, norms, screen_rows)
         if sse_trace is not None:
             sse_trace.append(within_sse(points, centers, new_assignments))
         converged = np.array_equal(new_assignments, assignments)

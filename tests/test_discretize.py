@@ -91,9 +91,19 @@ class TestSeeding:
             centers = kmeanspp_seed(pts, 2, RngStream(seed, "seed"))
             assert centers.shape == (1, 1) and centers[0, 0] in (0.0, 1e-200)
 
-    def test_blocked_distances_draw_as_the_whole_array_expression(self):
-        # the draws read each row's squared distance a block of rows at a time;
-        # the roulette of the (n, m) expression draws the same rows
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 23, 128, 129, 300])
+    def test_feature_rows_add_up_as_numpy_sums_each_point(self, m):
+        # the seeding sums its squares one feature at a time; at mixed
+        # magnitudes a running sum of 8 or more terms rounds differently
+        rng = np.random.default_rng(m)
+        squares = (rng.standard_normal((500, m)) * 10.0 ** rng.integers(-8, 9, (500, m))) ** 2
+        want = squares.sum(axis=1)
+        got = discretize._pairwise_sum(np.ascontiguousarray(squares.T))
+        assert got.tobytes() == want.tobytes()
+        if m >= 8:
+            assert np.cumsum(squares, axis=1)[:, -1].tobytes() != want.tobytes()
+
+    def test_draws_are_those_of_the_whole_array_expression(self):
         def whole(points, k, stream):
             chosen = [stream.randrange(len(points))]
             d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
@@ -104,12 +114,10 @@ class TestSeeding:
             return points[chosen]
 
         rng = np.random.default_rng(4)
-        for m in (1, 40):
-            step = _BLOCK_ELEMS // m
-            for n in (step - 1, step, step + 1, 2 * step + 3):
-                pts = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, (n, 1))
-                got = kmeanspp_seed(pts, 12, RngStream(n, "seed"))
-                assert got.tobytes() == whole(pts, 12, RngStream(n, "seed")).tobytes(), (m, n)
+        for m in (1, 8, 40):
+            pts = rng.standard_normal((3000, m)) * 10.0 ** rng.integers(-3, 4, (3000, 1))
+            got = kmeanspp_seed(pts, 12, RngStream(m, "seed"))
+            assert got.tobytes() == whole(pts, 12, RngStream(m, "seed")).tobytes(), m
 
     def test_a_draw_past_the_cumulative_sum_takes_the_last_row_of_weight(self):
         # u == total: searchsorted runs past the end, and the trailing row
@@ -263,14 +271,12 @@ class TestBlockedAssignment:
         rows = max(1, _BLOCK_ELEMS // centers.size)
         for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
             points = rng.random((n, m)) + offset
-            got = _nearest(points, centers)[0]
+            got = _nearest(points, centers)
             assert got.dtype == np.intp
             assert np.array_equal(got, self._one_shot(points, centers)), n
-            # both paths on a subset of the rows, taken in any order
+            # the exact path on a subset of the rows, taken in any order
             rows_of = rng.permutation(n)[:max(1, 2 * n // 3)]
-            got = _exact_nearest(points, centers, rows_of)[0]
-            assert np.array_equal(got, self._one_shot(points[rows_of], centers))
-            got = _nearest(points, centers, rows=rows_of)[0][rows_of]
+            got = _exact_nearest(points, centers, rows_of)
             assert np.array_equal(got, self._one_shot(points[rows_of], centers))
 
     def test_duplicate_centers_tie_to_the_lowest_index(self):
@@ -280,17 +286,15 @@ class TestBlockedAssignment:
         centers = np.concatenate([base, base[::-1], base])
         rows = max(1, _BLOCK_ELEMS // centers.size)
         points = np.round(rng.random((2 * rows + 3, 8)) * 4) / 4
-        got = _nearest(points, centers)[0]
+        got = _nearest(points, centers)
         assert np.array_equal(got, self._one_shot(points, centers))
         assert got.max() < 8  # every row's best center has a copy among the first 8
 
     def test_single_center(self):
         rows = _BLOCK_ELEMS // 4
         points = np.random.default_rng(2).random((3 * rows + 5, 4))
-        got, upper, lower = _nearest(points, np.full((1, 4), 0.5))
+        got = _nearest(points, np.full((1, 4), 0.5))
         assert np.array_equal(got, np.zeros(len(points), dtype=np.intp))
-        # with no other center, every row's bounds keep it
-        assert (upper < lower).all()
 
     def test_pinned_clustering_bytes(self):
         cl = kmeans_cluster(np.random.default_rng(0).random((6000, 8)), 32,
@@ -343,6 +347,23 @@ class TestCenterUpdate:
         assert centers[7].tobytes() == big.mean(axis=0).tobytes()
         if m == 1:  # the data tells pairwise from in-order summation apart
             assert big.sum(axis=0)[0] != big.cumsum(axis=0)[-1, 0]
+
+
+@pytest.mark.parametrize("m", [2, discretize._BINCOUNT_FEATURES, discretize._BINCOUNT_FEATURES + 1])
+def test_both_center_sums_give_the_mask_mean_bitwise(m):
+    # up to _BINCOUNT_FEATURES features the update sums with bincount, beyond
+    # it by a gather per cluster; rows at mixed scales make the order of the
+    # sums show, and a cluster of -0.0 rows the sign of its starting value
+    rng = np.random.default_rng(m)
+    k = 6
+    assignments = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k - 1, 3000)]))
+    points = rng.standard_normal((len(assignments), m)) * 10.0 ** rng.integers(
+        -8, 9, (len(assignments), 1))
+    points[assignments == k - 1] = -0.0
+    centers = np.empty((k, m))
+    discretize._update_centers(points, assignments, centers)
+    want = np.array([points[assignments == c].mean(axis=0) for c in range(k)])
+    assert centers.tobytes() == want.tobytes()
 
 
 def _reference_lloyd(points, centers, max_iterations=discretize.MAX_LLOYD_ITERATIONS):
@@ -402,18 +423,16 @@ def _fuzz_points(case):
 
 
 class _RowCounter:
-    """Counts, for the watched points, the ``_nearest`` calls, the rows they
-    assign, and the rows that each call sends to the exact expression."""
+    """Counts, for the watched points, the ``_nearest`` calls and the rows
+    that each call sends to the exact expression."""
 
     def __init__(self, monkeypatch, points):
         nearest, exact = discretize._nearest, discretize._exact_nearest
 
-        def counted_nearest(points, centers, point_norms=None, screen_rows=None, rows=None,
-                            out=None):
+        def counted_nearest(points, centers, point_norms=None, screen_rows=None):
             if points is self.points:
                 self.calls += 1
-                self.assigned += len(points) if rows is None else len(rows)
-            return nearest(points, centers, point_norms, screen_rows, rows, out)
+            return nearest(points, centers, point_norms, screen_rows)
 
         def counted_exact(points, centers, rows):
             if points is self.points:
@@ -425,17 +444,11 @@ class _RowCounter:
         self.watch(points)
 
     def watch(self, points):
-        self.points, self.calls, self.assigned, self.exact = points, 0, 0, []
+        self.points, self.calls, self.exact = points, 0, []
 
     @property
     def exact_rows(self):
         return sum(len(rows) for rows in self.exact)
-
-    @property
-    def skipped_rows(self):
-        """Rows whose bounds kept their center: each call is one assignment
-        of every row, and the rows it was not given were skipped."""
-        return self.calls * len(self.points) - self.assigned
 
 
 def _exact_d2(point, center):
@@ -468,38 +481,26 @@ class TestBoundedLloyd:
     """The screened loop gives the bytes of recomputing every row every time."""
 
     def test_equals_the_unbounded_loop(self, monkeypatch):
-        # every case runs at the default block, where its rows fit one screen
-        # block and every step screens every row, and at 128-element blocks,
-        # where most cases take several and keep bounds
-        skipped = certified = exact = plain_skips = 0
+        certified = exact = 0
         counter = _RowCounter(monkeypatch, None)
         for case in range(250):
             points = _fuzz_points(case)
             distinct = np.unique(points, axis=0).shape[0]
             k = 1 + case % distinct
             stream_name = f"fuzz-{case}"
+            counter.watch(points)
+            trace: list = []
+            got = kmeans_cluster(points, k, RngStream(case, stream_name), sse_trace=trace)
             centers = kmeanspp_seed(points, k, RngStream(case, stream_name))
             want, want_trace = _reference_lloyd(points, centers)
-            for block in (_BLOCK_ELEMS, 128):
-                monkeypatch.setattr(discretize, "_BLOCK_ELEMS", block)
-                counter.watch(points)
-                trace: list = []
-                got = kmeans_cluster(points, k, RngStream(case, stream_name), sse_trace=trace)
-                assert got.assignments.tobytes() == want.tobytes(), (case, block)
-                assert got.centers.tobytes() == centers.tobytes(), (case, block)
-                assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), (case, block)
-                assert got.iterations == len(trace) - 1, (case, block)
-                if block == _BLOCK_ELEMS:
-                    plain_skips += counter.skipped_rows
-                    continue
-                skipped += counter.skipped_rows > 0
-                certified += counter.exact_rows < counter.assigned
-                exact += counter.exact_rows > 0
-        # the bounds kept rows in most cases, the screen certified rows in
-        # most, and the exact path ran in many (the 1e7 offsets and the grid
-        # ties), so the fuzz tests all three; in one block no row is skipped
-        assert plain_skips == 0, plain_skips
-        assert skipped >= 200, skipped
+            assert got.assignments.tobytes() == want.tobytes(), case
+            assert got.centers.tobytes() == centers.tobytes(), case
+            assert np.array(trace).tobytes() == np.array(want_trace).tobytes(), case
+            assert got.iterations == len(trace) - 1, case
+            certified += counter.exact_rows < counter.calls * len(points)
+            exact += counter.exact_rows > 0
+        # the screen certified rows in most cases, and the exact path ran in
+        # many (the 1e7 offsets and the grid ties), so the fuzz tests both
         assert certified >= 200, certified
         assert exact >= 20, exact
 
@@ -510,8 +511,6 @@ class TestBoundedLloyd:
                            [0.0, 9.0], [8.0, 2.0], [4.0, 7.0], [10.0, 8.0]])
         seeds = np.array([[7.0, 4.0], [6.0, 5.0], [4.0, 1.0], [5.0, 4.0]])
         monkeypatch.setattr(discretize, "kmeanspp_seed", lambda p, k, s: seeds.copy())
-        # two rows a screen block, so that the loop keeps bounds
-        monkeypatch.setattr(discretize, "_BLOCK_ELEMS", 8)
         counter = _RowCounter(monkeypatch, points)
         trace: list = []
         got = kmeans_cluster(points, 4, RngStream(0, "unused"), sse_trace=trace)
@@ -535,7 +534,7 @@ class TestBoundedLloyd:
             counter.watch(points)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = _nearest(points, centers)[0]
+                got = _nearest(points, centers)
             exact = {int(i) for rows in counter.exact for i in rows}
             for i in set(range(len(points))) - exact:
                 d2 = [_exact_d2(points[i], c) for c in centers]
@@ -549,82 +548,15 @@ class TestBoundedLloyd:
         else:
             assert certified == 0
 
-    @pytest.mark.parametrize("case", ["unit", "offset", "signed", "subnormal", "huge",
-                                      "near-tie"])
-    def test_bound_skips_have_a_unique_exact_argmin(self, case):
-        # the centers move by small random steps; exact rational distances
-        # against the centers that the bounds keep
-        rng = np.random.default_rng(sum(map(ord, case)) + 1)
-        kept = 0
-        for m in (1, 2, 3, 8, 17, 40):
-            points, centers = _certificate_case(case, m, rng)
-            assignments, upper, lower = _nearest(points, centers)
-            spread = np.ptp(centers)
-            for _ in range(4):
-                previous = centers
-                step = spread * 10.0 ** -float(rng.integers(2, 9))
-                centers = previous + step * rng.standard_normal(previous.shape)
-                lapsed = discretize._lapsed(assignments, upper, lower, previous, centers)
-                for i in np.setdiff1d(np.arange(len(points)), lapsed):
-                    d2 = [_exact_d2(points[i], c) for c in centers]
-                    assert d2.count(min(d2)) == 1 and d2.index(min(d2)) == assignments[i], (m, i)
-                kept += len(points) - len(lapsed)
-                _nearest(points, centers, rows=lapsed, out=(assignments, upper, lower))
-        # the bounds keep rows at every scale but the subnormal one: at the
-        # 1e7 offset the exact path's bounds are relative to the row's own
-        # distances, and at 1e155 they keep the rows within 1e150 of a center
-        assert (kept > 0) == (case != "subnormal"), kept
-
-    def test_bounds_move_outward(self):
-        # exact rational arithmetic: each upper bound grows by at least its
-        # center's move and each lower bound shrinks by at least the largest
-        # move, whatever the rounding of the sums
-        rng = np.random.default_rng(3)
-        for m in (1, 3, 8, 40):
-            k, n = 5, 300
-            previous = rng.random((k, m))
-            centers = previous + rng.standard_normal((k, m)) * 10.0 ** rng.integers(-12, -1, (k, 1))
-            assignments = rng.integers(0, k, n)
-            upper = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
-            lower = upper + rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
-            before = list(zip(upper.tolist(), lower.tolist()))
-            discretize._lapsed(assignments, upper, lower, previous, centers)
-            moves = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(c, p))
-                     for c, p in zip(centers.tolist(), previous.tolist())]
-            for i, (up, low) in enumerate(before):
-                grow = Fraction(upper[i]) - Fraction(up)
-                assert grow >= 0 and grow ** 2 >= moves[assignments[i]], (m, i)
-                shrink = Fraction(low) - Fraction(lower[i])
-                assert lower[i] <= 0 or (shrink >= 0 and shrink ** 2 >= max(moves)), (m, i)
-
-    @pytest.mark.parametrize("m", [1, 8, 40])
-    def test_a_kept_row_leaves_room_for_the_one_shot_rounding(self, m):
-        # a one-shot squared distance is within gamma_(m+2) of its value, so
-        # the expression can order two distances whose ratio is within about
-        # gamma_(m+2) of 1 either way: such bounds keep no row, whatever the
-        # scale; bounds a hundred times further apart keep every row
-        u = np.finfo(np.float64).eps / 2
-        gamma = (m + 2) * u / (1 - (m + 2) * u)
-        centers = np.random.default_rng(m).random((4, m))
-        upper = 10.0 ** np.arange(-100.0, 101.0, 5.0)
-        assignments = np.arange(len(upper)) % 4
-        for ratio, keep in ((0.5, False), (0.99, False), (100.0, True)):
-            bounds = upper.copy(), upper * (1 + ratio * gamma)
-            lapsed = discretize._lapsed(assignments, *bounds, centers, centers.copy())
-            assert len(lapsed) == (0 if keep else len(upper)), ratio
-
     def test_most_rows_skip_the_distance_row(self, monkeypatch):
         points = np.random.default_rng(0).random((6000, 8))
         counter = _RowCounter(monkeypatch, points)
         kmeans_cluster(points, 32, RngStream(7, "kmeans-level-1"))
         assert counter.calls > 10
         assert counter.exact_rows < 0.01 * counter.calls * len(points), counter.exact_rows
-        # and the bounds keep most rows without a screen
-        assert counter.skipped_rows > 0.5 * counter.calls * len(points), counter.skipped_rows
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
-        # five steps, before most bounds keep rows, and the whole run to the
-        # iteration cap, where most rows are kept by their bounds
+        # five steps, and the whole run to the iteration cap
         probe = textwrap.dedent("""\
             import hashlib, numpy as np
             from trisect import RngStream, kmeans_cluster
@@ -657,12 +589,8 @@ class TestScreenStages:
 
     @staticmethod
     def _stage(points, centers):
-        """The screen's pick of every row, and whether it is certified."""
-        n = len(points)
-        out = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-        certified = discretize._screen(discretize._augmented(points),
-                                       discretize._row_norms(points), centers, None, out)
-        return out[0], certified
+        rows = discretize._augmented(points)
+        return discretize._screen(rows, discretize._row_norms(points), centers)
 
     def test_the_float32_stage_alone_certifies_unit_scale_rows(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -670,17 +598,16 @@ class TestScreenStages:
         picks, certified = self._stage(points, centers)
         assert certified.mean() > 0.99, certified.mean()
         assert np.array_equal(picks[certified],
-                              _exact_nearest(points, centers, np.flatnonzero(certified))[0])
+                              _exact_nearest(points, centers, np.flatnonzero(certified)))
         # in a clustering, the exact expression takes the rows each screen
         # leaves, once each, and no others
         screen, exact = discretize._screen, discretize._exact_nearest
         left, taken = [], []
 
-        def counted_screen(rows, norms, centers, cols, out):
-            certified = screen(rows, norms, centers, cols, out)
-            redo = np.flatnonzero(~certified)
-            left.append(redo if cols is None else cols[redo])
-            return certified
+        def counted_screen(rows, norms, centers):
+            picks, certified = screen(rows, norms, centers)
+            left.append(np.flatnonzero(~certified))
+            return picks, certified
 
         def counted_exact(points, centers, rows):
             taken.append(rows.copy())
@@ -707,8 +634,8 @@ class TestScreenStages:
             scale = (np.sqrt((point ** 2).sum()) + radius) ** 2
             assert float(d2[1] - d2[0]) < slack * scale / 4
         assert not self._stage(points, centers)[1].any()
-        assert np.array_equal(_nearest(points, centers)[0],
-                              _exact_nearest(points, centers, np.arange(len(points)))[0])
+        assert np.array_equal(_nearest(points, centers),
+                              _exact_nearest(points, centers, np.arange(len(points))))
 
     @pytest.mark.parametrize("case", ["huge", "subnormal"])
     def test_extreme_scales_reach_the_exact_path_without_a_warning(self, monkeypatch, case):
@@ -721,10 +648,9 @@ class TestScreenStages:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 assert not self._stage(points, centers)[1].any()
-                got = _nearest(points, centers)[0]
+                got = _nearest(points, centers)
             assert counter.exact_rows == len(points)
-            assert np.array_equal(got,
-                                  _exact_nearest(points, centers, np.arange(len(points)))[0])
+            assert np.array_equal(got, _exact_nearest(points, centers, np.arange(len(points))))
 
 
 class TestEquivalenceClasses:
