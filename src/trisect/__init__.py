@@ -17,7 +17,6 @@ from .network import (
     TrainHyper,
     adam_step,
     classify_split,
-    focal_loss,
     init_node,
     predict_batch,
     predict_rows,

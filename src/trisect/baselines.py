@@ -45,17 +45,15 @@ def empirical_nodes(kind: str, m: int, n: int = 2, a: float = 4.0) -> int:
 
 
 def train_fixed_topology(ds: Dataset, split: Split, nodes: int, hyper: TrainHyper,
-                         activation: str, init_dist: str, stream: RngStream,
-                         history=None) -> LayeredNetwork:
+                         activation: str, init_dist: str, stream: RngStream) -> LayeredNetwork:
     """Initialize ``nodes`` hidden nodes together and train them jointly."""
     if nodes < 1:
         raise ValueError("need at least one hidden node")
     drawn = LayeredNetwork.empty(ds.n_features, activation)
     for _ in range(nodes):
         drawn = drawn.with_node(init_node(ds.n_features, init_dist, stream))
-    X, y, va = ds.features, ds.labels, split.validation
-    return train_network(drawn, X, y, hyper, X[va], y[va], stream, history=history,
-                         rows=split.train)
+    return train_network(drawn, ds.features, ds.labels, hyper, stream, split.train,
+                         split.validation)
 
 
 def grid_search(ds: Dataset, split: Split, max_nodes: int, hyper: TrainHyper,

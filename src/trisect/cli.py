@@ -86,9 +86,9 @@ ROC_CHUNK_LINES = 4096
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value file; blank lines and #-comments ignored."""
+    """Flat key=value file; blank lines and #-comments ignored, a key given twice refused."""
     require_file(path, "config file", ConfigError)
-    raw = {}
+    raw, line_of = {}, {}
     # each byte that is not UTF-8 reads as one of the lone surrogates U+DC80..U+DCFF
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -103,7 +103,10 @@ def parse_config_file(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
+            if key in raw:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice "
+                                  f"(lines {line_of[key]} and {lineno})")
+            raw[key], line_of[key] = value, lineno
     return raw
 
 
@@ -142,7 +145,7 @@ def _load_dataset(settings) -> Dataset:
     matrix, as ``normalize(load_csv(...), mode)`` gives it."""
     _require(settings, "data", "label_col", "positive")
     (X,), labels, names, ingestion = _read_csv(settings["data"], settings["label_col"],
-                                               settings["positive"], lambda X: X)
+                                               settings["positive"], lambda X: X, None)
     mode = settings["normalize"]
     stats = normalization_stats(mode, X)
     return Dataset(apply_normalization(mode, stats, X, out=X), labels, names, mode, stats,

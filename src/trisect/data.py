@@ -151,7 +151,7 @@ def _drop_column(table: np.ndarray, col: int) -> np.ndarray:
     return front
 
 
-def _parse_table(fh, n_columns: int, label_idx: int, max_rows=None):
+def _parse_table(fh, n_columns: int, label_idx: int, max_rows):
     """Features and raw labels of the next ``max_rows`` rows of ``fh`` (every
     row left, if None), by numpy's C reader.
 
@@ -303,12 +303,12 @@ def _block_bounds(n: int, rows) -> list[int]:
     return [*range(0, max(n - rows, 0) + 1, rows), n]
 
 
-def _read_csv(path: str, label_column, positive_label, fn, rows=None):
+def _read_csv(path: str, label_column, positive_label, fn, rows):
     """``fn`` of each block of the CSV's feature matrix, in order, as (``fn``'s
     results, labels, feature names, ingestion record).
 
     The blocks are those of ``_block_bounds(n, rows)``, which
-    ``network._row_blocks`` also uses. ``rows=None`` reads every row in one
+    ``network._row_blocks`` also uses. A ``rows`` of None reads every row in one
     ``_parse_table`` call, as one block. Otherwise the file is read ``rows``
     rows at a time, and a full read is held until the next one shows whether
     more rows follow, so the last block also takes the remainder. ``fn`` gets
@@ -369,7 +369,7 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     without exactly two distinct values are errors.
     """
     (features,), labels, feature_names, ingestion = _read_csv(path, label_column,
-                                                              positive_label, lambda X: X)
+                                                              positive_label, lambda X: X, None)
     return Dataset(features, labels, feature_names, ingestion=ingestion)
 
 

@@ -196,33 +196,28 @@ def predict_batch(net: LayeredNetwork, X):
     return labels, p
 
 
-def _row_blocks(X, rows=None):
-    """The rows ``rows`` of ``X`` (every row, if None), in order, as the blocks
-    of ``data._block_bounds`` at ``BLOCK_ROWS`` rows, which ``data._read_csv``
+def _row_blocks(X, rows):
+    """The rows ``rows`` of ``X``, in order, as the blocks of
+    ``data._block_bounds`` at ``BLOCK_ROWS`` rows, which ``data._read_csv``
     also reads: the last block also takes the remainder, so a block is shorter
-    only when it is the whole set. A block of every row is a slice of
-    ``X``; a block of ``rows`` is gathered into one buffer, which the next block
-    overwrites.
+    only when it is the whole set. Each block is gathered into one buffer,
+    which the next block overwrites.
     """
-    n = len(X) if rows is None else len(rows)
-    bounds = _block_bounds(n, BLOCK_ROWS)
-    if rows is None:
-        for a, b in zip(bounds, bounds[1:]):
-            yield X[a:b]
-        return
     rows = np.asarray(rows, dtype=np.int64)
+    n = len(rows)
     if n and not 0 <= rows.min() <= rows.max() < len(X):
         raise IndexError(f"row indices must lie in [0, {len(X)})")
+    bounds = _block_bounds(n, BLOCK_ROWS)
     buffer = np.empty((bounds[-1] - bounds[-2], X.shape[1]), dtype=X.dtype)
     for a, b in zip(bounds, bounds[1:]):
         # "clip" writes into ``out`` directly; "raise" would gather into a new array
         yield np.take(X, rows[a:b], axis=0, out=buffer[:b - a], mode="clip")
 
 
-def predict_rows(net: LayeredNetwork, X, rows=None):
-    """``predict_batch`` of the rows ``rows`` of ``X`` (every row, if None),
-    computed one block of rows at a time (see ``_row_blocks``); a set of one
-    block is one ``predict_batch`` call, whose result is returned as it is."""
+def predict_rows(net: LayeredNetwork, X, rows):
+    """``predict_batch`` of the rows ``rows`` of ``X``, computed one block of
+    rows at a time (see ``_row_blocks``); a set of one block is one
+    ``predict_batch`` call, whose result is returned as it is."""
     X = np.asarray(X, dtype=np.float64)
     parts = [predict_batch(net, block) for block in _row_blocks(X, rows)]
     if len(parts) == 1:
@@ -249,15 +244,6 @@ def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float,
         return np.where(pos, delta, -(1.0 - delta)) * (theta * v ** (theta - 1.0) * log_u
                                                        - pow_v / u)
     return np.where(pos, -delta, -(1.0 - delta)) * pow_v * log_u
-
-
-def focal_loss(q: np.ndarray, y: np.ndarray, delta: float, theta: float) -> np.ndarray:
-    """Per-instance focal loss of positive-class probabilities ``q``.
-
-    ``q`` must already be clamped to [PROB_CLAMP, 1 - PROB_CLAMP], as
-    :func:`cost` and :func:`cost_and_grads` do, so both logs stay finite.
-    """
-    return _focal_terms(q, y, delta, theta)
 
 
 def regularized_cost(losses, W1, b1, W2, b2, l2: float) -> float:
@@ -298,14 +284,14 @@ def _forward(X, W1, b1, W2, b2, activation):
     return Z, A, np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2, rows=None) -> float:
-    """Mean focal loss of the rows ``rows`` of ``X`` and ``y`` (every row, if
-    None) plus the L2 penalty over all four tensors; the forward pass runs one
-    block of rows at a time (see ``_row_blocks``)."""
+def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2, rows) -> float:
+    """Mean focal loss of the rows ``rows`` of ``X`` and ``y`` plus the L2
+    penalty over all four tensors; the forward pass runs one block of rows at
+    a time (see ``_row_blocks``)."""
     X = np.asarray(X, dtype=np.float64)
     q = np.concatenate([_forward(block, W1, b1, W2, b2, activation)[2]
                         for block in _row_blocks(X, rows)])
-    y = np.asarray(y) if rows is None else np.asarray(y)[rows]
+    y = np.asarray(y)[rows]
     return regularized_cost(_focal_terms(q, y, delta, theta), W1, b1, W2, b2, l2)
 
 
@@ -345,31 +331,31 @@ def cost_and_grads(X, y, W1, b1, W2, b2, activation, delta, theta, l2, first=0):
     return dW1, db1, dW2, db2
 
 
-def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
-                  stream: RngStream, first: int = 0, history=None,
-                  rows=None) -> LayeredNetwork:
+def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, stream: RngStream, rows,
+                  val_rows, first: int = 0, history=None) -> LayeredNetwork:
     """Mini-batch Adam on nodes ``first`` onward, with early stopping on validation cost.
 
-    The training set is the rows ``rows`` of ``X`` and ``y`` (every row, if
-    None); each batch is gathered from ``X``, so they are never copied whole.
+    The training set is the rows ``rows`` of ``X`` and ``y``, the validation
+    set the rows ``val_rows``; each batch and each block of a validation pass
+    is gathered from ``X``, so neither set is ever copied whole.
     Row i of W1, entry i of b1 and column i of W2 move for every node
     i >= ``first``, and the output bias b2 always does; earlier nodes stay
     as they are. Adam updates one vector packing those slices, and each
     step writes it back into them. Returns the network at its best
-    validation cost. When the validation set is empty the training cost
+    validation cost. When ``val_rows`` is empty the training cost
     drives early stopping. If ``history`` is a list, (epoch, train_cost,
     val_cost, improved) tuples are appended per evaluated checkpoint.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    rows = np.arange(len(X)) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("training set is empty")
+    val_rows = np.asarray(val_rows, dtype=np.int64)
+    if val_rows.size == 0:
+        val_rows = rows
     W1, b1, W2, b2 = (a.copy() for a in net.tensors)
     loss = (net.activation, resolve_delta(hyper, y[rows]), hyper.theta, hyper.l2)
-    val_rows = None
-    if X_val is None or len(X_val) == 0:
-        X_val, y_val, val_rows = X, y, rows
 
     def snapshot():
         return W1.copy(), b1.copy(), W2.copy(), b2.copy()
@@ -381,10 +367,10 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
     unpacked = [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
 
     state = AdamState(flat)
-    best_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss, rows=val_rows)
+    best_cost = cost(X, y, W1, b1, W2, b2, *loss, val_rows)
     best = snapshot()
     if history is not None:
-        history.append((0, cost(X, y, W1, b1, W2, b2, *loss, rows=rows), best_cost, True))
+        history.append((0, cost(X, y, W1, b1, W2, b2, *loss, rows), best_cost, True))
     bad_epochs = 0
     order = list(range(len(rows)))
     for epoch in range(1, hyper.max_epochs + 1):
@@ -397,7 +383,7 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
             adam_step(state, flat, np.concatenate(grads, axis=None), hyper)
             for p, part in zip(params, unpacked):
                 p[...] = part
-        val_cost = cost(X_val, y_val, W1, b1, W2, b2, *loss, rows=val_rows)
+        val_cost = cost(X, y, W1, b1, W2, b2, *loss, val_rows)
         improved = val_cost < best_cost
         if improved:
             best_cost = val_cost
@@ -406,7 +392,7 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
         else:
             bad_epochs += 1
         if history is not None:
-            history.append((epoch, cost(X, y, W1, b1, W2, b2, *loss, rows=rows), val_cost,
+            history.append((epoch, cost(X, y, W1, b1, W2, b2, *loss, rows), val_cost,
                             improved))
         if bad_epochs >= hyper.patience:
             break
@@ -414,20 +400,20 @@ def train_network(net: LayeredNetwork, X, y, hyper: TrainHyper, X_val, y_val,
 
 
 def train_node(X, y, frozen: LayeredNetwork, fresh: NodeParams, hyper: TrainHyper,
-               X_val, y_val, stream: RngStream, history=None, rows=None) -> LayeredNetwork:
-    """``frozen`` grown by the ``fresh`` node, optimized on the active rows:
-    the rows ``rows`` of ``X`` and ``y`` (every row, if None).
+               stream: RngStream, rows, val_rows, history=None) -> LayeredNetwork:
+    """``frozen`` grown by the ``fresh`` node, optimized on the active rows
+    ``rows`` of ``X`` and ``y`` and validated on the rows ``val_rows``.
 
     Earlier nodes keep their parameters; only the fresh node's w1/b1/w2 and
     the shared output bias are updated.
     """
-    if (len(X) if rows is None else len(rows)) == 0:
+    if len(rows) == 0:
         raise ValueError("active set is empty")
     grown = frozen.with_node(fresh)
     if hyper.max_epochs == 0:
         return grown
-    return train_network(grown, X, y, hyper, X_val, y_val, stream,
-                         first=frozen.n_nodes, history=history, rows=rows)
+    return train_network(grown, X, y, hyper, stream, rows, val_rows, first=frozen.n_nodes,
+                         history=history)
 
 
 def classify_split(net: LayeredNetwork, X, y, indices):

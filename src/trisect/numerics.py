@@ -78,8 +78,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_state", "_gauss")
 
     def __init__(self, seed: int, stream_id: str = ""):
-        if not isinstance(seed, int) or seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         self.seed = seed
         self.stream_id = stream_id
         self._state = (seed ^ _fnv1a64(stream_id)) & _MASK64

@@ -89,8 +89,8 @@ class TrainConfig:
             raise ConfigError("penalty factor epsilon must be >= 1")
         if self.clusters < 1:
             raise ConfigError("cluster count must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master seed must be non-negative")
+        if not 0 <= self.master_seed < 2**64:  # the RNG streams' seed range
+            raise ConfigError(f"master seed must lie in [0, 2**64), got {self.master_seed}")
         lo, hi = self.cost_range
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigError(f"cost_range must be finite, got {self.cost_range}")
@@ -255,7 +255,6 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig,
     X, y = ds.features, ds.labels
     if split.train.size == 0:
         raise ValueError("training split is empty")
-    X_val, y_val = X[split.validation], y[split.validation]
 
     unit_test, unit_delay = resolve_unit_costs(cfg)
     process = (0.0, 0.0)
@@ -270,7 +269,7 @@ def run(ds: Dataset, split: Split, cfg: TrainConfig,
     for level in range(1, cfg.t + 1):
         stream = derive_stream(cfg.master_seed, f"init-node-{level}")
         fresh = init_node(ds.n_features, cfg.init_dist, stream)
-        net = train_node(X, y, net, fresh, cfg.hyper, X_val, y_val, stream, rows=active)
+        net = train_node(X, y, net, fresh, cfg.hyper, stream, active, split.validation)
 
         pn, mn, nn = classify_split(net, X, y, active)
         accepted[pn] = True

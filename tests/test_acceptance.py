@@ -396,9 +396,9 @@ def test_c09_gradient_check():
                 for idx in np.ndindex(tensor.shape):
                     orig = tensor[idx]
                     tensor[idx] = orig + h
-                    up = cost(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
+                    up = cost(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1, np.arange(len(X)))
                     tensor[idx] = orig - h
-                    dn = cost(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1)
+                    dn = cost(X, y, W1, b1, W2, b2, kind, 0.4, 2.0, 0.1, np.arange(len(X)))
                     tensor[idx] = orig
                     fd = (up - dn) / (2 * h)
                     rel = abs(grads[ti][idx] - fd) / max(1.0, abs(grads[ti][idx]), abs(fd))

@@ -12,12 +12,13 @@ from trisect import (
     derive_stream,
     empirical_nodes,
     grid_search,
+    init_node,
     run,
     split_811,
     train_fixed_topology,
 )
 from trisect import trainer
-from trisect.network import predict_batch
+from trisect.network import predict_batch, train_network
 from trisect.threeway import ThresholdSchedule, build_schedule, sample_cost_matrix
 from trisect.metrics import accuracy
 
@@ -29,6 +30,7 @@ from conftest import (
     TOY_FEATURES,
     TOY_LABELS,
     TOY_SPLIT,
+    network_of,
     replay_nodes,
     synthetic_dataset,
 )
@@ -80,11 +82,18 @@ class TestFixedTopology:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_best_checkpoint_costs_non_increasing(self):
+        # train_fixed_topology's own call, on a network drawn from the same
+        # stream, with the history hook that only train_network takes
         ds = synthetic_dataset(3, 50, 4)
         split = split_811(ds, derive_stream(3, "split"))
+        hyper = TrainHyper(max_epochs=30)
+        stream = RngStream(5, "ft")
+        drawn = network_of([init_node(4, "uniform", stream) for _ in range(2)])
         history: list = []
-        train_fixed_topology(ds, split, 2, TrainHyper(max_epochs=30), "selu",
-                             "uniform", RngStream(5, "ft"), history=history)
+        net = train_network(drawn, ds.features, ds.labels, hyper, stream, split.train,
+                            split.validation, first=0, history=history)
+        fixed = train_fixed_topology(ds, split, 2, hyper, "selu", "uniform", RngStream(5, "ft"))
+        assert all(np.array_equal(a, b) for a, b in zip(net.tensors, fixed.tensors))
         improving = [(tc, vc) for _, tc, vc, improved in history if improved]
         assert len(improving) >= 2
         assert all(b[1] < a[1] for a, b in zip(improving, improving[1:]))

@@ -60,8 +60,8 @@ def _with_cell(path, row, col, text):
 
 
 def _fast_config(tmp_path, **extra):
-    lines = ["max_epochs = 5", "batch_size = 32", "t = 4"]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    settings = {"max_epochs": 5, "batch_size": 32, "t": 4, **extra}  # a config names a key once
+    lines = [f"{k} = {v}" for k, v in settings.items()]
     path = tmp_path / "fast.cfg"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -133,6 +133,29 @@ class TestTrain:
                      "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == \
             f"error: config file expected, but {tmp_path} is a directory\n"
+
+    def test_seed_must_fit_the_rng_state(self, toy_csv, tmp_path, capsys):
+        # 2**64 would seed every stream as 0 does and write seed 0's outputs
+        args = ["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                "--config", _fast_config(tmp_path)]
+        top = str(tmp_path / "top")
+        assert main(args + ["--seed", str(2**64 - 1), "--out", top]) == 0
+        model = json.loads(open(os.path.join(top, "model.json")).read())
+        assert model["seeds"] == {"master_seed": 2**64 - 1}
+        capsys.readouterr()
+        assert main(args + ["--seed", str(2**64), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: master seed must lie in [0, 2**64), got {2**64}\n"
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_config_key_given_twice_names_both_lines(self, toy_csv, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("l2 = 0.01\nt = 4\n\nl2 = 0.5\n")
+        assert main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:4: key 'l2' given twice (lines 1 and 4)\n"
+        assert not os.path.exists(tmp_path / "o")
 
     def test_undecodable_config_names_its_line(self, toy_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -493,7 +516,8 @@ class TestEval:
                     return {"code": code, "err": err.getvalue(), "whole": len(whole_calls)}
                 net, mode, stats, _, _ = cli._read_run_json(
                     run, "model.json", ("W1",), cli.model_from_json)
-                labels, scores = predict_rows(net, apply_normalization(mode, stats, ds.features))
+                labels, scores = predict_rows(net, apply_normalization(mode, stats, ds.features),
+                                              np.arange(ds.n_rows))
                 cli._write_report(work + "/ref", ds.labels, labels, scores)
                 return {"same": bundle(work + "/ev") == bundle(work + "/ref"),
                         "rows": ds.n_rows, "whole": len(whole_calls), "blocks": blocks[:]}
@@ -552,7 +576,7 @@ class TestEval:
         assert len(got["results"]) == 48
         for n, m, t, result in got["results"]:
             # eval's own forward passes, one per block of predict_rows
-            blocks = [len(block) for block in _row_blocks(np.empty((n, 0)))]
+            blocks = [len(block) for block in _row_blocks(np.empty((n, 0)), np.arange(n))]
             assert result == {"same": True, "rows": n, "whole": 0, "blocks": blocks}, (n, m, t)
         assert got["damaged"] == {
             "code": 2, "whole": 0,

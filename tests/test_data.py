@@ -455,7 +455,7 @@ def test_label_column_drop_equals_np_delete(d, label_idx):
         row[label_idx] = label
     body = "".join(",".join(row) + "\n" for row in cells)
     expected = np.delete(table, label_idx, axis=1)
-    parsed = _parse_table(io.StringIO(body), 5, label_idx)
+    parsed = _parse_table(io.StringIO(body), 5, label_idx, None)
     scanned = _scan_rows(csv.reader(io.StringIO(body)), header, label_idx,
                          tuple(h for h in header if h != "y"), "table.csv")
     for features, labels in (parsed, scanned[:2]):

@@ -18,7 +18,6 @@ from trisect import (
     TrainHyper,
     adam_step,
     classify_split,
-    focal_loss,
     init_node,
     regularized_cost,
     train_node,
@@ -26,6 +25,7 @@ from trisect import (
 from trisect.baselines import train_fixed_topology
 from trisect.network import (
     BLOCK_ROWS,
+    _focal_terms,
     _row_blocks,
     _two_column_mean,
     cost,
@@ -130,7 +130,7 @@ class TestForward:
 
 
 def _focal(p, y, delta, theta):
-    return focal_loss(np.array([p]), np.array([y]), delta, theta)[0]
+    return _focal_terms(np.array([p]), np.array([y]), delta, theta)[0]
 
 
 class TestFocalLoss:
@@ -149,7 +149,7 @@ class TestFocalLoss:
         for _ in range(100):
             p.append(stream.uniform(1e-6, 1.0 - 1e-6))
             y.append(1 if stream.uniform() < 0.5 else -1)
-        losses = focal_loss(np.array(p), np.array(y), 0.5, 0.0)
+        losses = _focal_terms(np.array(p), np.array(y), 0.5, 0.0)
         for pi, yi, loss in zip(p, y, losses):
             ce = -0.5 * math.log(pi) if yi == 1 else -0.5 * math.log(1.0 - pi)
             assert loss == pytest.approx(ce, rel=1e-12)
@@ -157,8 +157,8 @@ class TestFocalLoss:
     def test_non_negative(self):
         stream = RngStream(18, "fl2")
         p = np.array([stream.uniform(1e-9, 1.0 - 1e-9) for _ in range(200)])
-        assert (focal_loss(p, np.ones(200), 0.25, 2.0) >= 0.0).all()
-        assert (focal_loss(p, -np.ones(200), 0.25, 2.0) >= 0.0).all()
+        assert (_focal_terms(p, np.ones(200), 0.25, 2.0) >= 0.0).all()
+        assert (_focal_terms(p, -np.ones(200), 0.25, 2.0) >= 0.0).all()
 
     def test_resolve_delta_uses_negative_fraction(self):
         hyper = TrainHyper()
@@ -298,9 +298,9 @@ def test_gradients_match_finite_differences(kind):
             for idx in np.ndindex(tensor.shape):
                 orig = tensor[idx]
                 tensor[idx] = orig + h
-                up = cost(X, y, W1, b1, W2, b2, kind, delta, theta, l2)
+                up = cost(X, y, W1, b1, W2, b2, kind, delta, theta, l2, np.arange(len(X)))
                 tensor[idx] = orig - h
-                dn = cost(X, y, W1, b1, W2, b2, kind, delta, theta, l2)
+                dn = cost(X, y, W1, b1, W2, b2, kind, delta, theta, l2, np.arange(len(X)))
                 tensor[idx] = orig
                 fd = (up - dn) / (2 * h)
                 assert abs(grad[idx] - fd) <= 1e-5 * max(1.0, abs(grad[idx]), abs(fd)), \
@@ -371,7 +371,8 @@ class TestPinnedTraining:
         X, y = ds.features, ds.labels
         stream = RngStream(8, "pin-node")
         fresh = init_node(4, "uniform", stream)
-        net = train_node(X[:96], y[:96], _toy_net(), fresh, self.HYPER, X[96:], y[96:], stream)
+        net = train_node(X, y, _toy_net(), fresh, self.HYPER, stream, np.arange(96),
+                         np.arange(96, 120))
         assert _sha256([net.W1[1], net.b1[1:], net.W2[:, 1], net.b2]) == \
             "d4d85c42e776db058fb4b5c23aabfccba96d124467d488ac5924046d7e02c17b"
 
@@ -415,7 +416,7 @@ def test_pinned_training_grid(kind, first):
             net = network_of([init_node(3, "uniform", stream) for _ in range(3)], kind)
             hyper = TrainHyper(theta=theta, l2=l2, batch_size=16, max_epochs=6)
             history: list = []
-            out = train_network(net, X[:45], y[:45], hyper, X[45:], y[45:], stream,
+            out = train_network(net, X, y, hyper, stream, np.arange(45), np.arange(45, 60),
                                 first=first, history=history)
             for a in out.tensors:
                 h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
@@ -468,7 +469,7 @@ class TestTrainNode:
         X, y = self._data()
         fresh = init_node(4, "uniform", RngStream(1, "init"))
         out = train_node(X, y, LayeredNetwork.empty(4, "selu"), fresh,
-                         TrainHyper(max_epochs=0), None, None, RngStream(1, "init"))
+                         TrainHyper(max_epochs=0), RngStream(1, "init"), np.arange(len(X)), [])
         assert all(np.array_equal(a, b) for a, b in zip(out.tensors, network_of([fresh]).tensors))
 
     def test_deterministic(self):
@@ -477,8 +478,8 @@ class TestTrainNode:
         for _ in range(2):
             stream = RngStream(9, "train")
             fresh = init_node(4, "uniform", stream)
-            net = train_node(X[:30], y[:30], LayeredNetwork.empty(4, "selu"), fresh,
-                             TrainHyper(max_epochs=15), X[30:], y[30:], stream)
+            net = train_node(X, y, LayeredNetwork.empty(4, "selu"), fresh,
+                             TrainHyper(max_epochs=15), stream, np.arange(30), np.arange(30, 40))
             results.append(net)
         assert np.array_equal(results[0].W1, results[1].W1)
         assert np.array_equal(results[0].b2, results[1].b2)
@@ -490,8 +491,8 @@ class TestTrainNode:
         stream = RngStream(12, "train")
         fresh = init_node(4, "uniform", stream)
         history: list = []
-        train_node(X[:30], y[:30], LayeredNetwork.empty(4, "selu"), fresh,
-                   TrainHyper(max_epochs=40), X[30:], y[30:], stream, history=history)
+        train_node(X, y, LayeredNetwork.empty(4, "selu"), fresh, TrainHyper(max_epochs=40),
+                   stream, np.arange(30), np.arange(30, 40), history=history)
         improving = [(tc, vc) for _, tc, vc, improved in history if improved]
         assert len(improving) >= 2
         val_costs = [vc for _, vc in improving]
@@ -499,13 +500,26 @@ class TestTrainNode:
         train_costs = [tc for tc, _ in improving]
         assert all(b <= a + 1e-12 for a, b in zip(train_costs, train_costs[1:]))
 
+    def test_empty_validation_set_validates_on_the_training_rows(self):
+        X, y = self._data(seed=4)
+        nets, histories = [], []
+        for val_rows in ([], np.arange(30)):
+            stream = RngStream(12, "train")
+            fresh = init_node(4, "uniform", stream)
+            histories.append([])
+            nets.append(train_node(X, y, _toy_net(), fresh, TrainHyper(max_epochs=40), stream,
+                                   np.arange(30), val_rows, history=histories[-1]))
+        assert _sha256(nets[0].tensors) == _sha256(nets[1].tensors)
+        assert repr(histories[0]) == repr(histories[1])
+        assert all(tc == vc for _, tc, vc, _ in histories[0])
+
     def test_earlier_nodes_stay_frozen(self):
         X, y = self._data(seed=7)
         frozen = _toy_net()
         stream = RngStream(3, "train")
         fresh = init_node(4, "uniform", stream)
-        net = train_node(X, y, frozen, fresh, TrainHyper(max_epochs=5),
-                         None, None, stream)
+        net = train_node(X, y, frozen, fresh, TrainHyper(max_epochs=5), stream,
+                         np.arange(len(X)), [])
         assert np.array_equal(net.W1[0], NODE_1.w1) and net.b1[0] == NODE_1.b1
         assert np.array_equal(net.W2[:, 0], NODE_1.w2)
         assert not np.array_equal(net.W1[1], fresh.w1)  # the fresh node moved
@@ -516,8 +530,8 @@ class TestTrainNode:
         X, y = self._data(seed=5)
         stream = RngStream(6, "first-node")
         net = network_of([init_node(4, "uniform", stream) for _ in range(3)])
-        out = train_network(net, X[:30], y[:30], TrainHyper(max_epochs=5), X[30:], y[30:],
-                            stream, first=1)
+        out = train_network(net, X, y, TrainHyper(max_epochs=5), stream, np.arange(30),
+                            np.arange(30, 40), first=1)
         assert np.array_equal(out.W1[0], net.W1[0]) and out.b1[0] == net.b1[0]
         assert np.array_equal(out.W2[:, 0], net.W2[:, 0])
         for now, old in ((out.W1[1:], net.W1[1:]), (out.b1[1:], net.b1[1:]),
@@ -527,8 +541,8 @@ class TestTrainNode:
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValueError):
             train_node(np.empty((0, 4)), np.empty(0), LayeredNetwork.empty(4, "selu"),
-                       init_node(4, "uniform", RngStream(0)), TrainHyper(),
-                       None, None, RngStream(0))
+                       init_node(4, "uniform", RngStream(0)), TrainHyper(), RngStream(0),
+                       np.arange(0), [])
 
 
 class TestClassifySplit:
@@ -560,7 +574,7 @@ class TestRowBlocks:
     def test_blocks_cover_the_rows_in_order(self, n):
         X = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
         rows = np.random.default_rng(n).permutation(n)
-        for picked, expected in ((None, X), (rows, X[rows])):
+        for picked, expected in ((np.arange(n), X), (rows, X[rows])):
             blocks = [block.copy() for block in _row_blocks(X, picked)]
             sizes = [len(block) for block in blocks]
             # the remainder joins the last block: a short block is the whole set
@@ -575,12 +589,12 @@ class TestRowBlocks:
             predict_rows(_toy_net(), np.ones((7, 4)), np.array([0, bad, 2]))
 
     def test_blocked_pass_has_the_bytes_of_one_call(self):
-        # at one BLAS thread a block of at least BLOCK_ROWS rows, sliced or
-        # gathered, gets the bytes of one product of every row, under the
+        # at one BLAS thread a block of at least BLOCK_ROWS rows, gathered in
+        # order or not, gets the bytes of one product of every row, under the
         # default core and under Haswell's; 777-row blocks do not
         probe = textwrap.dedent("""\
             import json, numpy as np
-            from trisect.network import (PROB_CLAMP, LayeredNetwork, cost, focal_loss,
+            from trisect.network import (PROB_CLAMP, LayeredNetwork, _focal_terms, cost,
                                          predict_batch, predict_rows, regularized_cost)
             rng = np.random.default_rng(26)
             cases, mismatches = 0, []
@@ -593,20 +607,18 @@ class TestRowBlocks:
                         X = rng.random((n + 9, m))
                         y = np.where(rng.random(n + 9) < 0.5, 1, -1)
                         rows = rng.permutation(n + 9)[:n]
-                        for picked, Xp, yp in ((None, X[:n], y[:n]), (rows, X, y)):
-                            full = predict_batch(net, Xp if picked is None else X[rows])
-                            got = predict_rows(net, Xp, picked)
-                            truth = yp if picked is None else y[rows]
+                        for picked in (np.arange(n), rows):
+                            full = predict_batch(net, X[picked])
+                            got = predict_rows(net, X, picked)
                             q = np.clip(full[1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-                            one = regularized_cost(focal_loss(q, truth, 0.4, 2.0),
+                            one = regularized_cost(_focal_terms(q, y[picked], 0.4, 2.0),
                                                    *net.tensors, 0.01)
-                            blocked = cost(Xp, yp, *net.tensors, "selu", 0.4, 2.0, 0.01,
-                                           rows=picked)
+                            blocked = cost(X, y, *net.tensors, "selu", 0.4, 2.0, 0.01, picked)
                             cases += 1
                             if (got[0].tobytes() != full[0].tobytes()
                                     or got[1].tobytes() != full[1].tobytes()
                                     or blocked.hex() != one.hex()):
-                                mismatches.append([m, t, n, picked is not None])
+                                mismatches.append([m, t, n, picked is rows])
             print(json.dumps({"cases": cases, "mismatches": mismatches}))
             """)
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -155,8 +155,11 @@ class TestRngStream:
             RngStream(0).normal(0.0, -1.0)
 
     def test_seed_validation(self):
-        with pytest.raises(ValueError):
-            RngStream(-1)
+        # seeds are the 64-bit state's values: 2**64 would alias 0
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+                RngStream(bad)
+        assert RngStream(2**64 - 1, "top").next_u64() != RngStream(0, "top").next_u64()
 
     def test_randrange_uniform_bounds(self):
         s = RngStream(5, "rr")

@@ -14,7 +14,7 @@ from trisect import (
 )
 from trisect.discretize import EquivalenceClass
 from trisect.metrics import roc_auc
-from trisect.network import focal_loss
+from trisect.network import _focal_terms
 from trisect.threeway import accrue_process_costs
 
 labels = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=40)
@@ -109,8 +109,8 @@ def test_two_way_partition_never_defers(classes, gamma):
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 def test_focal_reduces_to_balanced_cross_entropy(p):
     q = np.array([p])
-    assert abs(focal_loss(q, np.array([1]), 0.5, 0.0)[0] - (-0.5 * np.log(p))) < 1e-12
-    assert abs(focal_loss(q, np.array([-1]), 0.5, 0.0)[0] - (-0.5 * np.log(1.0 - p))) < 1e-12
+    assert abs(_focal_terms(q, np.array([1]), 0.5, 0.0)[0] - (-0.5 * np.log(p))) < 1e-12
+    assert abs(_focal_terms(q, np.array([-1]), 0.5, 0.0)[0] - (-0.5 * np.log(1.0 - p))) < 1e-12
 
 
 @settings(max_examples=50)

@@ -231,6 +231,10 @@ class TestLiveRuns:
                            ("master_seed", 1.5)]:
             with pytest.raises(ConfigError, match=f"{field} must be an integer"):
                 TrainConfig(**{field: bad})
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError, match=r"master seed must lie in \[0, 2\*\*64\)"):
+                TrainConfig(master_seed=bad)
+        TrainConfig(master_seed=2**64 - 1)
         TrainConfig(t=np.int64(3), clusters=np.int32(2))
 
     def test_numpy_integer_fields_are_stored_as_ints(self):
