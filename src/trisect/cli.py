@@ -9,6 +9,7 @@ printed to stderr and exits with the code ``EXIT_CODES`` gives its type.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -339,20 +340,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# (ds, plan, settings, schedule), the inputs every crossval fold shares in
-# this process; set by _share_fold_inputs, in each pool worker by its initializer
-_FOLD_INPUTS = None
-
-
-def _share_fold_inputs(*inputs) -> None:
-    """Make ``inputs`` the folds' shared inputs; no inputs clears them."""
-    global _FOLD_INPUTS
-    _FOLD_INPUTS = inputs or None
-
-
-def _crossval_fold(fold):
-    """One fold's run on the shared inputs; top-level so executors can pickle it."""
-    ds, plan, settings, schedule = _FOLD_INPUTS
+def _crossval_fold(inputs, fold):
+    """One fold's record; ``inputs`` is ``(ds, plan, settings, schedule)``, which
+    every fold shares."""
+    ds, plan, settings, schedule = inputs
     seed = settings["seed"]
     fold_seed = derive_stream(seed, f"fold-{fold}").next_u64()
     cfg = _build_config({**settings, "seed": fold_seed})
@@ -402,20 +393,13 @@ def cmd_crossval(args) -> int:
         raise DataError(f"{settings['data']} has too few usable rows for folds = {k}: "
                         f"{exc}") from None
     inputs, folds = (ds, plan, settings, schedule), range(1, k + 1)
-    try:
-        if jobs == 1:
-            _share_fold_inputs(*inputs)
-            records = [_crossval_fold(f) for f in folds]
-        else:
-            # imported here, so that no other command loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    if jobs == 1 or not hasattr(os, "fork"):
+        records = [_crossval_fold(inputs, f) for f in folds]
+    else:
+        # imported here, so that no other command compiles the fork-join
+        from .forkjoin import fork_map
 
-            # each worker gets the inputs once, from its initializer; a task is its fold
-            with ProcessPoolExecutor(max_workers=min(jobs, k), initializer=_share_fold_inputs,
-                                     initargs=inputs) as pool:
-                records = list(pool.map(_crossval_fold, folds))  # in fold order
-    finally:
-        _share_fold_inputs()
+        records = fork_map(_crossval_fold, inputs, folds, min(jobs, k))
 
     aggregate = {}
     for key in SUMMARY_COLUMNS:
@@ -468,6 +452,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value, refusing the flag given a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise ConfigError(f"flag {self.option_strings[0]} given twice")
+        setattr(namespace, self.dest, values)
+
+
 # the flags of every command that reads a config file; --config names that file
 # and each other flag overrides the config key it names (--label-col: label_col)
 SHARED_FLAGS = ("config", "data", "label_col", "positive", "seed", "out")
@@ -504,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_dir:
             p.add_argument("run_dir")
         for key in flags:
-            p.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS.get(key, str))
+            p.add_argument("--" + key.replace("_", "-"), type=CONFIG_KEYS.get(key, str),
+                           action=_Once)
         p.set_defaults(handler=handler)
     return parser
 
@@ -518,5 +512,14 @@ def main(argv=None) -> int:
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
+def console_main() -> int:
+    """``main`` as the command-line entry points run it: once it returns, every
+    object is frozen, so interpreter exit skips the collector's walk over them.
+    ``main`` itself does not freeze, because tests call it in-process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -159,13 +159,11 @@ def synthetic_dataset(seed: int, n_rows: int, n_features: int,
     column, which guarantees repeated rows for small grids.
     """
     stream = RngStream(seed, "synthetic")
-    X = np.empty((n_rows, n_features))
-    for i in range(n_rows):
-        for j in range(n_features):
-            value = stream.uniform()
-            if duplicate_levels:
-                value = round(value * (duplicate_levels - 1)) / max(1, duplicate_levels - 1)
-            X[i, j] = value
+    # stream.uniform() for each cell, row by row, drawn in one pass
+    draws = stream._draw_block(n_rows * n_features) >> np.uint64(11)
+    X = (draws * 2.0**-53).reshape(n_rows, n_features)
+    if duplicate_levels:
+        X = np.round(X * (duplicate_levels - 1)) / max(1, duplicate_levels - 1)
     w = np.array([stream.normal() for _ in range(n_features)])
     margin = X @ w - float(np.median(X @ w))
     y = np.where(margin + np.array([stream.normal(0, 0.3) for _ in range(n_rows)]) >= 0, 1, -1)

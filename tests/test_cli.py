@@ -67,6 +67,22 @@ def _fast_config(tmp_path, **extra):
     return str(path)
 
 
+def _count_forks(monkeypatch):
+    """The pids of the processes forked from now on, in fork order. In a forked
+    child, the list's length is the number of forks up to and including its own."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        forks.append(None)
+        pid = fork()
+        if pid:
+            forks[-1] = pid
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 class TestTrain:
     def test_writes_report_bundle(self, toy_csv, tmp_path):
         out = str(tmp_path / "run")
@@ -155,6 +171,18 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == \
             f"error: {cfg}:4: key 'l2' given twice (lines 1 and 4)\n"
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--seed", "1", "--seed", "2"], "--seed"),
+        (["--out", "a", "--seed", "3", "--out=b"], "--out"),
+        (["--label-col", "D"], "--label-col"),
+    ])
+    def test_flag_given_twice_names_the_flag(self, toy_csv, tmp_path, capsys, flags, name):
+        # a flag given twice is refused, as a config key given twice is
+        assert main(["train", "--data", toy_csv, "--label-col", "D", "--positive", "1",
+                     *flags, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: flag {name} given twice\n"
         assert not os.path.exists(tmp_path / "o")
 
     def test_undecodable_config_names_its_line(self, toy_csv, tmp_path, capsys):
@@ -697,54 +725,89 @@ class TestCrossval:
             blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
         assert blobs[0] == blobs[1]
 
-    def test_pool_is_capped_at_the_fold_count(self, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        class SerialPool:
-            """Records its worker count, runs the initializer once and maps in this process."""
-            workers = []
-
-            def __init__(self, max_workers, initializer, initargs):
-                self.workers.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_workers_are_capped_at_the_fold_count(self, tmp_path, monkeypatch):
+        forks = _count_forks(monkeypatch)
         data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
         cfg = _fast_config(tmp_path)
         blobs = []
-        for name, jobs in (("serial", "1"), ("pooled", "8")):
-            out = str(tmp_path / name)
+        for name, jobs in (("serial", "1"), ("forked", "8")):
+            out = tmp_path / name
             assert main(["crossval", "--data", data, "--label-col", "label",
                          "--positive", "yes", "--seed", "4", "--folds", "3",
-                         "--jobs", jobs, "--out", out, "--config", cfg]) == 0
-            blobs.append(open(os.path.join(out, "summary.json"), "rb").read())
-        assert SerialPool.workers == [3]
+                         "--jobs", jobs, "--out", str(out), "--config", cfg]) == 0
+            blobs.append((out / "summary.json").read_bytes())
+        assert len(forks) == 3
         assert blobs[0] == blobs[1]
 
-    def test_shared_fold_inputs_are_cleared(self, tmp_path, monkeypatch):
+    def test_fold_error_in_a_worker_is_the_serial_error(self, tmp_path, monkeypatch, capsys):
         import trisect.cli as cli
 
+        fold_record = cli._crossval_fold
+
+        def failing(inputs, fold):  # the first failing fold's error is the one reported
+            if fold == 2:
+                raise SamplingError("fold 2 ran out of draws")
+            if fold == 3:
+                raise DataError("fold 3 is not reached serially")
+            return fold_record(inputs, fold)
+
+        monkeypatch.setattr(cli, "_crossval_fold", failing)
         data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
         argv = ["crossval", "--data", data, "--label-col", "label", "--positive", "yes",
-                "--folds", "3", "--config", _fast_config(tmp_path)]
-        assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
-        assert cli._FOLD_INPUTS is None
+                "--folds", "4", "--config", _fast_config(tmp_path)]
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 3
+            assert capsys.readouterr().err == "error: fold 2 ran out of draws\n"
+            assert not out.exists()
 
-        def failing(*args):
-            raise RuntimeError("stopped")
+    def test_killed_worker_is_exit_3_and_every_worker_is_reaped(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        import signal
+        import time
 
-        monkeypatch.setattr(cli, "run", failing)
-        assert main(argv + ["--out", str(tmp_path / "failed")]) == 3
-        assert cli._FOLD_INPUTS is None
+        import trisect.cli as cli
+
+        forks = _count_forks(monkeypatch)
+
+        def dying(inputs, fold):  # the first worker forked dies; the other outlives the test
+            if len(forks) == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+
+        monkeypatch.setattr(cli, "_crossval_fold", dying)
+        data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
+        start = time.monotonic()
+        assert main(["crossval", "--data", data, "--label-col", "label", "--positive", "yes",
+                     "--folds", "3", "--jobs", "2", "--config", _fast_config(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 3
+        # the first worker's death is seen at once: no other worker holds its pipe open
+        assert time.monotonic() - start < 20
+        assert capsys.readouterr().err == (f"error: crossval worker 1 of 2 (pid {forks[0]}) was "
+                                           f"killed by signal 9 before it sent its results\n")
+        for pid in forks:  # each worker was reaped: none is a child of this process any more
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert not (tmp_path / "o").exists()
+
+    def test_forked_crossval_imports_no_process_pool(self, tmp_path):
+        data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
+        probe = textwrap.dedent(f"""
+            import sys
+            from trisect.cli import main
+            code = main(["crossval", "--data", {data!r}, "--label-col", "label",
+                         "--positive", "yes", "--folds", "3", "--jobs", "2",
+                         "--config", {_fast_config(tmp_path)!r}, "--out", {str(tmp_path / "o")!r}])
+            print(code, sorted(m for m in ("concurrent.futures", "multiprocessing")
+                               if m in sys.modules))
+            """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0 []\n"
 
     def test_negative_jobs_is_exit_1(self, tmp_path, capsys):
         data = _write_synth_csv(tmp_path / "synth.csv")
@@ -941,6 +1004,26 @@ def test_flag_of_another_command_is_exit_1(trained_toy_run, tmp_path, capsys, co
     assert main(argv + flag + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flag)}\n"
     assert not out.exists()
+
+
+def test_entry_points_freeze_the_heap_once_main_returns(monkeypatch):
+    import gc
+
+    import trisect.cli as cli
+
+    frozen_during_main = []
+    monkeypatch.setattr(cli, "main", lambda: frozen_during_main.append(gc.get_freeze_count()) or 7)
+    try:
+        assert cli.console_main() == 7
+        assert frozen_during_main == [0]
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    # the installed script runs the same function as `python -m trisect.cli`
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'trisect = "trisect.cli:console_main"' in pyproject.read_text().splitlines()
+    assert Path(cli.__file__).read_text().endswith(
+        'if __name__ == "__main__":\n    sys.exit(console_main())\n')
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

@@ -7,6 +7,8 @@ from trisect import ACTIVATION_KINDS, RngStream, activate, activate_derivative, 
 from trisect.data import Dataset, Split, fold_split, make_folds, split_811
 from trisect.numerics import _SHUFFLE_BLOCK, _sigmoid
 
+from conftest import synthetic_dataset
+
 _M64 = 2**64
 
 
@@ -246,3 +248,37 @@ class TestActivations:
             d = activate_derivative(kind, x, activate(kind, x))
             assert abs(d - fd) <= 1e-6 * max(1.0, abs(d)), (kind, x)
             checked += 1
+
+
+def _scalar_synthetic_table(seed, n_rows, n_features, duplicate_levels):
+    """``synthetic_dataset``'s features and labels, drawn one ``uniform()`` at a time."""
+    stream = RngStream(seed, "synthetic")
+    X = np.empty((n_rows, n_features))
+    for i in range(n_rows):
+        for j in range(n_features):
+            value = stream.uniform()
+            if duplicate_levels:
+                value = round(value * (duplicate_levels - 1)) / max(1, duplicate_levels - 1)
+            X[i, j] = value
+    w = np.array([stream.normal() for _ in range(n_features)])
+    margin = X @ w - float(np.median(X @ w))
+    y = np.where(margin + np.array([stream.normal(0, 0.3) for _ in range(n_rows)]) >= 0, 1, -1)
+    if (y == 1).all():
+        y[0] = -1
+    if (y == -1).all():
+        y[0] = 1
+    return X, y
+
+
+@pytest.mark.parametrize("seed, n_rows, n_features, duplicate_levels", [
+    (1, 40, 3, 0), (2, 33, 5, 0), (90, 200, 8, 0), (3, 2, 1, 0),
+    (4, 50, 3, 1), (5, 45, 4, 2), (6, 60, 3, 3), (7, 17, 2, 4),
+])
+def test_synthetic_builder_draws_the_scalar_stream(seed, n_rows, n_features, duplicate_levels):
+    # the builder draws its uniform table in one block; the labels need the
+    # normals drawn after it from where the scalar draws leave the stream
+    ds = synthetic_dataset(seed, n_rows, n_features, duplicate_levels)
+    X, y = _scalar_synthetic_table(seed, n_rows, n_features, duplicate_levels)
+    assert ds.features.tobytes() == X.tobytes()
+    assert ds.features.shape == X.shape
+    assert ds.labels.tolist() == y.tolist()
