@@ -49,7 +49,7 @@ class Dataset:
             raise DataError(f"need at least 2 rows and 1 feature, got {d}x{m}")
         if self.labels.shape != (d,):
             raise DataError("labels length must match row count")
-        if not set(np.unique(self.labels)) <= {-1, 1}:
+        if not ((self.labels == 1) | (self.labels == -1)).all():  # np.unique imports numpy.ma
             raise DataError("labels must be +1/-1")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
@@ -132,23 +132,23 @@ class FoldPlan:
 _DROP_CHUNK_ROWS = 4096
 
 
-def _drop_column(table: np.ndarray, col: int) -> np.ndarray:
-    """``np.delete(table, col, axis=1)`` of a C-contiguous 2-d ``table``, made
-    in ``table``'s own buffer, which it overwrites.
+def _drop_column(table: np.ndarray, col: int) -> None:
+    """Move the cells of ``np.delete(table, col, axis=1)`` of a C-contiguous
+    2-d ``table`` to the front of ``table``'s own buffer, which it overwrites.
 
     Row i's feature cells move to the i-th row of the C-contiguous (d, m)
     view at the front of the buffer, a chunk of rows at a time. That never
     writes past the cells of the chunk being moved, so no later row is
     overwritten before it is read. Each chunk goes through one assignment
     from a copy: two slice assignments in one buffer would overwrite cells
-    the second still has to read.
+    the second still has to read. The caller then shrinks the buffer to
+    the features (``ndarray.resize``), once no view of it is left.
     """
     d, n = table.shape
     front = table.reshape(-1)[:d * (n - 1)].reshape(d, n - 1)
     for start in range(0, d, _DROP_CHUNK_ROWS):
         rows = slice(start, start + _DROP_CHUNK_ROWS)
         front[rows] = np.delete(table[rows], col, axis=1)
-    return front
 
 
 def _parse_table(fh, n_columns: int, label_idx: int, max_rows):
@@ -158,9 +158,10 @@ def _parse_table(fh, n_columns: int, label_idx: int, max_rows):
     Returns None unless every row parses: the same cell count as the header,
     a finite number in every feature cell and a non-empty label. The row scan
     then reads the file instead, and names the fault or drops the incomplete rows.
-    A read at the end of the file gives 0 rows. The features are a writable
-    C-contiguous view of the buffer numpy's reader filled, with the label
-    column dropped in place (``_drop_column``).
+    A read at the end of the file gives 0 rows. The features are the writable
+    C-contiguous array numpy's reader filled: the label column is dropped
+    inside its buffer (``_drop_column``), which is then shrunk in place to
+    the features, so the label column's bytes are freed.
     """
     codes: dict[str, int] = {}
 
@@ -182,7 +183,9 @@ def _parse_table(fh, n_columns: int, label_idx: int, max_rows):
         return None
     names = list(codes)
     raw_labels = [names[c] for c in table[:, label_idx].astype(np.int64).tolist()]
-    return _drop_column(table, label_idx), raw_labels
+    _drop_column(table, label_idx)
+    table.resize((len(table), n_columns - 1))  # numpy refuses while anything else refers to table
+    return table, raw_labels
 
 
 def _scan_rows(reader, header, label_idx: int, feature_names, path: str):

@@ -510,6 +510,26 @@ class TestEval:
         peak, matrix = _eval_peak(tmp_path, 40000)
         assert peak <= 0.6 * matrix, f"peak {peak / matrix:.2f}x the feature matrix"
 
+    def test_row_order_leaves_the_report_bytes(self, tmp_path):
+        # a metamorphic relation: 12289 rows are four reads and three predicted blocks,
+        # so each shuffle moves rows across the block boundaries and the reads' joins
+        run = self._train(tmp_path)
+        data = _write_synth_csv(tmp_path / "bulk.csv", seed=11, rows=12289)
+        with open(data) as fh:
+            header, *rows = fh.readlines()
+
+        def report(path, out):
+            assert main(["eval", run, "--data", path, "--label-col", "label",
+                         "--positive", "yes", "--out", str(out)]) == 0
+            return [(out / name).read_bytes() for name in ("metrics.json", "roc.csv")]
+
+        expected = report(data, tmp_path / "ev")
+        for seed in (1, 2, 3):
+            path = tmp_path / f"shuffled{seed}.csv"
+            order = np.random.default_rng(seed).permutation(len(rows))
+            path.write_text(header + "".join(rows[i] for i in order))
+            assert report(str(path), tmp_path / f"ev{seed}") == expected, seed
+
     def test_streamed_eval_writes_the_whole_matrix_bytes(self, tmp_path):
         # at one BLAS thread, eval's blocks give the metrics.json and roc.csv
         # of predict_rows on the loaded table, and a file the row scan must
@@ -676,6 +696,40 @@ def test_roc_csv_has_the_whole_file_bytes(tmp_path, points):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def _run_fresh(probe: str) -> str:
+    """The stdout of ``probe`` run in a fresh interpreter that imports trisect from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("command", [["train"], ["baseline", "--kind", "m2"],
+                                     ["crossval", "--folds", "3", "--jobs", "1"],
+                                     ["crossval", "--folds", "3", "--jobs", "2"], ["eval"]],
+                         ids=["train", "baseline", "crossval-jobs1", "crossval-jobs2", "eval"])
+def test_commands_do_not_import_numpy_ma(tmp_path, command):
+    # np.unique imports numpy.ma (np.ma.is_masked): 11k lines that no command needs
+    data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
+    flags = ["--data", data, "--label-col", "label", "--positive", "yes"]
+    if command == ["eval"]:
+        run_dir = str(tmp_path / "run")
+        assert main(["train", *flags, "--config", _fast_config(tmp_path), "--out", run_dir]) == 0
+        argv = ["eval", run_dir, *flags]
+    else:
+        argv = [*command, *flags, "--config", _fast_config(tmp_path)]
+    argv += ["--out", str(tmp_path / "o")]
+    probe = textwrap.dedent(f"""
+        import sys
+        from trisect.cli import main
+        print(main({argv!r}), "numpy.ma" in sys.modules)
+        """)
+    assert _run_fresh(probe) == "0 False\n"
+
+
 class TestCrossval:
     def test_fold_records_and_summary(self, tmp_path):
         data = _write_synth_csv(tmp_path / "synth.csv", rows=60)
@@ -801,13 +855,7 @@ class TestCrossval:
             print(code, sorted(m for m in ("concurrent.futures", "multiprocessing")
                                if m in sys.modules))
             """)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "0 []\n"
+        assert _run_fresh(probe) == "0 []\n"
 
     def test_negative_jobs_is_exit_1(self, tmp_path, capsys):
         data = _write_synth_csv(tmp_path / "synth.csv")

@@ -463,6 +463,22 @@ def test_label_column_drop_equals_np_delete(d, label_idx):
         assert features.tobytes() == expected.tobytes()
         assert features.flags.c_contiguous and features.strides == expected.strides
         assert features.flags.writeable
+        # not a view: numpy's buffer is shrunk to the features, so the label column is freed
+        assert features.base is None and features.nbytes == expected.nbytes
+
+
+@pytest.mark.parametrize("labels", [np.array([1, -1]), np.array([1.0, -1.0])],
+                         ids=["int64", "float64"])
+def test_dataset_accepts_plus_minus_one_labels(labels):
+    assert Dataset(np.zeros((2, 1)), labels, ("x",)).labels is labels
+
+
+@pytest.mark.parametrize("labels", [np.array([1, 0]), np.array([1, 2]), np.array([1.0, np.nan]),
+                                    np.array([True, False]), np.array(["1", "-1"])],
+                         ids=["zero", "two", "nan", "bool", "str"])
+def test_dataset_refuses_other_labels(labels):
+    with pytest.raises(DataError, match=r"^labels must be \+1/-1$"):
+        Dataset(np.zeros((2, 1)), labels, ("x",))
 
 
 def _blank_dataset(d: int) -> Dataset:

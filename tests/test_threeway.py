@@ -43,6 +43,18 @@ class TestCostMatrix:
         with pytest.raises(ValueError, match="cross"):
             CostMatrix(0.0, 0.8, 0.9, 0.9, 0.8, 0.0)
 
+    def test_zero_losses_of_right_actions_accepted(self):
+        mx = CostMatrix(0.0, 0.2, 0.9, 0.9, 0.2, 0.0)
+        assert mx.lpp == mx.lnn == 0.0
+
+    @pytest.mark.parametrize("losses", [(0.2, 0.2, 0.9, 0.9, 0.2, 0.0),  # lPP == lBP
+                                        (0.0, 0.2, 1.0, 0.9, 0.2, 0.0)],  # lNP == 1
+                             ids=["lpp-equals-lbp", "lnp-one"])
+    def test_ordering_boundaries_rejected(self, losses):
+        with pytest.raises(ValueError) as err:
+            CostMatrix(*losses)
+        assert str(err.value) == "need 0 <= lPP < lBP < lNP < 1"
+
     def test_sampled_matrices_all_valid(self):
         stream = RngStream(13, "mx")
         for _ in range(1000):
@@ -237,6 +249,19 @@ class TestPartitions:
             partition_three_way([], 0.2, 0.6)
         with pytest.raises(ValueError):
             partition_two_way([], 1.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_two_way_refuses_gamma_at_the_ends(self, gamma):
+        with pytest.raises(ValueError) as err:
+            partition_two_way([], gamma)
+        assert str(err.value) == f"need 0 < gamma < 1, got {gamma}"
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (1.0, 0.5), (0.5, 0.5)],
+                             ids=["beta-zero", "alpha-one", "beta-equals-alpha"])
+    def test_three_way_refuses_thresholds_at_the_ends(self, alpha, beta):
+        with pytest.raises(ValueError) as err:
+            partition_three_way([], alpha, beta)
+        assert str(err.value) == f"need 0 < beta < alpha < 1, got beta={beta}, alpha={alpha}"
 
 
 class TestRisks:
