@@ -25,8 +25,8 @@ from .data import (_read_csv, apply_normalization, Dataset, fold_split,  # noqa:
                    split_811)
 from .errors import ConfigError, DataError, SamplingError
 from .metrics import accuracy, metrics_report, roc_auc
-from .network import (BLOCK_ROWS, TrainHyper, model_to_json, model_from_json, predict_batch,
-                      predict_rows)
+from .network import (ALIGN_ROWS, BLOCK_ROWS, TrainHyper, _joined, model_to_json,
+                      model_from_json, predict_batch, predict_rows)
 from .numerics import derive_stream
 # build_schedule is not called here, but perfbench/tracer.py wraps it by this name
 from .threeway import build_schedule, schedule_to_json  # noqa: F401
@@ -145,8 +145,8 @@ def _load_dataset(settings) -> Dataset:
     """The data, normalized in the matrix it was read into: one feature
     matrix, as ``normalize(load_csv(...), mode)`` gives it."""
     _require(settings, "data", "label_col", "positive")
-    (X,), labels, names, ingestion = _read_csv(settings["data"], settings["label_col"],
-                                               settings["positive"], lambda X: X, None)
+    ((_, X),), labels, names, ingestion = _read_csv(settings["data"], settings["label_col"],
+                                                    settings["positive"], lambda X: X, None)
     mode = settings["normalize"]
     stats = normalization_stats(mode, X)
     return Dataset(apply_normalization(mode, stats, X, out=X), labels, names, mode, stats,
@@ -314,7 +314,8 @@ def _scored_rows(settings, net, norm_mode, norm_stats):
     under ``net`` after the normalization it was trained with.
 
     The rows are read, normalized and predicted a block at a time, in the
-    blocks ``predict_rows`` would use, so the feature matrix is never held
+    blocks ``predict_rows`` would use, and the rows a final block shares with
+    the block before it are kept once, so the feature matrix is never held
     whole. A file whose width is not the model's fails on the first block
     predicted.
     """
@@ -326,8 +327,8 @@ def _scored_rows(settings, net, norm_mode, norm_stats):
 
     _require(settings, "data", "label_col", "positive")
     parts, truth, _, _ = _read_csv(settings["data"], settings["label_col"], settings["positive"],
-                                   score, BLOCK_ROWS)
-    return (truth, *(np.concatenate(part) for part in zip(*parts)))
+                                   score, BLOCK_ROWS, ALIGN_ROWS)
+    return (truth, *_joined(parts))
 
 
 def cmd_eval(args) -> int:

@@ -296,35 +296,41 @@ def _labels(path: str, raw_labels, positive_label):
     return labels, {pos: 1, neg: -1}
 
 
-def _block_bounds(n: int, rows) -> list[int]:
-    """The bounds ``[0, ..., n]`` of ``n`` rows in blocks of ``rows`` rows (in
-    one block, if None). The last block also takes the remainder, so a block is
-    shorter than ``rows`` only when it is every row; 0 rows are one empty block.
+def _block_bounds(n: int, rows, align: int) -> list[tuple[int, int, int]]:
+    """The (start, stop, skip) blocks of ``n`` rows at ``rows`` rows (one
+    block, if None). A set of at most ``rows`` rows is one block; otherwise
+    every block has ``rows`` rows but the final one, the set's last ``rows``
+    to ``rows + align - 1`` rows from a multiple of ``align``, whose first
+    ``skip`` rows end the block before it and are kept from that block only.
     """
-    if rows is None:
-        return [0, n]
-    return [*range(0, max(n - rows, 0) + 1, rows), n]
+    if rows is None or n <= rows:
+        return [(0, n, 0)]
+    last = (n - rows) // align * align
+    return [(a, a + rows, 0) for a in range(0, last, rows)] + [(last, n, -last % rows)]
 
 
-def _read_csv(path: str, label_column, positive_label, fn, rows):
-    """``fn`` of each block of the CSV's feature matrix, in order, as (``fn``'s
-    results, labels, feature names, ingestion record).
+def _read_csv(path: str, label_column, positive_label, fn, rows, align: int = 1):
+    """``fn`` of each block of the CSV's feature matrix, in order, as (list of
+    (skip, ``fn``'s result), labels, feature names, ingestion record).
 
-    The blocks are those of ``_block_bounds(n, rows)``, which
-    ``network._row_blocks`` also uses. A ``rows`` of None reads every row in one
-    ``_parse_table`` call, as one block. Otherwise the file is read ``rows``
-    rows at a time, and a full read is held until the next one shows whether
-    more rows follow, so the last block also takes the remainder. ``fn`` gets
-    each block as a writable float64 matrix, which it may overwrite, such as
-    a normalization in place.
+    The blocks are ``_block_bounds(n, rows, align)``'s; the caller drops each
+    result's first ``skip`` rows. A ``rows`` of None reads every row in one
+    ``_parse_table`` call. Otherwise the file is read ``rows`` rows at a time
+    (``align`` must divide ``rows``), and a full read is held until the next
+    one shows whether more rows follow. The final block's rows are copied out
+    of the held read and the short last one, which is then freed, before
+    ``fn`` runs on the held read, if it is a block, and on the final block.
+    ``fn`` gets each block as a writable float64 matrix, which it may
+    overwrite, such as a normalization in place.
 
     When a read does not parse, the results so far are dropped and the row
     scan reads the file from the start: it names the faulty cell, or drops
-    the incomplete rows, and ``fn`` runs on the blocks of the rows it keeps,
-    which it holds whole.
+    the incomplete rows, and ``fn`` runs on the blocks of the rows it keeps.
     The label checks run after the last read, before ``fn`` of the blocks
     that read leaves.
     """
+    if rows is not None and rows % align:
+        raise ValueError(f"the alignment {align} does not divide the read size {rows}")
     results, raw_labels, held, rows_dropped = [], [], None, 0
     with _open_table(path, label_column) as (fh, header, label_idx):
         feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
@@ -332,7 +338,7 @@ def _read_csv(path: str, label_column, positive_label, fn, rows):
             if rows is None or len(read[1]) < rows:  # the end of the file
                 break
             if held is not None:
-                results.append(fn(held[0]))
+                results.append((0, fn(held[0])))
                 raw_labels += held[1]
             held = read
         if read is None:  # the row scan reads the file from the start
@@ -342,14 +348,21 @@ def _read_csv(path: str, label_column, positive_label, fn, rows):
             next(reader)
             X, kept, _, rows_dropped = _scan_rows(reader, header, label_idx, feature_names, path)
             read = X, kept
-    if held is not None:  # the rows after the last full read join it, the file closed
-        read = (np.concatenate((held[0], read[0])), held[1] + read[1]) if read[1] else held
-        held = None  # a joined read's buffer is freed before fn runs
-    X, tail = read
-    raw_labels = raw_labels + tail if raw_labels else tail  # one read's list is not copied
+    # X holds every block but the final one, which may also take the short last read
+    if held is None:  # one read, or the row scan, whose list is not copied
+        (X, raw_labels), tail = read, read[0][:0]
+    else:
+        (X, held_labels), (tail, tail_labels) = held, read
+        raw_labels += held_labels + tail_labels
+    del read, held
     labels, mapping = _labels(path, raw_labels, positive_label)
-    bounds = _block_bounds(len(X), rows)
-    results += [fn(X[a:b]) for a, b in zip(bounds, bounds[1:])]
+    *blocks, (start, _, skip) = _block_bounds(len(X) + len(tail), rows, align)
+    # copied before fn overwrites the block before it, or joined with the short read
+    final = np.concatenate((X[start:], tail)) if skip or len(tail) else X[start:]
+    del tail
+    results += [(s, fn(X[a:b])) for a, b, s in blocks]
+    del X
+    results.append((skip, fn(final)))
     ingestion = {
         "rows_read": len(raw_labels) + rows_dropped,
         "rows_dropped": rows_dropped,
@@ -371,8 +384,8 @@ def load_csv(path: str, label_column, positive_label) -> Dataset:
     cannot read (a cell longer than its field limit) and label columns
     without exactly two distinct values are errors.
     """
-    (features,), labels, feature_names, ingestion = _read_csv(path, label_column,
-                                                              positive_label, lambda X: X, None)
+    ((_, features),), labels, feature_names, ingestion = _read_csv(
+        path, label_column, positive_label, lambda X: X, None)
     return Dataset(features, labels, feature_names, ingestion=ingestion)
 
 

@@ -21,8 +21,10 @@ from .numerics import RngStream, _f2s, activate, activate_derivative, ACTIVATION
 
 PROB_CLAMP = 1e-12
 # rows per block of a forward pass over many rows (see _row_blocks): at one BLAS
-# thread a block of at least this many rows gets the bytes of one product of them all
+# thread a block of at least this many rows, from a multiple of ALIGN_ROWS, gets
+# the bytes of one product of them all
 BLOCK_ROWS = 4096
+ALIGN_ROWS = 64
 INIT_DISTRIBUTIONS = ("uniform", "normal")
 
 
@@ -197,32 +199,37 @@ def predict_batch(net: LayeredNetwork, X):
 
 
 def _row_blocks(X, rows):
-    """The rows ``rows`` of ``X``, in order, as the blocks of
-    ``data._block_bounds`` at ``BLOCK_ROWS`` rows, which ``data._read_csv``
-    also reads: the last block also takes the remainder, so a block is shorter
-    only when it is the whole set. Each block is gathered into one buffer,
-    which the next block overwrites.
+    """The rows ``rows`` of ``X``, in order, as (skip, block) pairs of the
+    blocks of ``data._block_bounds`` at ``BLOCK_ROWS`` and ``ALIGN_ROWS``,
+    which ``data._read_csv`` also reads: no block holds more than 4159 rows.
+    Each block is gathered into one buffer, which the next block overwrites.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = len(rows)
     if n and not 0 <= rows.min() <= rows.max() < len(X):
         raise IndexError(f"row indices must lie in [0, {len(X)})")
-    bounds = _block_bounds(n, BLOCK_ROWS)
-    buffer = np.empty((bounds[-1] - bounds[-2], X.shape[1]), dtype=X.dtype)
-    for a, b in zip(bounds, bounds[1:]):
+    blocks = _block_bounds(n, BLOCK_ROWS, ALIGN_ROWS)
+    buffer = np.empty((blocks[-1][1] - blocks[-1][0], X.shape[1]), dtype=X.dtype)
+    for a, b, skip in blocks:
         # "clip" writes into ``out`` directly; "raise" would gather into a new array
-        yield np.take(X, rows[a:b], axis=0, out=buffer[:b - a], mode="clip")
+        yield skip, np.take(X, rows[a:b], axis=0, out=buffer[:b - a], mode="clip")
+
+
+def _joined(parts):
+    """Each per-row array of the (skip, results) ``parts``, joined without
+    each block's first ``skip`` rows; one block's results as they are."""
+    if len(parts) == 1:
+        return parts[0][1]
+    return tuple(np.concatenate(kept)
+                 for kept in zip(*([a[skip:] for a in res] for skip, res in parts)))
 
 
 def predict_rows(net: LayeredNetwork, X, rows):
     """``predict_batch`` of the rows ``rows`` of ``X``, computed one block of
-    rows at a time (see ``_row_blocks``); a set of one block is one
-    ``predict_batch`` call, whose result is returned as it is."""
+    rows at a time (see ``_row_blocks``), each row kept once; a set of one
+    block is one ``predict_batch`` call, whose result is returned as it is."""
     X = np.asarray(X, dtype=np.float64)
-    parts = [predict_batch(net, block) for block in _row_blocks(X, rows)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    return _joined([(skip, predict_batch(net, block)) for skip, block in _row_blocks(X, rows)])
 
 
 def _focal_terms(q: np.ndarray, y: np.ndarray, delta: float, theta: float,
@@ -287,10 +294,10 @@ def _forward(X, W1, b1, W2, b2, activation):
 def cost(X, y, W1, b1, W2, b2, activation, delta, theta, l2, rows) -> float:
     """Mean focal loss of the rows ``rows`` of ``X`` and ``y`` plus the L2
     penalty over all four tensors; the forward pass runs one block of rows at
-    a time (see ``_row_blocks``)."""
+    a time (see ``_row_blocks``), and each row counts once."""
     X = np.asarray(X, dtype=np.float64)
-    q = np.concatenate([_forward(block, W1, b1, W2, b2, activation)[2]
-                        for block in _row_blocks(X, rows)])
+    q = np.concatenate([_forward(block, W1, b1, W2, b2, activation)[2][skip:]
+                        for skip, block in _row_blocks(X, rows)])
     y = np.asarray(y)[rows]
     return regularized_cost(_focal_terms(q, y, delta, theta), W1, b1, W2, b2, l2)
 

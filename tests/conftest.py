@@ -49,11 +49,53 @@ def _or_unknown(read) -> str:
         return "unknown"
 
 
-def pytest_report_header(config):
+def _platform_lines() -> list[str]:
     # the pinned output digests hold on one numpy dispatch and BLAS kernel
     return [f"numpy: {np.__version__}",
             f"float64 exp|log|expm1|log1p|tanh target: {_or_unknown(_float64_math_targets)}",
             f"OpenBLAS core: {_or_unknown(_openblas_core)}"]
+
+
+def pytest_report_header(config):
+    return _platform_lines()
+
+
+def pytest_terminal_summary(terminalreporter):
+    # -q hides the header, so the platform is printed above the final count instead
+    if not terminalreporter.showheader:
+        for line in _platform_lines():
+            terminalreporter.write_line(line)
+
+
+def assert_block_rule(n: int, blocks, rows: int, align: int) -> None:
+    """Assert that the (start, stop, skip) ``blocks`` of a set of ``n`` rows
+    follow the row-block rule at ``rows`` rows and alignment ``align``.
+
+    A set of at most ``rows`` rows is one block. Otherwise every block but
+    the final one has ``rows`` rows and skips none, and the final one ends
+    at ``n`` and starts at the largest multiple of ``align`` that leaves it
+    at least ``rows`` rows. Dropping each block's first ``skip`` rows, the
+    kept rows tile the set exactly once, in order.
+    """
+    *firsts, (start, stop, _) = blocks
+    if n <= rows:
+        assert blocks == [(0, n, 0)], (n, blocks)
+    else:
+        assert all(b - a == rows and not skip for a, b, skip in firsts), (n, blocks)
+        assert start % align == 0 and stop == n, (n, blocks)
+        assert n - start >= rows > n - start - align, (n, blocks)
+    kept = [i for a, b, skip in blocks for i in range(a + skip, b)]
+    assert kept == list(range(n)), (n, blocks)
+
+
+def block_spans(parts) -> list[tuple[int, int, int]]:
+    """The (start, stop, skip) blocks of consecutive (skip, length) ``parts``,
+    each block starting ``skip`` rows before the one before it stops."""
+    spans, stop = [], 0
+    for skip, length in parts:
+        spans.append((stop - skip, stop - skip + length, skip))
+        stop = spans[-1][1]
+    return spans
 
 
 # ten-row two-class table driving the worked-example checks; labels 1/2,

@@ -20,11 +20,13 @@ import pytest
 from trisect.cli import ROC_CHUNK_LINES, _write_roc_csv, main
 from trisect.errors import ConfigError, DataError, SamplingError
 from trisect.metrics import roc_auc
-from trisect.network import _row_blocks
+from trisect.network import ALIGN_ROWS, BLOCK_ROWS
 from trisect.trainer import run
 
 from conftest import (
     TOY_SPLIT,
+    assert_block_rule,
+    block_spans,
     synthetic_dataset,
     toy_csv_text,
 )
@@ -498,9 +500,9 @@ class TestEval:
 
     def test_memory_is_one_feature_matrix_and_the_forward_pass(self, tmp_path):
         # eval holds one parsed 4096-row block and the one read after it, and
-        # at the end the 7712-row last block made of the two; with the truth,
-        # labels and scores of each row, and then the ROC arrays, that is
-        # about the 20000x16 feature matrix, which is never held whole
+        # at the end a copy of the final block's 4128 rows out of the two; with
+        # the truth, labels and scores of each row, and then the ROC arrays,
+        # that is less than the 20000x16 feature matrix, which is never held whole
         peak, matrix = _eval_peak(tmp_path, 20000)
         assert peak <= 1.1 * matrix, f"peak {peak / matrix:.2f}x the feature matrix"
 
@@ -543,9 +545,10 @@ class TestEval:
             from trisect.network import LayeredNetwork, model_to_json, predict_rows
 
             work = sys.argv[1]
-            blocks, whole_calls, parses = [], [], []
-            stream_batch, stream_whole = cli.predict_batch, cli.predict_rows
+            blocks, skips, whole_calls, parses = [], [], [], []
+            stream_batch, stream_whole, join = cli.predict_batch, cli.predict_rows, cli._joined
             cli.predict_batch = lambda net, X: blocks.append(len(X)) or stream_batch(net, X)
+            cli._joined = lambda parts: skips.extend(s for s, _ in parts) or join(parts)
             cli.predict_rows = lambda *a: whole_calls.append(1) or stream_whole(*a)
             parse = data._parse_table
             data._parse_table = lambda *a: parses.append(1) or parse(*a)
@@ -555,7 +558,7 @@ class TestEval:
                         for name in ("metrics.json", "roc.csv")]
 
             def evaluate(path, run, ds):  # against predict_rows on ds, the table loaded whole
-                del blocks[:], whole_calls[:], parses[:]
+                del blocks[:], skips[:], whole_calls[:], parses[:]
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
                     code = cli.main(["eval", run, "--data", path, "--label-col", "y",
@@ -568,7 +571,8 @@ class TestEval:
                                               np.arange(ds.n_rows))
                 cli._write_report(work + "/ref", ds.labels, labels, scores)
                 return {"same": bundle(work + "/ev") == bundle(work + "/ref"),
-                        "rows": ds.n_rows, "whole": len(whole_calls), "blocks": blocks[:]}
+                        "rows": ds.n_rows, "whole": len(whole_calls), "calls": len(blocks),
+                        "blocks": [list(b) for b in zip(skips, blocks[-len(skips):])]}
 
             rng = np.random.default_rng(28)
             runs, results = {}, []
@@ -623,17 +627,19 @@ class TestEval:
         got = json.loads(done.stdout)
         assert len(got["results"]) == 48
         for n, m, t, result in got["results"]:
-            # eval's own forward passes, one per block of predict_rows
-            blocks = [len(block) for block in _row_blocks(np.empty((n, 0)), np.arange(n))]
-            assert result == {"same": True, "rows": n, "whole": 0, "blocks": blocks}, (n, m, t)
+            # eval's own forward passes, one per block of predict_rows, as
+            # (skip, rows) pairs
+            blocks = result.pop("blocks")
+            assert result == {"same": True, "rows": n, "whole": 0, "calls": len(blocks)}, (n, m, t)
+            assert_block_rule(n, block_spans(blocks), BLOCK_ROWS, ALIGN_ROWS)
         assert got["damaged"] == {
             "code": 2, "whole": 0,
             "err": f"error: {tmp_path}/n12289m8.csv: non-numeric value 'abc' in column 'f0', "
                    "row 10000\n"}
         # the first block was predicted before the third read failed; the row
         # scan's 12288 rows are then predicted in predict_rows' blocks
-        assert got["dropped"] == {"same": True, "rows": 12288, "whole": 0,
-                                  "blocks": [4096, 4096, 4096, 4096]}
+        assert got["dropped"] == {"same": True, "rows": 12288, "whole": 0, "calls": 4,
+                                  "blocks": [[0, 4096], [0, 4096], [0, 4096]]}
         # three reads and no parse of the whole file before each row scan
         assert got["parses"] == [3, 3]
 
@@ -728,6 +734,67 @@ def test_commands_do_not_import_numpy_ma(tmp_path, command):
         print(main({argv!r}), "numpy.ma" in sys.modules)
         """)
     assert _run_fresh(probe) == "0 False\n"
+
+
+# column factors: powers of two, so every scaled cell is exact and neither overflows nor
+# underflows into the subnormals
+SCALING = np.array([4.0, 0.5, 1.0, 1.0, 2.0**-10, 8.0])
+
+
+def _write_scaled_csv(path, ds, factors):
+    """``ds`` as a CSV whose feature columns are multiplied by ``factors``,
+    each cell written as the repr of its float, so it reads back exactly."""
+    with open(path, "w") as fh:
+        fh.write(",".join(ds.feature_names) + ",label\n")
+        for x, y in zip((ds.features * factors).tolist(), ds.labels.tolist()):
+            fh.write(",".join(map(repr, x)) + (",yes\n" if y == 1 else ",no\n"))
+    return str(path)
+
+
+def _scaled_bundles(tmp_path, factors, seed, config):
+    """The train bundle, the eval report and the crossval (--jobs 1) summary
+    of builder tables whose columns are multiplied by ``factors``, as
+    {file name: bytes}, with model.json as its parsed document."""
+    folder = tmp_path / ("plain" if (factors == 1).all() else "scaled")
+    folder.mkdir(parents=True)
+    data = _write_scaled_csv(folder / "train.csv", synthetic_dataset(seed, 1000, 6), factors)
+    # 4200 rows: a 4096-row block and a final block of the last 4136, which overlap
+    held_out = _write_scaled_csv(folder / "eval.csv", synthetic_dataset(seed + 100, 4200, 6),
+                                 factors)
+    common = ["--label-col", "label", "--positive", "yes", "--config", config]
+    assert main(["train", "--data", data, "--out", str(folder / "run"), *common]) == 0
+    assert main(["eval", str(folder / "run"), "--data", held_out, "--out", str(folder / "ev"),
+                 *common[:4]]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["crossval", "--data", data, "--out", str(folder / "cv"), "--folds", "3",
+                     "--jobs", "1", *common]) == 0
+    files = {str(path.relative_to(folder)): path.read_bytes()
+             for path in sorted(folder.glob("*/*"))}
+    files["run/model.json"] = json.loads(files["run/model.json"])
+    return files
+
+
+@pytest.mark.parametrize("extra", ["", "l2 = 0.01\nclusters = 8\n"], ids=["defaults", "l2-0.01"])
+@pytest.mark.parametrize("mode", ["min-max", "z-score"])
+def test_power_of_two_column_scaling_leaves_the_output_bytes(tmp_path, mode, extra):
+    # a metamorphic relation: both normalizations divide a column's factor out
+    # exactly, so train, eval and crossval write the same bytes, and only
+    # model.json's normalization stats carry the factors
+    config = tmp_path / "scaling.cfg"
+    config.write_text(f"normalize = {mode}\nmax_epochs = 8\npatience = 8\n{extra}")
+    levels = []
+    for seed in (1, 2, 3):
+        plain = _scaled_bundles(tmp_path / str(seed), np.ones(len(SCALING)), seed, str(config))
+        scaled = _scaled_bundles(tmp_path / str(seed), SCALING, seed, str(config))
+        assert sorted(plain) == sorted(scaled)
+        stats = [np.array(doc["normalization"].pop("stats"), dtype=np.float64)
+                 for doc in (plain["run/model.json"], scaled["run/model.json"])]
+        assert stats[1].tobytes() == (stats[0] * SCALING[:, None]).tobytes(), seed
+        for name in plain:
+            assert plain[name] == scaled[name], (seed, name)
+        levels.append(len(json.loads(plain["run/ledger.json"])["levels"]))
+    if mode == "z-score":  # so the relation also covers the level loop's later levels
+        assert max(levels) >= 2, levels
 
 
 class TestCrossval:

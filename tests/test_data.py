@@ -4,13 +4,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trisect import DataError, RngStream, load_csv, make_folds, normalize, split_811
-from trisect.data import (Dataset, FoldPlan, Split, _block_bounds, _parse_table, _read_csv,
+from trisect.data import (Dataset, FoldPlan, Split, _parse_table, _read_csv,
                           _scan_rows, apply_normalization, fold_split, normalization_stats)
 
-from conftest import TOY_LABELS, synthetic_dataset, toy_csv_text
+from conftest import TOY_LABELS, assert_block_rule, block_spans, synthetic_dataset, toy_csv_text
 
 
 @pytest.fixture
@@ -295,35 +295,54 @@ def test_both_readers_agree_with_one_more_incomplete_row(tmp_path_factory, table
 # with empty cells as well, so that a failed read sends some files to the row scan
 @settings(max_examples=60, deadline=None)
 @given(_tables(st.one_of(_cell, _cell, _cell, _non_finite)))
+# the row scan keeps 8 rows, so 3-row blocks end in an overlapping final block
+@example(table=("c0,c1,y\n" + "".join(f"{i}.5,-{i}.25,{'ab'[i % 2]}\n" for i in range(8))
+                + ",1.0,a\n", 2))
 def test_block_reads_agree_with_the_whole_read(tmp_path_factory, table):
     """Read 1 to 4 rows at a time, a table gives ``_block_bounds``' blocks,
-    which join into the matrix of one read of every row, with its labels,
-    feature names and ingestion; or it gives that read's DataError. A
-    non-finite cell makes a read fail after the reads before it parsed."""
+    the final one aligned at 1 or 2 rows and so overlapping the block before
+    it on most tables. Each block holds its rows as read, also when ``fn``
+    overwrites the block before it, and with each block's skipped rows
+    dropped, they join into the matrix of one read of every row, with its
+    labels, feature names and ingestion; or they give that read's DataError.
+    A non-finite cell makes a read fail after the reads before it parsed."""
     text, label_idx = table
     path = tmp_path_factory.mktemp("blocks") / "table.csv"
     path.write_text(text, encoding="utf-8")
 
-    def read(rows):
+    def spoiled_copy(X):  # fn may overwrite its block, as eval's normalization does
+        out = X.copy()
+        X[...] = np.nan
+        return out
+
+    def read(rows, align):
         try:
-            return _read_csv(str(path), label_idx, "a", lambda X: X, rows)
+            return _read_csv(str(path), label_idx, "a", spoiled_copy, rows, align)
         except DataError as err:
             return str(err)
 
-    whole = read(None)
-    for rows in (1, 2, 3, 4):
-        blocks = read(rows)
+    whole = read(None, 1)
+    for rows, align in ((1, 1), (2, 1), (3, 1), (4, 1), (4, 2)):
+        blocks = read(rows, align)
         if isinstance(whole, str):
             assert blocks == whole, rows
             continue
         assert not isinstance(blocks, str), blocks
-        (X,), labels, names, ingestion = whole
+        ((_, X),), labels, names, ingestion = whole
         parts, block_labels, block_names, block_ingestion = blocks
-        assert [len(part) for part in parts] == np.diff(_block_bounds(len(X), rows)).tolist()
-        joined = np.concatenate(parts)
-        assert joined.shape == X.shape and joined.tobytes() == X.tobytes(), rows
+        spans = block_spans([(skip, len(part)) for skip, part in parts])
+        assert_block_rule(len(X), spans, rows, align)
+        for (a, b, _), (_, part) in zip(spans, parts):
+            assert part.shape == X[a:b].shape and part.tobytes() == X[a:b].tobytes(), rows
         assert block_labels.tolist() == labels.tolist()
         assert (block_names, block_ingestion) == (names, ingestion)
+
+
+def test_read_size_must_be_a_multiple_of_the_alignment(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(toy_csv_text(), encoding="utf-8")
+    with pytest.raises(ValueError, match="the alignment 2 does not divide the read size 3"):
+        _read_csv(str(path), "D", "1", lambda X: X, 3, 2)
 
 
 class TestNormalize:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from trisect import (
 )
 from trisect.baselines import train_fixed_topology
 from trisect.network import (
+    ALIGN_ROWS,
     BLOCK_ROWS,
     _focal_terms,
     _row_blocks,
@@ -45,6 +47,8 @@ from conftest import (
     NODE_2,
     TOY_FEATURES,
     TOY_LABELS,
+    assert_block_rule,
+    block_spans,
     network_of,
     split_for,
     synthetic_dataset,
@@ -567,21 +571,83 @@ class TestClassifySplit:
         assert sum(len(g) for g in groups) == 10
 
 
+def _bytes_probe(ns, core):
+    """In a fresh interpreter at one BLAS thread and OpenBLAS core ``core``,
+    compare ``predict_rows`` and ``cost`` over n rows, for each n in ``ns``,
+    with one product over those rows gathered, in order and not."""
+    probe = textwrap.dedent("""\
+        import json, sys, numpy as np
+        from trisect.network import (PROB_CLAMP, LayeredNetwork, _focal_terms, cost,
+                                     predict_batch, predict_rows, regularized_cost)
+        rng = np.random.default_rng(35)
+        cases, mismatches = 0, []
+        for m in (1, 3, 8, 32, 64):
+            for t in (1, 2, 3, 6):
+                net = LayeredNetwork(rng.standard_normal((t, m)), rng.standard_normal(t),
+                                     rng.standard_normal((2, t)), rng.standard_normal(2), "selu")
+                for n in json.loads(sys.argv[1]):
+                    X = rng.random((n + 9, m))
+                    y = np.where(rng.random(n + 9) < 0.5, 1, -1)
+                    for permuted, picked in enumerate((np.arange(n), rng.permutation(n + 9)[:n])):
+                        full = predict_batch(net, X[picked])
+                        got = predict_rows(net, X, picked)
+                        q = np.clip(full[1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+                        one = regularized_cost(_focal_terms(q, y[picked], 0.4, 2.0),
+                                               *net.tensors, 0.01)
+                        blocked = cost(X, y, *net.tensors, "selu", 0.4, 2.0, 0.01, picked)
+                        cases += 1
+                        if (got[0].tobytes() != full[0].tobytes()
+                                or got[1].tobytes() != full[1].tobytes()
+                                or blocked.hex() != one.hex()):
+                            mismatches.append([m, t, n, bool(permuted)])
+        print(json.dumps({"cases": cases, "mismatches": mismatches}))
+        """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(OPENBLAS_NUM_THREADS="1", **({"OPENBLAS_CORETYPE": core} if core else {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(ns)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestRowBlocks:
     """Forward passes over many rows run one block of rows at a time."""
 
-    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8191, 8192, 12289])
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 4159, 4160, 8191, 8192, 8255, 8256,
+                                   12289])
     def test_blocks_cover_the_rows_in_order(self, n):
         X = np.arange(2 * n, dtype=np.float64).reshape(n, 2)
         rows = np.random.default_rng(n).permutation(n)
-        for picked, expected in ((np.arange(n), X), (rows, X[rows])):
-            blocks = [block.copy() for block in _row_blocks(X, picked)]
-            sizes = [len(block) for block in blocks]
-            # the remainder joins the last block: a short block is the whole set
-            assert len(blocks) == max(n // BLOCK_ROWS, 1)
-            assert all(BLOCK_ROWS <= size < 2 * BLOCK_ROWS for size in sizes[1:])
-            assert sizes[0] == (n if len(blocks) == 1 else BLOCK_ROWS)
-            assert np.concatenate(blocks).tobytes() == expected.tobytes()
+        for picked in (np.arange(n), rows):
+            blocks = [(skip, block.copy()) for skip, block in _row_blocks(X, picked)]
+            # every block but the final one has BLOCK_ROWS rows; the final one,
+            # aligned, skips the rows it shares with the block before it
+            spans = block_spans([(skip, len(block)) for skip, block in blocks])
+            assert_block_rule(n, spans, BLOCK_ROWS, ALIGN_ROWS)
+            for (a, b, _), (_, block) in zip(spans, blocks):
+                assert block.tobytes() == X[picked[a:b]].tobytes()
+
+    def test_memory_is_one_bounded_block(self):
+        # 8191 of 8192 rows are one block of BLOCK_ROWS rows and a final block
+        # of the last 4159; a final block that took the remainder would gather 8191
+        rng = np.random.default_rng(35)
+        X = rng.random((8192, 32))
+        y = np.where(rng.random(8192) < 0.5, 1, -1)
+        rows = rng.permutation(8192)[:8191]
+        net = LayeredNetwork(rng.standard_normal((3, 32)), rng.standard_normal(3),
+                             rng.standard_normal((2, 3)), rng.standard_normal(2), "selu")
+        block = (BLOCK_ROWS + ALIGN_ROWS - 1) * 32 * X.itemsize
+        for run in (lambda: predict_rows(net, X, rows),
+                    lambda: cost(X, y, *net.tensors, "selu", 0.4, 2.0, 0.01, rows)):
+            tracemalloc.start()  # the inputs are not traced
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * block, f"peak {peak / block:.2f}x one block"
 
     @pytest.mark.parametrize("bad", [-1, 7])
     def test_rows_outside_the_matrix_are_refused(self, bad):
@@ -631,6 +697,13 @@ class TestRowBlocks:
             assert done.returncode == 0, done.stderr
             result = json.loads(done.stdout)
             assert result == {"cases": 280, "mismatches": []}, (core, result)
+
+    def test_blocked_pass_has_the_bytes_of_one_call_at_the_block_boundaries(self):
+        # the sets where the final block first overlaps the one before it
+        # (4160, 8256) and where it is longest (4159, 8255)
+        ns = (4159, 4160, 8255, 8256)
+        for core in (None, "Haswell"):
+            assert _bytes_probe(ns, core) == {"cases": 160, "mismatches": []}, core
 
 
 class TestModelJson:

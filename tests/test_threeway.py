@@ -48,12 +48,29 @@ class TestCostMatrix:
         assert mx.lpp == mx.lnn == 0.0
 
     @pytest.mark.parametrize("losses", [(0.2, 0.2, 0.9, 0.9, 0.2, 0.0),  # lPP == lBP
-                                        (0.0, 0.2, 1.0, 0.9, 0.2, 0.0)],  # lNP == 1
-                             ids=["lpp-equals-lbp", "lnp-one"])
+                                        (0.0, 0.2, 1.0, 0.9, 0.2, 0.0),  # lNP == 1
+                                        (0.0, 0.5, 0.5, 0.9, 0.2, 0.0)],  # lBP == lNP
+                             ids=["lpp-equals-lbp", "lnp-one", "lbp-equals-lnp"])
     def test_ordering_boundaries_rejected(self, losses):
         with pytest.raises(ValueError) as err:
             CostMatrix(*losses)
         assert str(err.value) == "need 0 <= lPP < lBP < lNP < 1"
+
+    @pytest.mark.parametrize("losses", [(0.0, 0.2, 0.9, 0.9, 0.1, 0.1),  # lNN == lBN
+                                        (0.0, 0.2, 0.9, 0.5, 0.5, 0.0),  # lBN == lPN
+                                        (0.0, 0.2, 0.9, 1.0, 0.2, 0.0)],  # lPN == 1
+                             ids=["lnn-equals-lbn", "lbn-equals-lpn", "lpn-one"])
+    def test_negative_row_boundaries_rejected(self, losses):
+        with pytest.raises(ValueError) as err:
+            CostMatrix(*losses)
+        assert str(err.value) == "need 0 <= lNN < lBN < lPN < 1"
+
+    def test_cross_constraint_at_equality_rejected(self):
+        # (0.25 - 0)(0.5 - 0) == (0.75 - 0.25)(0.75 - 0.5) == 0.125, exactly
+        with pytest.raises(ValueError) as err:
+            CostMatrix(0.0, 0.5, 0.75, 0.75, 0.25, 0.0)
+        assert str(err.value) == ("cross constraint (lBN-lNN)(lBP-lPP) < (lPN-lBN)(lNP-lBP) "
+                                  "violated")
 
     def test_sampled_matrices_all_valid(self):
         stream = RngStream(13, "mx")
@@ -132,6 +149,34 @@ class TestSchedule:
         with pytest.raises(ValueError, match="gamma"):
             ThresholdSchedule(((0.6, 0.2), (0.55, 0.3)), 0.57,
                               (MATRIX_1, MATRIX_1, MATRIX_1))
+
+    @pytest.mark.parametrize("pairs, gamma, message", [
+        (((0.6, 0.0), (0.55, 0.3)), 0.5, "beta_1 must be positive"),
+        (((1.0, 0.2), (0.55, 0.3)), 0.5, "alpha_1 must be below 1"),
+        (((0.6, 0.3), (0.55, 0.2)), 0.5, "sequential ordering broken at level 2"),
+        (((0.6, 0.2), (0.65, 0.3)), 0.5, "sequential ordering broken at level 2"),
+        (((0.6, 0.2), (0.55, 0.3)), 0.3,
+         "gamma must lie strictly inside the last (beta, alpha) corridor"),
+        (((0.6, 0.2), (0.55, 0.3)), 0.55,
+         "gamma must lie strictly inside the last (beta, alpha) corridor"),
+    ], ids=["beta1-zero", "alpha1-one", "beta-decreases", "alpha-increases", "gamma-at-beta",
+            "gamma-at-alpha"])
+    def test_chain_boundaries_rejected(self, pairs, gamma, message):
+        with pytest.raises(ValueError) as err:
+            ThresholdSchedule(pairs, gamma, (MATRIX_1, MATRIX_2, MATRIX_3))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("pairs", [((0.6, 0.2), (0.55, 0.2)), ((0.6, 0.2), (0.6, 0.3))],
+                             ids=["equal-betas", "equal-alphas"])
+    def test_equal_neighbouring_thresholds_accepted(self, pairs):
+        assert ThresholdSchedule(pairs, 0.4, (MATRIX_1, MATRIX_2, MATRIX_3)).pairs == pairs
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.0), (1.0, 0.5), (0.5, 0.5)],
+                             ids=["beta-zero", "alpha-one", "beta-equals-alpha"])
+    def test_matrix_with_thresholds_refuses_the_ends(self, alpha, beta):
+        with pytest.raises(ValueError) as err:
+            matrix_with_thresholds(alpha, beta, RngStream(5, "mwt"))
+        assert str(err.value) == "need 0 < beta < alpha < 1"
 
     def test_seeded_schedules_satisfy_full_chain(self):
         for seed in range(20):
